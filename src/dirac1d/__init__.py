@@ -23,7 +23,6 @@ from .fields import (
     make_initial_data,
 )
 from .nonlinearity import (
-    SpinorPair,
     charge_flux_defect,
     eval_N1,
     eval_N2,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BalanceReport", "ConfigError", "ExperimentConfig", "Grid", "InitialData",
     "ModelParams", "Profile", "ResidualReport", "Scheme", "SolverError",
-    "SpinorField", "SpinorPair", "Trajectory", "TriangleRegion", "charge",
+    "SpinorField", "Trajectory", "TriangleRegion", "charge",
     "charge_flux_defect", "check_pointwise_bound", "compute_profile",
     "eval_N1", "eval_N2", "eval_W", "field_residual", "init_state", "l2_diff",
     "light_cone_balance", "make_initial_data", "pair_overlap", "parse_config",

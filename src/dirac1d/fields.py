@@ -167,9 +167,6 @@ class SpinorField:
                 f"u and v must have length n_cells + 2*pad = {self.grid.n_total}"
             )
 
-    def copy(self) -> "SpinorField":
-        return SpinorField(self.t, self.u.copy(), self.v.copy(), self.grid)
-
 
 def charge(fld: SpinorField) -> float:
     """Total charge Q = h * sum(|u|^2 + |v|^2).
@@ -251,13 +248,6 @@ def _gaussian_samples(x, center, width, amp, phase):
     return vals
 
 
-def _gaussian_radius(width, amp):
-    """Half-width of the region where |samples| >= UNDERFLOW_FLOOR."""
-    if amp == 0.0:
-        return 0.0
-    return width * np.sqrt(np.log(abs(amp) / UNDERFLOW_FLOOR))
-
-
 def _bump_samples(x, center, width, amp, phase):
     # C^infinity bump: amp * exp(1 - 1/(1 - s^2)) on |s| < 1, exactly zero outside.
     s = (x - center) / width
@@ -298,28 +288,23 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
     _check_shape("u", uw, ua)
     _check_shape("v", vw, va)
 
-    if family == "gaussian":
-        # Gaussian tails are clipped to exact zeros at the physical domain
-        # edge; reject when the clipped value is not negligible there.
-        for comp, c, w, amp in (("u", uc, uw, ua), ("v", vc, vw, va)):
-            if amp == 0.0:
-                continue
+    gaussian = family == "gaussian"
+    for comp, c, w, amp in (("u", uc, uw, ua), ("v", vc, vw, va)):
+        if amp == 0.0:
+            continue
+        if gaussian:
+            # Gaussian tails are clipped to exact zeros at the physical domain
+            # edge; reject when the clipped value is not negligible there.
             edge = min(c - grid.x_min, grid.x_max - c)
-            if edge < 0 or np.exp(-((edge / w) ** 2)) > 1e-12:
-                r = _gaussian_radius(w, amp)
-                raise ValueError(
-                    f"{comp}0 support [{c - r:.3g}, {c + r:.3g}] is wider than the "
-                    f"unpadded grid [{grid.x_min:.3g}, {grid.x_max:.3g}]; enlarge the domain"
-                )
-        sampler = _gaussian_samples
-    else:
-        for comp, c, r, amp in (("u", uc, uw, ua), ("v", vc, vw, va)):
-            if amp != 0.0 and (c - r < grid.x_min or c + r > grid.x_max):
-                raise ValueError(
-                    f"{comp}0 support [{c - r:.3g}, {c + r:.3g}] is wider than the "
-                    f"unpadded grid [{grid.x_min:.3g}, {grid.x_max:.3g}]; enlarge the domain"
-                )
-        sampler = _bump_samples
+            too_wide = edge < 0 or abs(amp) * np.exp(-((edge / w) ** 2)) > 1e-12
+            r = w * np.sqrt(np.log(abs(amp) / UNDERFLOW_FLOOR))  # |samples| >= floor
+        else:
+            too_wide, r = c - w < grid.x_min or c + w > grid.x_max, w
+        if too_wide:
+            raise ValueError(
+                f"{comp}0 support [{c - r:.3g}, {c + r:.3g}] is wider than the "
+                f"unpadded grid [{grid.x_min:.3g}, {grid.x_max:.3g}]; enlarge the domain")
+    sampler = _gaussian_samples if gaussian else _bump_samples
 
     u0 = sampler(x, uc, uw, ua, up)
     v0 = sampler(x, vc, vw, va, vp)

@@ -11,20 +11,13 @@ All functions are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 from .fields import ModelParams
 
 Complexlike = Union[complex, np.ndarray]
-
-
-class SpinorPair(NamedTuple):
-    """Pointwise spinor values (u, v)."""
-
-    u: complex
-    v: complex
 
 
 def pair_overlap(u: Complexlike, v: Complexlike):

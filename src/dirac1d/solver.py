@@ -6,6 +6,13 @@ equal to the space step every characteristic advances exactly one cell per
 step, so there is no interpolation anywhere and the scheme's only error is
 the quadrature of the source along the characteristic segment.
 
+u is held on its characteristic labels y = x - t and v on z = x + t, so
+free transport is index arithmetic.  N1 and N2 vanish wherever u or v does,
+so a step updates only the new-level nodes whose characteristic foot or head
+lies in the overlap of the two supports (the previous overlap widened by one
+cell per side, two for oracle4), with the arithmetic of a whole-lattice step
+node for node.  Fields are rebuilt on the padded lattice when recorded.
+
 Three schemes are provided:
 
 trapezoidal   implicit trapezoid rule per node, the production second-order
@@ -17,10 +24,10 @@ oracle4       fourth-order reference: 3-stage Lobatto IIIA collocation over a
               double step (time step 2h), whose half-step abscissae land
               exactly on lattice nodes.  Used for cross-validation.
 
-Each run also accumulates, per characteristic foot label, the running
-trapezoid integral of N1 (and N2) along that characteristic.  These traces
-are what the asymptotics layer turns into scattering profiles, and they make
-the discrete remainder identity u(t) = u0 - i * integral exact by telescoping.
+Each run also accumulates, per characteristic label, the running trapezoid
+integral of N1 (and N2) along that characteristic.  These traces are what
+the asymptotics layer turns into scattering profiles, and they make the
+discrete remainder identity u(t) = u0 - i * integral exact by telescoping.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from .nonlinearity import eval_N1, eval_N2
 
 BLOWUP_LIMIT = 1e6
 
-SCHEME_KINDS = ("trapezoidal", "phase_split", "oracle4")
+# Labels the widest window (oracle4's half level) reaches past the supports
+MARGIN = 4
 
 
 class SolverError(RuntimeError):
@@ -99,22 +107,16 @@ class Trajectory:
         return self.grid.t_final
 
     def snapshot_at(self, t: float) -> SpinorField:
-        key = self._key(t)
-        if key is None:
-            raise ValueError(f"no snapshot recorded at t = {t}; recorded times: {self.times}")
-        return self.snapshots[key]
+        return self.snapshots[self._key(t, "snapshot")]
 
     def traces_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        key = self._key(t)
-        if key is None:
-            raise ValueError(f"no trace partials recorded at t = {t}; recorded: {self.times}")
-        return self.trace_partials[key]
+        return self.trace_partials[self._key(t, "trace partials")]
 
-    def _key(self, t: float):
+    def _key(self, t: float, what: str) -> float:
         for rt in self.times:
             if abs(rt - t) <= 1e-9 * max(1.0, self.grid.h):
                 return rt
-        return None
+        raise ValueError(f"no {what} recorded at t = {t}; recorded times: {self.times}")
 
 
 def init_state(data: InitialData, grid: Grid) -> SpinorField:
@@ -127,52 +129,138 @@ def init_state(data: InitialData, grid: Grid) -> SpinorField:
     return SpinorField(0.0, data.u0.copy(), data.v0.copy(), grid)
 
 
-def _guard(u: np.ndarray, v: np.ndarray, t: float):
-    m = max(np.max(np.abs(u)), np.max(np.abs(v)))
-    if not np.isfinite(m) or m > BLOWUP_LIMIT:
-        raise SolverError(f"field blow-up at t = {t:.6g}: max amplitude {m:.3g}")
+class _Labels:
+    """u on labels y = x - t and v on labels z = x + t, advanced by one scheme.
+
+    At cell level s, u's label i sits at node i + s and v's label i at node
+    i - s.  u, v, |u|, |v|, the sources N1, N2 at the current level and the
+    traces A1, A2 are indexed by label + margin, where the zero margin holds
+    every label that `reach` cells of transport bring onto the padded lattice.
+    """
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, t0: float, h: float,
+                 m: ModelParams, s: Scheme, reach: int):
+        if s.kind == "phase_split" and m.beta != 0.0:
+            raise ValueError("phase_split scheme is only valid for beta = 0")
+        self.n, self.level, self.t0, self.h, self.m, self.s = len(u), 0, t0, h, m, s
+        self.margin = MARGIN + reach
+        self.u, self.v = np.pad(u, self.margin), np.pad(v, self.margin)
+        self.abs_u, self.abs_v = np.abs(self.u), np.abs(self.v)
+        self.n1, self.n2, self.a1, self.a2 = (np.zeros_like(self.u) for _ in range(4))
+        self.mod0, self.drift = None, 0.0  # |u0|, |v0| by label, to track modulus drift
+        # A label's support never grows (N1 vanishes where u does, N2 where v
+        # does), so the initial supports bound every later overlap.
+        iu, iv = np.flatnonzero(u), np.flatnonzero(v)
+        self.hull = (iu[0], iu[-1], iv[0], iv[-1]) if iu.size and iv.size else None
+        self.guard(self.abs_u, self.abs_v)
+        if (win := self.window(0)) is not None:
+            ju, jv = self.labels(*win, 0)
+            self.n1[ju] = eval_N1(self.u[ju], self.v[jv], m)
+            self.n2[jv] = eval_N2(self.u[ju], self.v[jv], m)
+
+    def advance(self) -> int:
+        """One step of the scheme; returns its fixed-point sweeps."""
+        kernel, cells = _KERNELS[self.s.kind]
+        win = self.window(cells)
+        self.level += cells
+        return 0 if win is None else kernel(self, *self.labels(*win, self.level))
+
+    def window(self, w: int) -> tuple[int, int] | None:
+        """Nodes (lo - w, hi + w) around the supports' overlap lo..hi, or None."""
+        if self.hull is None:
+            return None
+        ulo, uhi, vlo, vhi = self.hull
+        lo = max(ulo + self.level, vlo - self.level) - w
+        hi = min(uhi + self.level, vhi - self.level) + w
+        return (lo, hi) if lo <= hi else None
+
+    def labels(self, lo: int, hi: int, s: int) -> tuple[slice, slice]:
+        """Slices of the u and v label arrays at nodes lo..hi of cell level s."""
+        return (slice(self.margin + lo - s, self.margin + hi - s + 1),
+                slice(self.margin + lo + s, self.margin + hi + s + 1))
+
+    def commit(self, ju: slice, jv: slice, U, V, n1, n2):
+        """Store a step's window values and guard them."""
+        self.u[ju], self.v[jv], self.n1[ju], self.n2[jv] = U, V, n1, n2
+        au, av = np.abs(U), np.abs(V)
+        self.abs_u[ju], self.abs_v[jv] = au, av
+        self.guard(au, av)
+        if self.mod0 is not None:
+            self.drift = max(self.drift, np.max(np.abs(au - self.mod0[0][ju])),
+                             np.max(np.abs(av - self.mod0[1][jv])))
+
+    def guard(self, au: np.ndarray, av: np.ndarray):
+        amp = np.maximum(np.max(au), np.max(av))  # a NaN on either side propagates
+        if not np.isfinite(amp) or amp > BLOWUP_LIMIT:
+            t = self.t0 + self.level * self.h
+            raise SolverError(f"field blow-up at t = {t:.6g}: max amplitude {amp:.3g}")
+
+    def field(self, t: float, grid: Grid) -> SpinorField:
+        ju, jv = self.labels(0, self.n - 1, self.level)
+        return SpinorField(t, self.u[ju].copy(), self.v[jv].copy(), grid)
+
+    def moduli(self) -> tuple[np.ndarray, np.ndarray]:
+        ju, jv = self.labels(0, self.n - 1, self.level)
+        return self.abs_u[ju] ** 2, self.abs_v[jv] ** 2
+
+    def traces(self) -> tuple[np.ndarray, np.ndarray]:
+        labels = slice(self.margin, self.margin + self.n)
+        return self.a1[labels].copy(), self.a2[labels].copy()
 
 
-def _step_trapezoidal(u, v, h, m: ModelParams, tol, max_iter):
-    """One unit-CFL implicit-trapezoid step; returns (U, V, N1_new, N2_new, iters)."""
-    n1p = eval_N1(u, v, m)
-    n2p = eval_N2(u, v, m)
-    a = shift_right(u - 0.5j * h * n1p)
-    b = shift_left(v - 0.5j * h * n2p)
-    U = shift_right(u)
-    V = shift_left(v)
-    scale = 1.0 + max(np.max(np.abs(U)), np.max(np.abs(V)))
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        Un = a - 0.5j * h * eval_N1(U, V, m)
-        Vn = b - 0.5j * h * eval_N2(U, V, m)
-        delta = max(np.max(np.abs(Un - U)), np.max(np.abs(Vn - V)))
-        U, V = Un, Vn
-        if delta <= tol * scale:
-            break
-    else:
-        raise SolverError(
-            f"fixed-point iteration did not converge in {max_iter} iterations; "
-            "the time step is too large for the data amplitude"
-        )
-    return U, V, eval_N1(U, V, m), eval_N2(U, V, m), iters
+def _fixed_point(sweep, start: tuple, lab: _Labels):
+    """Iterate x <- sweep(*x) from start until no component moves by more than
+    tol * (1 + max(max|u|, max|v|)); returns the last iterate and the sweeps."""
+    s, x = lab.s, start
+    scale = 1.0 + max(np.max(lab.abs_u), np.max(lab.abs_v))
+    for iters in range(1, s.fixed_point_max_iter + 1):
+        new = sweep(*x)
+        delta = max(np.max(np.abs(a - b)) for a, b in zip(new, x))
+        x = new
+        if delta <= s.fixed_point_tol * scale:
+            return x, iters
+    raise SolverError(
+        f"fixed-point iteration did not converge in {s.fixed_point_max_iter} iterations; "
+        "the time step is too large for the data amplitude")
 
 
-def _step_phase_split(u, v, h, m: ModelParams):
-    """Exact-modulus step for beta = 0.
+def _commit_trapezoid(lab: _Labels, ju: slice, jv: slice, U, V):
+    """Store U, V with their sources, adding the trapezoid panel to the traces."""
+    n1, n2 = eval_N1(U, V, lab.m), eval_N2(U, V, lab.m)
+    lab.a1[ju] += 0.5 * lab.h * (lab.n1[ju] + n1)
+    lab.a2[jv] += 0.5 * lab.h * (lab.n2[jv] + n2)
+    lab.commit(ju, jv, U, V, n1, n2)
+
+
+def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice) -> int:
+    """Unit-CFL implicit trapezoid on the window's labels; returns the sweeps."""
+    h, m = lab.h, lab.m
+    a = lab.u[ju] - 0.5j * h * lab.n1[ju]
+    b = lab.v[jv] - 0.5j * h * lab.n2[jv]
+    (U, V), iters = _fixed_point(
+        lambda U, V: (a - 0.5j * h * eval_N1(U, V, m), b - 0.5j * h * eval_N2(U, V, m)),
+        (lab.u[ju], lab.v[jv]), lab)
+    _commit_trapezoid(lab, ju, jv, U, V)
+    return iters
+
+
+def _step_phase_split(lab: _Labels, ju: slice, jv: slice) -> int:
+    """Exact-modulus step for beta = 0 on the window's labels; no sweeps.
 
     For the Thirring-type nonlinearity N1 = alpha*u*|v|^2 the characteristic
     ODE is a pure phase rotation, so |u| and |v| transport exactly; the phase
     uses the midpoint |v|^2 averaged from the two endpoint values along the
     characteristic (second order).
     """
-    mu = np.abs(u) ** 2
-    mv = np.abs(v) ** 2
-    v_mid = 0.5 * (shift_right(mv) + shift_left(mv))
-    u_mid = 0.5 * (shift_right(mu) + shift_left(mu))
-    U = shift_right(u) * np.exp(-1j * m.alpha * h * v_mid)
-    V = shift_left(v) * np.exp(-1j * m.alpha * h * u_mid)
-    return U, V, eval_N1(U, V, m), eval_N2(U, V, m)
+    # the previous level's moduli at both neighbours of every window node
+    mu = lab.abs_u[ju.start:ju.stop + 2] ** 2
+    mv = lab.abs_v[jv.start - 2:jv.stop] ** 2
+    v_mid = 0.5 * (mv[:-2] + mv[2:])
+    u_mid = 0.5 * (mu[:-2] + mu[2:])
+    U = lab.u[ju] * np.exp(-1j * lab.m.alpha * lab.h * v_mid)
+    V = lab.v[jv] * np.exp(-1j * lab.m.alpha * lab.h * u_mid)
+    _commit_trapezoid(lab, ju, jv, U, V)
+    return 0
 
 
 # 3-stage Lobatto IIIA (collocation at {0, 1/2, 1}): order 4, and both stage
@@ -181,77 +269,59 @@ _L_HALF = (5.0 / 24.0, 1.0 / 3.0, -1.0 / 24.0)
 _L_FULL = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
 
 
-def _step_oracle4(u, v, h, m: ModelParams, tol, max_iter):
-    """One double step (time 2h) of the Lobatto IIIA reference scheme.
+def _lobatto(w: tuple, f0, fh, f1):
+    return w[0] * f0 + w[1] * fh + w[2] * f1
 
-    Returns (U, V, panel1, panel2, iters) where panel1[j] is the order-4
-    quadrature of N1 over the characteristic segment ending at node j
-    (and panel2 the mirrored N2 quadrature), for trace accumulation.
+
+def _step_oracle4(lab: _Labels, fu: slice, fv: slice) -> int:
+    """Lobatto IIIA double step (time 2h) on the window's full-level labels.
+
+    The half level is solved one node wider per side: its u stage still
+    moves by the -1/24 weight of the full-level source one node to its right
+    (v: to its left).  By label, that adds two u labels after the full window
+    and two v labels before it.  The traces gain the order-4 quadrature of
+    the source over each segment.  Returns the sweeps.
     """
-    dt = 2.0 * h
-    f0u = -1j * eval_N1(u, v, m)
-    f0v = -1j * eval_N2(u, v, m)
-    base_uh, base_uf = shift_right(u), shift_right(u, 2)
-    base_vh, base_vf = shift_left(v), shift_left(v, 2)
-    Uh, Uf, Vh, Vf = base_uh.copy(), base_uf.copy(), base_vh.copy(), base_vf.copy()
-    scale = 1.0 + max(np.max(np.abs(u)), np.max(np.abs(v)))
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        fhu = -1j * eval_N1(Uh, Vh, m)
-        f1u = -1j * eval_N1(Uf, Vf, m)
-        fhv = -1j * eval_N2(Uh, Vh, m)
-        f1v = -1j * eval_N2(Uf, Vf, m)
-        Uh_n = base_uh + dt * (_L_HALF[0] * shift_right(f0u)
-                               + _L_HALF[1] * fhu
-                               + _L_HALF[2] * shift_left(f1u))
-        Uf_n = base_uf + dt * (_L_FULL[0] * shift_right(f0u, 2)
-                               + _L_FULL[1] * shift_right(fhu)
-                               + _L_FULL[2] * f1u)
-        Vh_n = base_vh + dt * (_L_HALF[0] * shift_left(f0v)
-                               + _L_HALF[1] * fhv
-                               + _L_HALF[2] * shift_right(f1v))
-        Vf_n = base_vf + dt * (_L_FULL[0] * shift_left(f0v, 2)
-                               + _L_FULL[1] * shift_left(fhv)
-                               + _L_FULL[2] * f1v)
-        delta = max(np.max(np.abs(Uf_n - Uf)), np.max(np.abs(Vf_n - Vf)),
-                    np.max(np.abs(Uh_n - Uh)), np.max(np.abs(Vh_n - Vh)))
-        Uh, Uf, Vh, Vf = Uh_n, Uf_n, Vh_n, Vf_n
-        if delta <= tol * scale:
-            break
-    else:
-        raise SolverError(
-            f"fixed-point iteration did not converge in {max_iter} iterations; "
-            "the time step is too large for the data amplitude"
-        )
+    m, dt = lab.m, 2.0 * lab.h
+    hu, hv = slice(fu.start, fu.stop + 2), slice(fv.start - 2, fv.stop)
+    base_uh, base_vh = lab.u[hu], lab.v[hv]
+    f0u, f0v = -1j * lab.n1[hu], -1j * lab.n2[hv]
+    # the full-level sources seen from the half level: zero past the full window
+    f1u_h, f1v_h = np.zeros_like(base_uh), np.zeros_like(base_vh)
+
+    def sweep(Uf, Vf, Uh, Vh):
+        fhu, f1u = -1j * eval_N1(Uh, Vh, m), -1j * eval_N1(Uf, Vf, m)
+        fhv, f1v = -1j * eval_N2(Uh, Vh, m), -1j * eval_N2(Uf, Vf, m)
+        f1u_h[:-2], f1v_h[2:] = f1u, f1v
+        return (base_uh[:-2] + dt * _lobatto(_L_FULL, f0u[:-2], fhu[:-2], f1u),
+                base_vh[2:] + dt * _lobatto(_L_FULL, f0v[2:], fhv[2:], f1v),
+                base_uh + dt * _lobatto(_L_HALF, f0u, fhu, f1u_h),
+                base_vh + dt * _lobatto(_L_HALF, f0v, fhv, f1v_h))
+
+    (Uf, Vf, Uh, Vh), iters = _fixed_point(
+        sweep, (base_uh[:-2], base_vh[2:], base_uh, base_vh), lab)
     n1h, n1f = eval_N1(Uh, Vh, m), eval_N1(Uf, Vf, m)
     n2h, n2f = eval_N2(Uh, Vh, m), eval_N2(Uf, Vf, m)
-    panel1 = dt * (_L_FULL[0] * shift_right(eval_N1(u, v, m), 2)
-                   + _L_FULL[1] * shift_right(n1h)
-                   + _L_FULL[2] * n1f)
-    panel2 = dt * (_L_FULL[0] * shift_left(eval_N2(u, v, m), 2)
-                   + _L_FULL[1] * shift_left(n2h)
-                   + _L_FULL[2] * n2f)
-    return Uf, Vf, panel1, panel2, iters
+    lab.a1[fu] += dt * _lobatto(_L_FULL, lab.n1[fu], n1h[:-2], n1f)
+    lab.a2[fv] += dt * _lobatto(_L_FULL, lab.n2[fv], n2h[2:], n2f)
+    lab.commit(fu, fv, Uf, Vf, n1f, n2f)
+    return iters
+
+
+# kind -> (kernel for a nonempty window, cells per step = window widening)
+_KERNELS = {
+    "trapezoidal": (_step_trapezoidal, 1),
+    "phase_split": (_step_phase_split, 1),
+    "oracle4": (_step_oracle4, 2),
+}
+SCHEME_KINDS = tuple(_KERNELS)
 
 
 def step(state: SpinorField, m: ModelParams, s: Scheme) -> SpinorField:
     """Advance the field by one time step (h, or 2h for oracle4)."""
-    if s.kind == "phase_split" and m.beta != 0.0:
-        raise ValueError("phase_split scheme is only valid for beta = 0")
-    _guard(state.u, state.v, state.t)
-    h = state.grid.h
-    if s.kind == "trapezoidal":
-        U, V, _, _, _ = _step_trapezoidal(state.u, state.v, h, m,
-                                          s.fixed_point_tol, s.fixed_point_max_iter)
-        dt = h
-    elif s.kind == "phase_split":
-        U, V, _, _ = _step_phase_split(state.u, state.v, h, m)
-        dt = h
-    else:
-        U, V, _, _, _ = _step_oracle4(state.u, state.v, h, m,
-                                      s.fixed_point_tol, s.fixed_point_max_iter)
-        dt = 2.0 * h
-    return SpinorField(state.t + dt, U, V, state.grid)
+    lab = _Labels(state.u, state.v, state.t, state.grid.h, m, s, _KERNELS[s.kind][1])
+    lab.advance()
+    return lab.field(state.t + lab.level * state.grid.h, state.grid)
 
 
 def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
@@ -267,90 +337,40 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
     checks.  track_modulus_drift maintains the running maximum of
     ||u(x,t)| - |u0(x-t)|| and its v analogue over all nodes and steps.
     """
-    if s.kind == "phase_split" and m.beta != 0.0:
-        raise ValueError("phase_split scheme is only valid for beta = 0")
-    step_cells = 2 if s.kind == "oracle4" else 1
+    step_cells = _KERNELS[s.kind][1]
     dt = step_cells * grid.h
-    if s.kind == "oracle4" and grid.n_steps % 2 != 0:
+    if grid.n_steps % step_cells != 0:
         raise ValueError("oracle4 advances two cells per step; n_steps must be even")
     n_steps = grid.n_steps // step_cells
-    t_final = grid.t_final
 
-    record_steps = set()
+    record_steps = {n_steps}
     for t in record_times:
         r = t / dt
         k = int(round(r))
         if abs(r - k) > 1e-9 or not 0 <= k <= n_steps:
             raise ValueError(
                 f"record time {t} is not a multiple of the time step {dt} "
-                f"within [0, {t_final}]")
+                f"within [0, {grid.t_final}]")
         record_steps.add(k)
-    record_steps.add(n_steps)
 
     state = init_state(data, grid)
-    _guard(state.u, state.v, 0.0)
-    traj = Trajectory(grid=grid, params=m, scheme=s, data=data, initial=state.copy())
-
-    # Trace accumulators in the current-node frame; converted to the
-    # characteristic-label frame whenever they are recorded.
-    A1 = np.zeros(grid.n_total, dtype=complex)
-    A2 = np.zeros(grid.n_total, dtype=complex)
-    u0_mod = np.abs(data.u0)
-    v0_mod = np.abs(data.v0)
-    drift = 0.0
-
-    def record(k, state, A1, A2):
-        t = k * dt
-        traj.times.append(t)
-        traj.snapshots[t] = state.copy()
-        cells = k * step_cells
-        traj.trace_partials[t] = (shift_left(A1, cells), shift_right(A2, cells))
-
-    if 0 in record_steps:
-        record(0, state, A1, A2)
-    if record_all_moduli:
-        traj.moduli = [(np.abs(state.u) ** 2, np.abs(state.v) ** 2)]
-
-    u, v = state.u, state.v
-    n1_prev = eval_N1(u, v, m)
-    n2_prev = eval_N2(u, v, m)
-    for k in range(1, n_steps + 1):
-        if s.kind == "trapezoidal":
-            U, V, n1_new, n2_new, it = _step_trapezoidal(
-                u, v, grid.h, m, s.fixed_point_tol, s.fixed_point_max_iter)
-            traj.max_fp_iterations = max(traj.max_fp_iterations, it)
-            A1 = shift_right(A1) + 0.5 * grid.h * (shift_right(n1_prev) + n1_new)
-            A2 = shift_left(A2) + 0.5 * grid.h * (shift_left(n2_prev) + n2_new)
-        elif s.kind == "phase_split":
-            U, V, n1_new, n2_new = _step_phase_split(u, v, grid.h, m)
-            A1 = shift_right(A1) + 0.5 * grid.h * (shift_right(n1_prev) + n1_new)
-            A2 = shift_left(A2) + 0.5 * grid.h * (shift_left(n2_prev) + n2_new)
-        else:
-            U, V, panel1, panel2, it = _step_oracle4(
-                u, v, grid.h, m, s.fixed_point_tol, s.fixed_point_max_iter)
-            traj.max_fp_iterations = max(traj.max_fp_iterations, it)
-            A1 = shift_right(A1, 2) + panel1
-            A2 = shift_left(A2, 2) + panel2
-            n1_new = eval_N1(U, V, m)
-            n2_new = eval_N2(U, V, m)
-        u, v = U, V
-        n1_prev, n2_prev = n1_new, n2_new
-        t = k * dt
-        _guard(u, v, t)
-        state = SpinorField(t, u, v, grid)
-        if record_all_moduli:
-            traj.moduli.append((np.abs(u) ** 2, np.abs(v) ** 2))
-        if track_modulus_drift:
-            cells = k * step_cells
-            du = np.max(np.abs(np.abs(u) - shift_right(u0_mod, cells)))
-            dv = np.max(np.abs(np.abs(v) - shift_left(v0_mod, cells)))
-            drift = max(drift, du, dv)
-        if k in record_steps:
-            record(k, state, A1, A2)
-
+    lab = _Labels(state.u, state.v, 0.0, grid.h, m, s, grid.n_steps)
     if track_modulus_drift:
-        traj.modulus_drift = drift
-    traj.times.sort()
+        lab.mod0 = (np.pad(np.abs(data.u0), lab.margin), np.pad(np.abs(data.v0), lab.margin))
+    traj = Trajectory(grid=grid, params=m, scheme=s, data=data, initial=state,
+                      moduli=[] if record_all_moduli else None)
+    for k in range(n_steps + 1):
+        if k:
+            traj.max_fp_iterations = max(traj.max_fp_iterations, lab.advance())
+        if record_all_moduli:
+            traj.moduli.append(lab.moduli())
+        if k in record_steps:
+            t = k * dt
+            traj.times.append(t)
+            traj.snapshots[t] = lab.field(t, grid)
+            traj.trace_partials[t] = lab.traces()
+    if track_modulus_drift:
+        traj.modulus_drift = lab.drift
     return traj
 
 

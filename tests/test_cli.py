@@ -153,6 +153,21 @@ class TestRunExperiment:
         assert _identity_sweep(seed=0) <= 1e-12
         assert _identity_sweep(seed=123) <= 1e-12
 
+    def test_identity_sweep_values_pinned(self):
+        # the sweep runs the production N1/N2 with the operation order of the
+        # formulas it once repeated inline, so summary.json keeps its bytes
+        assert _identity_sweep(seed=0) == 1.726121328767894e-15
+        assert _identity_sweep(seed=123) == 1.6599033027606637e-15
+
+    def test_identity_sweep_runs_production_code(self, monkeypatch):
+        from dirac1d import nonlinearity
+        calls = []
+        original = nonlinearity.eval_N1
+        monkeypatch.setattr(nonlinearity, "eval_N1",
+                            lambda *a: calls.append(1) or original(*a))
+        _identity_sweep(seed=0)
+        assert calls
+
 
 class TestSweep:
     def test_orders_estimated(self, tmp_path):

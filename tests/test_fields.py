@@ -109,6 +109,18 @@ class TestInitialData:
         with pytest.raises(ValueError, match="support"):
             make_initial_data("gaussian", GAUSSIAN_PAIR, g)
 
+    def test_gaussian_edge_check_scales_with_amplitude(self):
+        # exp(-(20/3.8)^2) = 9.3e-13 at the edge of [-20, 20]: amplitude 1 is
+        # cut off below 1e-12, amplitude 1e6 would jump by 9.3e-7 there
+        g = Grid.from_domain(-20.0, 20.0, 0.25, 1.0)
+        wide = {"u_width": 3.8, "v_width": 3.8}
+        data = make_initial_data("gaussian", wide, g)
+        assert data.u0.any()
+        with pytest.raises(ValueError, match="support"):
+            make_initial_data("gaussian", {**wide, "u_amplitude": 1e6}, g)
+        with pytest.raises(ValueError, match="support"):
+            make_initial_data("gaussian", {**wide, "v_amplitude": -1e6}, g)
+
     def test_bump_is_compact(self):
         g = Grid.from_domain(-5.0, 5.0, 0.125, 1.0)
         data = make_initial_data("bump", {"u_width": 2.0, "v_width": 2.0}, g)

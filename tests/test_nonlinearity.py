@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirac1d import ModelParams, charge_flux_defect, eval_N1, eval_N2, eval_W, pair_overlap
 from dirac1d.nonlinearity import (first_variation, first_variation_fd,
@@ -53,13 +53,20 @@ class TestProperties:
         assert abs(d) <= 1e-12 * (1.0 + abs(u) ** 2 * abs(v) ** 2)
 
     @given(spinors(), spinors(), couplings, couplings)
+    @example(p=(-8.91364621456973 - 7.315580984326113j, 0j),
+             q=(0j, -5.911954795520346 - 7.9361955564353455j),
+             alpha=-1.991059007718062, beta=0.0)
     @settings(max_examples=200, deadline=None)
     def test_lipschitz_envelope(self, p, q, alpha, beta):
+        # the bound reaches ~1e3, where one ulp exceeds any fixed 1e-12 slack:
+        # the tolerance is relative
         u, _ = p
         _, v = q
         m = ModelParams(alpha, beta)
-        assert abs(eval_N1(u, v, m)) <= m.c_star * abs(u) * abs(v) ** 2 + 1e-12
-        assert abs(eval_N2(u, v, m)) <= m.c_star * abs(v) * abs(u) ** 2 + 1e-12
+        bound1 = m.c_star * abs(u) * abs(v) ** 2
+        bound2 = m.c_star * abs(v) * abs(u) ** 2
+        assert abs(eval_N1(u, v, m)) <= bound1 + 1e-12 * (1.0 + bound1)
+        assert abs(eval_N2(u, v, m)) <= bound2 + 1e-12 * (1.0 + bound2)
 
     @given(spinors(), spinors(), st.floats(min_value=-np.pi, max_value=np.pi))
     @settings(max_examples=200, deadline=None)
@@ -113,3 +120,10 @@ class TestWirtingerReference:
                     for d in (1e-3, 5e-4)]
             ratio = errs[0] / errs[1]
             assert 3.0 <= ratio <= 5.0
+
+
+def test_public_names_resolve():
+    # every exported name exists, and the unused SpinorPair is no longer exported
+    import dirac1d
+    assert all(hasattr(dirac1d, name) for name in dirac1d.__all__)
+    assert "SpinorPair" not in dirac1d.__all__

@@ -16,6 +16,198 @@ def gaussian_run(m, h, T, span=10.0, scheme="trapezoidal", record=(0.0,), **kw):
     return run(data, grid, m, Scheme(scheme, **kw), times)
 
 
+def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
+    """Whole-lattice stepper: evaluates N on every node every step and moves
+    u and v by array shifts.  Yields (u, v, A1, A2, iterations) after each
+    step, with the traces in the characteristic-label frame."""
+    from dirac1d.nonlinearity import eval_N1, eval_N2
+    from dirac1d.solver import _L_FULL, _L_HALF
+    a1, a2 = np.zeros_like(u), np.zeros_like(v)
+    cells = 2 if kind == "oracle4" else 1
+    for k in range(1, n_steps // cells + 1):
+        n1p, n2p = eval_N1(u, v, m), eval_N2(u, v, m)
+        its = 0
+        if kind == "oracle4":
+            dt = 2.0 * h
+            f0u, f0v = -1j * n1p, -1j * n2p
+            bases = (shift_right(u), shift_right(u, 2), shift_left(v), shift_left(v, 2))
+            Uh, Uf, Vh, Vf = bases
+            scale = 1.0 + max(np.max(np.abs(u)), np.max(np.abs(v)))
+            for its in range(1, max_iter + 1):
+                fhu, f1u = -1j * eval_N1(Uh, Vh, m), -1j * eval_N1(Uf, Vf, m)
+                fhv, f1v = -1j * eval_N2(Uh, Vh, m), -1j * eval_N2(Uf, Vf, m)
+                new = (bases[0] + dt * (_L_HALF[0] * shift_right(f0u) + _L_HALF[1] * fhu
+                                        + _L_HALF[2] * shift_left(f1u)),
+                       bases[1] + dt * (_L_FULL[0] * shift_right(f0u, 2)
+                                        + _L_FULL[1] * shift_right(fhu) + _L_FULL[2] * f1u),
+                       bases[2] + dt * (_L_HALF[0] * shift_left(f0v) + _L_HALF[1] * fhv
+                                        + _L_HALF[2] * shift_right(f1v)),
+                       bases[3] + dt * (_L_FULL[0] * shift_left(f0v, 2)
+                                        + _L_FULL[1] * shift_left(fhv) + _L_FULL[2] * f1v))
+                delta = max(np.max(np.abs(a - b)) for a, b in zip(new, (Uh, Uf, Vh, Vf)))
+                Uh, Uf, Vh, Vf = new
+                if delta <= tol * scale:
+                    break
+            u, v = Uf, Vf
+            a1 = shift_right(a1, 2) + dt * (_L_FULL[0] * shift_right(n1p, 2)
+                                            + _L_FULL[1] * shift_right(eval_N1(Uh, Vh, m))
+                                            + _L_FULL[2] * eval_N1(u, v, m))
+            a2 = shift_left(a2, 2) + dt * (_L_FULL[0] * shift_left(n2p, 2)
+                                           + _L_FULL[1] * shift_left(eval_N2(Uh, Vh, m))
+                                           + _L_FULL[2] * eval_N2(u, v, m))
+        else:
+            if kind == "trapezoidal":
+                a = shift_right(u - 0.5j * h * n1p)
+                b = shift_left(v - 0.5j * h * n2p)
+                U, V = shift_right(u), shift_left(v)
+                scale = 1.0 + max(np.max(np.abs(U)), np.max(np.abs(V)))
+                for its in range(1, max_iter + 1):
+                    Un = a - 0.5j * h * eval_N1(U, V, m)
+                    Vn = b - 0.5j * h * eval_N2(U, V, m)
+                    delta = max(np.max(np.abs(Un - U)), np.max(np.abs(Vn - V)))
+                    U, V = Un, Vn
+                    if delta <= tol * scale:
+                        break
+            else:
+                mu, mv = np.abs(u) ** 2, np.abs(v) ** 2
+                v_mid = 0.5 * (shift_right(mv) + shift_left(mv))
+                u_mid = 0.5 * (shift_right(mu) + shift_left(mu))
+                U = shift_right(u) * np.exp(-1j * m.alpha * h * v_mid)
+                V = shift_left(v) * np.exp(-1j * m.alpha * h * u_mid)
+            u, v = U, V
+            a1 = shift_right(a1) + 0.5 * h * (shift_right(n1p) + eval_N1(u, v, m))
+            a2 = shift_left(a2) + 0.5 * h * (shift_left(n2p) + eval_N2(u, v, m))
+        yield u, v, shift_left(a1, k * cells), shift_right(a2, k * cells), its
+
+
+class CountingN:
+    """Tallies the nodes handed to the solver's eval_N1/eval_N2."""
+
+    def __init__(self, monkeypatch):
+        from dirac1d import solver
+        self.nodes = 0
+        for name in ("eval_N1", "eval_N2"):
+            monkeypatch.setattr(solver, name, self._counted(getattr(solver, name)))
+
+    def _counted(self, fn):
+        def counted(u, v, m):
+            self.nodes += np.size(u)
+            return fn(u, v, m)
+        return counted
+
+
+REFERENCE_CASES = [
+    # (scheme, model, family, shape): overlapping Gaussians, and bumps that
+    # start apart and collide, so the window opens mid-run
+    ("trapezoidal", "gross_neveu", "gaussian", GAUSSIAN_PAIR),
+    ("phase_split", "thirring", "gaussian", GAUSSIAN_PAIR),
+    ("oracle4", "gross_neveu", "gaussian", GAUSSIAN_PAIR),
+    ("trapezoidal", "thirring", "bump",
+     {"u_center": -1.0, "u_width": 0.5, "v_center": 1.0, "v_width": 0.5,
+      "u_amplitude": 2.0, "v_amplitude": 1.5, "v_phase": 0.7}),
+    ("oracle4", "thirring", "bump",
+     {"u_center": -1.0, "u_width": 0.5, "v_center": 1.0, "v_width": 0.5,
+      "u_amplitude": 2.0, "v_amplitude": 1.5, "v_phase": 0.7}),
+]
+
+
+def assert_matches_reference(traj, data, grid, m, kind):
+    # the window repeats the whole-lattice arithmetic operation for operation,
+    # so the values agree exactly (array_equal does not see the sign of a zero)
+    cells = 2 if kind == "oracle4" else 1
+    max_its = 0
+    steps = reference_steps(data.u0, data.v0, grid.h, m, kind, grid.n_steps)
+    for k, (u, v, a1, a2, its) in enumerate(steps, start=1):
+        max_its = max(max_its, its)
+        t = k * cells * grid.h
+        if any(abs(t - rt) < 1e-12 for rt in traj.times):
+            snap, (b1, b2) = traj.snapshot_at(t), traj.traces_at(t)
+            for got, want in ((snap.u, u), (snap.v, v), (b1, a1), (b2, a2)):
+                np.testing.assert_array_equal(got, want)
+    assert traj.max_fp_iterations == max_its
+
+
+class TestWindowedSolver:
+    """The label-frame, overlap-window solver against a whole-lattice stepper."""
+
+    @pytest.mark.parametrize("kind,model,family,shape", REFERENCE_CASES)
+    def test_matches_whole_lattice_stepper(self, kind, model, family, shape):
+        m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
+        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 2.0)
+        data = make_initial_data(family, shape, grid)
+        cells = 2 if kind == "oracle4" else 1
+        every = [k * cells * grid.h for k in range(grid.n_steps // cells + 1)]
+        traj = run(data, grid, m, Scheme(kind), every)
+        assert_matches_reference(traj, data, grid, m, kind)
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
+    def test_support_touching_the_domain_edges(self, kind):
+        # both bumps fill [x_min, x_max] and the padding is the minimum the
+        # run needs, so the windows reach the ends of the padded lattice
+        grid = Grid(x_min=-2.0, h=0.125, n_cells=33, n_steps=8, pad=8)
+        shape = {"u_width": 2.0, "v_width": 2.0, "v_center": 0.0, "v_phase": 1.0}
+        data = make_initial_data("bump", shape, grid)
+        assert data.u0[grid.index_of(-2.0 + grid.h)] != 0
+        assert data.v0[grid.index_of(2.0 - grid.h)] != 0
+        m = ModelParams.thirring()
+        traj = run(data, grid, m, Scheme(kind), [0.0, 0.5, 1.0])
+        assert_matches_reference(traj, data, grid, m, kind)
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
+    def test_step_matches_one_reference_step(self, kind):
+        # a field nonzero on every node, up to the ends of the array
+        grid = Grid(x_min=-1.0, h=0.125, n_cells=17, n_steps=0, pad=0)
+        x = grid.x_padded()
+        state = init_state(make_initial_data("zero", {}, grid), grid)
+        state.u = 0.8 * np.exp(-x ** 2) * np.exp(1j * x)
+        state.v = 0.6 * np.exp(-(x - 0.3) ** 2) + 0.2j
+        m = ModelParams.thirring()
+        got = step(state, m, Scheme(kind))
+        u, v, _, _, _ = next(reference_steps(state.u, state.v, grid.h, m, kind, 2))
+        assert got.t == pytest.approx((2 if kind == "oracle4" else 1) * grid.h)
+        np.testing.assert_array_equal(got.u, u)
+        np.testing.assert_array_equal(got.v, v)
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
+    def test_separated_data_needs_no_evaluations(self, kind, monkeypatch):
+        grid = Grid.from_domain(-10.0, 10.0, 0.125, 2.0)
+        data = make_initial_data("separated",
+                                 {"u_center": 3.0, "u_width": 2.0,
+                                  "v_center": -3.0, "v_width": 2.0}, grid)
+        counter = CountingN(monkeypatch)
+        traj = run(data, grid, ModelParams.thirring(), Scheme(kind), [2.0])
+        assert counter.nodes == 0
+        assert traj.max_fp_iterations == 0
+        k = grid.step_of(2.0)
+        np.testing.assert_array_equal(traj.snapshot_at(2.0).u, shift_right(data.u0, k))
+        np.testing.assert_array_equal(traj.snapshot_at(2.0).v, shift_left(data.v0, k))
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "oracle4"])
+    def test_evaluations_stop_once_supports_part(self, kind, monkeypatch):
+        # bumps of half-width 0.5 around 0 and 0.25 have parted by t = 0.75
+        shape = {"u_width": 0.5, "v_center": 0.25, "v_width": 0.5}
+        counts = []
+        for T in (1.0, 2.0):
+            grid = Grid.from_domain(-5.0, 5.0, 1.0 / 16.0, T)
+            data = make_initial_data("bump", shape, grid)
+            counter = CountingN(monkeypatch)
+            run(data, grid, ModelParams.gross_neveu(), Scheme(kind), [T])
+            counts.append(counter.nodes)
+        assert 0 < counts[0] == counts[1]
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
+    def test_zero_data_runs(self, kind, monkeypatch):
+        grid = Grid.from_domain(-2.0, 2.0, 0.25, 1.0)
+        data = make_initial_data("zero", {}, grid)
+        counter = CountingN(monkeypatch)
+        traj = run(data, grid, ModelParams.thirring(), Scheme(kind), [0.0, 1.0],
+                   record_all_moduli=kind != "oracle4", track_modulus_drift=True)
+        assert counter.nodes == 0
+        assert not traj.snapshot_at(1.0).u.any() and not traj.snapshot_at(1.0).v.any()
+        assert not any(a.any() for a in traj.traces_at(1.0))
+        assert traj.modulus_drift == 0.0
+
+
 class TestShifts:
     def test_shift_semantics(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
