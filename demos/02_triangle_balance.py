@@ -18,15 +18,20 @@ from dirac1d import (Grid, ModelParams, Scheme, TriangleRegion, light_cone_balan
 
 SHAPE = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 
+REGIONS = (TriangleRegion(-6.0, 6.0, 0.0),
+           TriangleRegion(-4.0, 4.0, 0.0),
+           TriangleRegion(-2.0, 3.0, 0.5))
+CONE = TriangleRegion(0.5 - 2.0, 0.5 + 2.0, 0.0)  # apex (0.5, 2.0)
+
+# the run keeps only the samples these triangles need: their base and top
+# rows and one value per step on each slanted side
 grid = Grid.from_domain(-12.0, 12.0, 1 / 128, 4.0)
 data = make_initial_data("gaussian", SHAPE, grid)
 traj = run(data, grid, ModelParams.gross_neveu(), Scheme(), [4.0],
-           record_all_moduli=True)
+           triangles=[(region, 2.0) for region in (*REGIONS, CONE)])
 
 print("triangle balance at tau = 2 (h = 1/128):")
-for region in (TriangleRegion(-6.0, 6.0, 0.0),
-               TriangleRegion(-4.0, 4.0, 0.0),
-               TriangleRegion(-2.0, 3.0, 0.5)):
+for region in REGIONS:
     rep = triangle_balance(traj, region, 2.0)
     print(f"  base [{region.a:5.1f}, {region.b:4.1f}] at t0 = {region.t0}: "
           f"interior {rep.interior_charge:.6f} + right {rep.right_flux:.6f} "

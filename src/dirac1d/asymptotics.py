@@ -175,7 +175,7 @@ def compute_profile(traj: Trajectory, side: str = "u") -> Profile:
     label; the truncation-tail certificate is c_star * sqrt(tail_bound(t_max)).
     """
     _check_side(side)
-    t_max = traj.t_max
+    t_max = traj.grid.t_final
     try:
         a1, a2 = traj.traces_at(t_max)
     except ValueError as exc:
@@ -199,10 +199,10 @@ def residual(traj: Trajectory, t: float, p_u: Profile, p_v: Profile) -> Residual
     for p, side in ((p_u, "u"), (p_v, "v")):
         if p.side != side:
             raise ValueError(f"profile passed as p_{side} has side {p.side!r}")
-        if abs(p.t_max - traj.t_max) > 1e-9:
+        if abs(p.t_max - traj.grid.t_final) > 1e-9:
             raise ValueError("profiles were computed from a different truncation horizon")
     a1_t, a2_t = traj.traces_at(t)
-    a1_T, a2_T = traj.traces_at(traj.t_max)
+    a1_T, a2_T = traj.traces_at(traj.grid.t_final)
     h = traj.grid.h
     r_u = 1j * (a1_T - a1_t)
     r_v = 1j * (a2_T - a2_t)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, conservation, solver
-from .fields import FAMILIES, Grid, ModelParams, TriangleRegion, make_initial_data
+from .fields import FAMILIES, Grid, ModelParams, TriangleRegion, make_initial_data, triangle_nodes
 from .nonlinearity import charge_flux_defect
 from .solver import Scheme, SolverError
 
@@ -97,7 +97,6 @@ class ExperimentConfig:
 
     def canonical(self) -> dict:
         d = asdict(self)
-        d["shape_params"] = dict(sorted(self.shape_params.items()))
         # where the reports land is not part of the experiment's identity
         d.pop("output_dir")
         return d
@@ -105,6 +104,10 @@ class ExperimentConfig:
     def digest(self) -> str:
         return hashlib.sha256(
             json.dumps(self.canonical(), sort_keys=True).encode()).hexdigest()
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _is_multiple(value: float, h: float) -> bool:
@@ -165,10 +168,13 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"T: not a nonnegative multiple of h (T={cfg.T}, h={cfg.h})")
 
     cfg.scheme = take("scheme", cfg.scheme, str)
-    if cfg.scheme not in solver.SCHEME_KINDS:
-        errors.append(f"scheme: unknown scheme {cfg.scheme!r}")
     cfg.fixed_point_tol = take("fixed_point_tol", cfg.fixed_point_tol, (int, float), float)
     cfg.fixed_point_max_iter = take("fixed_point_max_iter", cfg.fixed_point_max_iter, int)
+    scheme = None
+    try:
+        scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
+    except ValueError as exc:
+        errors.append(f"scheme: {exc}")
 
     times = raw.get("record_times", None)
     if times is None:
@@ -177,9 +183,9 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"record_times: expected a list, got {times!r}")
     else:
         cfg.record_times = []
-        step = 2.0 * cfg.h if cfg.scheme == "oracle4" else cfg.h
+        step = (scheme.cells if scheme else 1) * cfg.h
         for i, t in enumerate(times):
-            if not isinstance(t, (int, float)) or isinstance(t, bool):
+            if not _is_number(t):
                 errors.append(f"record_times[{i}]: not a number: {t!r}")
                 continue
             t = float(t)
@@ -208,17 +214,11 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             cfg.triangle_regions = []
             for i, r in enumerate(regions):
-                if (not isinstance(r, list) or len(r) != 4
-                        or not all(isinstance(x, (int, float)) for x in r)):
+                if not isinstance(r, list) or len(r) != 4 or not all(map(_is_number, r)):
                     errors.append(f"triangle_regions[{i}]: expected [a, b, t0, tau], got {r!r}")
                     continue
-                a, b, t0, tau = map(float, r)
-                for name, val in (("a", a), ("b", b), ("t0", t0), ("tau", tau)):
-                    if cfg.h > 0 and not _is_multiple(val, cfg.h):
-                        errors.append(
-                            f"triangle_regions[{i}].{name}: {val} is not a lattice multiple of h")
-                cfg.triangle_regions.append([a, b, t0, tau])
-    elif "triangle" in cfg.checks:
+                cfg.triangle_regions.append(list(map(float, r)))
+    elif "triangle" in cfg.checks and cfg.h > 0:
         # default region: middle half of the domain from t0 = 0 up to mid-height
         span = cfg.x_max - cfg.x_min
         a = cfg.x_min + round(span / 4 / cfg.h) * cfg.h
@@ -230,13 +230,18 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.output_dir = take("output_dir", cfg.output_dir, str)
     cfg.seed = take("seed", cfg.seed, int)
 
-    # support sizing is validated by actually sampling the data
+    # sample the data to validate its support; the triangles need the grid too
     if not errors:
+        grid = Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, cfg.T)
         try:
-            grid = Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, cfg.T)
             make_initial_data(cfg.family, cfg.shape_params, grid)
         except ValueError as exc:
             errors.append(f"family: {exc}")
+        for i, (a, b, t0, tau) in enumerate(cfg.triangle_regions):
+            try:
+                triangle_nodes(TriangleRegion(a, b, t0), tau, grid, scheme)
+            except ValueError as exc:
+                errors.append(f"triangle_regions[{i}]: {exc}")
 
     if errors:
         raise ConfigError(errors)
@@ -307,14 +312,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     defect = _identity_sweep(cfg.seed)
     add_check("identity", defect, IDENTITY_TOL, defect <= IDENTITY_TOL)
 
+    triangles = ([(TriangleRegion(a, b, t0), tau) for a, b, t0, tau in cfg.triangle_regions]
+                 if "triangle" in cfg.checks else [])
     try:
-        traj = solver.run(data, grid, m, scheme, cfg.record_times,
-                          record_all_moduli=bool(cfg.triangle_regions)
-                          and "triangle" in cfg.checks)
+        traj = solver.run(data, grid, m, scheme, cfg.record_times, triangles)
     except SolverError as exc:
         summary["error"] = str(exc)
         summary["status"] = 2
-        _dump_summary(out / "summary.json", summary)
+        _dump_json(out / "summary.json", summary)
         return 2
 
     # snapshots.csv over the physical domain at recorded times
@@ -336,8 +341,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if "triangle" in cfg.checks:
         tol = TRIANGLE_TOL_COEFF * cfg.h ** 2 * max(1.0, data.c0)
         worst = 0.0
-        for a, b, t0, tau in cfg.triangle_regions:
-            rep = conservation.triangle_balance(traj, TriangleRegion(a, b, t0), tau)
+        for region, tau in triangles:
+            rep = conservation.triangle_balance(traj, region, tau)
             rec = rep.as_dict()
             rec["tolerance"] = tol
             rec["pass"] = abs(rep.defect) <= tol
@@ -345,9 +350,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             worst = max(worst, abs(rep.defect))
         add_check("triangle", worst, tol, worst <= tol,
                   {"regions": len(balance_records)})
-    with open(out / "balance.json", "w") as fh:
-        json.dump(balance_records, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _dump_json(out / "balance.json", balance_records)
 
     if "pointwise" in cfg.checks:
         violation = conservation.check_pointwise_bound(traj)
@@ -396,13 +399,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     status = 0 if all(c["pass"] for c in summary["checks"]) else 1
     summary["status"] = status
     summary["max_fixed_point_iterations"] = traj.max_fp_iterations
-    _dump_summary(out / "summary.json", summary)
+    _dump_json(out / "summary.json", summary)
     return status
 
 
-def _dump_summary(path: Path, summary: dict) -> None:
+def _dump_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+        json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .fields import TriangleRegion, charge
+from .fields import TriangleRegion, charge, triangle_nodes
 from .solver import Trajectory, shift_left, shift_right
 
 
@@ -39,9 +39,7 @@ class BalanceReport:
     defect: float
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d["region"] = {"a": self.region.a, "b": self.region.b, "t0": self.region.t0}
-        return d
+        return asdict(self)
 
 
 def total_charge_drift(traj: Trajectory) -> float:
@@ -58,48 +56,27 @@ def total_charge_drift(traj: Trajectory) -> float:
 
 def _segment_trapz(values: np.ndarray, h: float) -> float:
     """Trapezoid rule along a lattice-aligned segment (0 for a single node)."""
-    if len(values) < 2:
-        return 0.0
     return float(np.trapezoid(values, dx=h))
 
 
 def triangle_balance(traj: Trajectory, region: TriangleRegion, tau: float) -> BalanceReport:
     """Evaluate all four terms of the balance law on a characteristic triangle.
 
-    Requires a trajectory recorded with record_all_moduli=True, with the
-    triangle corners on lattice nodes, t0 <= tau <= apex time, and the whole
-    region inside the recorded steps.  The defect is mathematically zero and
-    numerically O(h^2).
+    Reads the samples `run` kept for the triangle, so (region, tau) must have
+    been passed to `run(triangles=...)`.  The defect is mathematically zero
+    and numerically O(h^2).
     """
-    if traj.moduli is None:
-        raise ValueError("triangle_balance needs a trajectory run with record_all_moduli=True")
-    if traj.scheme.kind == "oracle4":
-        raise ValueError("triangle_balance expects a unit-step trajectory, not oracle4")
-    grid = traj.grid
-    h = grid.h
-    if not region.t0 - 1e-12 <= tau <= region.apex_t + 1e-12:
-        raise ValueError(f"tau = {tau} outside [t0, apex] = [{region.t0}, {region.apex_t}]")
-
-    k0 = grid.step_of(region.t0)
-    kt = grid.step_of(tau)
-    ja = grid.index_of(region.a)
-    jb = grid.index_of(region.b)
-    if kt >= len(traj.moduli):
-        raise ValueError("triangle extends past the recorded steps")
-
-    mu0, mv0 = traj.moduli[k0]
-    initial = _segment_trapz(mu0[ja:jb + 1] + mv0[ja:jb + 1], h)
-
+    nodes = triangle_nodes(region, tau, traj.grid, traj.scheme)
+    if nodes not in traj.triangle_samples:
+        raise ValueError(f"triangle [{region.a}, {region.b}] at t0 = {region.t0}, "
+                         f"tau = {tau} was not passed to run(triangles=...)")
+    rows, right_vals, left_vals = traj.triangle_samples[nodes]
+    h = traj.grid.h
+    initial = _segment_trapz(rows[0], h)
     # interior at time tau: x in [a - t0 + tau, b + t0 - tau]
-    off = kt - k0
-    mu_t, mv_t = traj.moduli[kt]
-    lo, hi = ja + off, jb - off
-    interior = _segment_trapz(mu_t[lo:hi + 1] + mv_t[lo:hi + 1], h)
-
+    interior = _segment_trapz(rows[-1], h)
     # slanted sides: right edge x = b + t0 - s carries 2|u|^2 outflow,
     # left edge x = a - t0 + s carries 2|v|^2 outflow, s in [t0, tau]
-    right_vals = np.array([traj.moduli[k][0][jb - (k - k0)] for k in range(k0, kt + 1)])
-    left_vals = np.array([traj.moduli[k][1][ja + (k - k0)] for k in range(k0, kt + 1)])
     right = 2.0 * _segment_trapz(right_vals, h)
     left = 2.0 * _segment_trapz(left_vals, h)
 

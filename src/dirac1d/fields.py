@@ -205,6 +205,20 @@ class TriangleRegion:
         return 0.5 * (self.b - self.a) + self.t0
 
 
+def triangle_nodes(region: TriangleRegion, tau: float, grid: Grid, scheme) -> tuple:
+    """Steps (k0, k_tau) of t0 and tau and padded indices (ja, jb) of a and b.
+
+    Raises ValueError unless the run's `solver.Scheme` steps one cell at a
+    time, t0 <= tau <= min(apex time, t_final), and a, b, t0, tau lie on nodes.
+    """
+    if scheme.cells != 1:
+        raise ValueError(f"triangle balance expects a unit-step scheme, not {scheme.kind}")
+    if not region.t0 - 1e-12 <= tau <= region.apex_t + 1e-12:
+        raise ValueError(f"tau = {tau} outside [t0, apex] = [{region.t0}, {region.apex_t}]")
+    return (grid.step_of(region.t0), grid.step_of(tau),
+            grid.index_of(region.a), grid.index_of(region.b))
+
+
 @dataclass
 class InitialData:
     """Sampled initial data (u0, v0) on a grid, with its charge budget c0.
@@ -222,8 +236,7 @@ class InitialData:
     c0: float = field(init=False)
 
     def __post_init__(self):
-        self.c0 = float(self.grid.h * (np.sum(np.abs(self.u0) ** 2)
-                                       + np.sum(np.abs(self.v0) ** 2)))
+        self.c0 = charge(SpinorField(0.0, self.u0, self.v0, self.grid))
 
 
 def _component_params(shape_params: Mapping, comp: str) -> tuple[float, float, float, float]:

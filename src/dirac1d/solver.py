@@ -32,11 +32,12 @@ discrete remainder identity u(t) = u0 - i * integral exact by telescoping.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, InitialData, ModelParams, SpinorField
+from .fields import Grid, InitialData, ModelParams, SpinorField, TriangleRegion, triangle_nodes
 from .nonlinearity import eval_N1, eval_N2
 
 BLOWUP_LIMIT = 1e6
@@ -58,24 +59,25 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if self.fixed_point_tol <= 0 or self.fixed_point_max_iter < 1:
+        if not self.fixed_point_tol > 0 or self.fixed_point_max_iter < 1:
             raise ValueError("fixed_point_tol must be > 0 and fixed_point_max_iter >= 1")
+
+    @property
+    def cells(self) -> int:
+        """Lattice cells one step advances: the time step is cells * h."""
+        return _KERNELS[self.kind][1]
 
 
 def shift_right(a: np.ndarray, k: int = 1) -> np.ndarray:
     """a shifted k cells to the right, zeros flowing in from the left edge."""
-    if k == 0:
-        return a.copy()
     out = np.zeros_like(a)
-    out[k:] = a[:-k]
+    out[k:] = a[:len(a) - k]
     return out
 
 
 def shift_left(a: np.ndarray, k: int = 1) -> np.ndarray:
-    if k == 0:
-        return a.copy()
     out = np.zeros_like(a)
-    out[:-k] = a[k:]
+    out[:len(a) - k] = a[k:]
     return out
 
 
@@ -87,7 +89,11 @@ class Trajectory:
     (y = x - t for the u side, y = x + t for the v side), the composite
     trapezoid integrals A1(y, t) = int_0^t N1 along (y + s, s) and
     A2(y, t) = int_0^t N2 along (y - s, s).  The final accumulators at
-    t = t_max feed the scattering profiles.
+    t = grid.t_final feed the scattering profiles.
+
+    `triangle_samples` maps the `triangle_nodes` of each triangle passed to
+    `run` to ([base row, top row] of |u|^2 + |v|^2, right-side |u|^2 and
+    left-side |v|^2 per step from t0 to tau).
     """
 
     grid: Grid
@@ -98,13 +104,9 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     snapshots: dict[float, SpinorField] = field(default_factory=dict)
     trace_partials: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    moduli: list[tuple[np.ndarray, np.ndarray]] | None = None
+    triangle_samples: dict[tuple, tuple[list, list, list]] = field(default_factory=dict)
     modulus_drift: float | None = None
     max_fp_iterations: int = 0
-
-    @property
-    def t_max(self) -> float:
-        return self.grid.t_final
 
     def snapshot_at(self, t: float) -> SpinorField:
         return self.snapshots[self._key(t, "snapshot")]
@@ -198,10 +200,6 @@ class _Labels:
     def field(self, t: float, grid: Grid) -> SpinorField:
         ju, jv = self.labels(0, self.n - 1, self.level)
         return SpinorField(t, self.u[ju].copy(), self.v[jv].copy(), grid)
-
-    def moduli(self) -> tuple[np.ndarray, np.ndarray]:
-        ju, jv = self.labels(0, self.n - 1, self.level)
-        return self.abs_u[ju] ** 2, self.abs_v[jv] ** 2
 
     def traces(self) -> tuple[np.ndarray, np.ndarray]:
         labels = slice(self.margin, self.margin + self.n)
@@ -319,29 +317,31 @@ SCHEME_KINDS = tuple(_KERNELS)
 
 def step(state: SpinorField, m: ModelParams, s: Scheme) -> SpinorField:
     """Advance the field by one time step (h, or 2h for oracle4)."""
-    lab = _Labels(state.u, state.v, state.t, state.grid.h, m, s, _KERNELS[s.kind][1])
+    lab = _Labels(state.u, state.v, state.t, state.grid.h, m, s, s.cells)
     lab.advance()
     return lab.field(state.t + lab.level * state.grid.h, state.grid)
 
 
 def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
         record_times: list[float],
-        record_all_moduli: bool = False,
+        triangles: Iterable[tuple[TriangleRegion, float]] = (),
         track_modulus_drift: bool = False) -> Trajectory:
     """Run the scheme for grid.n_steps steps, recording snapshots and traces.
 
     record_times must be multiples of the scheme's time step within
     [0, n_steps * h].  The final time is always recorded (the profiles need
-    the full trace integrals).  With record_all_moduli the squared moduli
-    |u|^2, |v|^2 of every intermediate step are kept for the triangle-balance
-    checks.  track_modulus_drift maintains the running maximum of
+    the full trace integrals).  For each (region, tau) in triangles the run
+    keeps the samples `conservation.triangle_balance` reads for that
+    triangle cut at tau; each is validated by `triangle_nodes` before the
+    first step.  track_modulus_drift maintains the running maximum of
     ||u(x,t)| - |u0(x-t)|| and its v analogue over all nodes and steps.
     """
-    step_cells = _KERNELS[s.kind][1]
-    dt = step_cells * grid.h
-    if grid.n_steps % step_cells != 0:
-        raise ValueError("oracle4 advances two cells per step; n_steps must be even")
-    n_steps = grid.n_steps // step_cells
+    dt = s.cells * grid.h
+    if grid.n_steps % s.cells != 0:
+        raise ValueError(f"{s.kind} advances {s.cells} cells per step; "
+                         f"n_steps = {grid.n_steps} does not divide evenly")
+    n_steps = grid.n_steps // s.cells
+    samples = {triangle_nodes(r, tau, grid, s): ([], [], []) for r, tau in triangles}
 
     record_steps = {n_steps}
     for t in record_times:
@@ -358,12 +358,18 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
     if track_modulus_drift:
         lab.mod0 = (np.pad(np.abs(data.u0), lab.margin), np.pad(np.abs(data.v0), lab.margin))
     traj = Trajectory(grid=grid, params=m, scheme=s, data=data, initial=state,
-                      moduli=[] if record_all_moduli else None)
+                      triangle_samples=samples)
     for k in range(n_steps + 1):
         if k:
             traj.max_fp_iterations = max(traj.max_fp_iterations, lab.advance())
-        if record_all_moduli:
-            traj.moduli.append(lab.moduli())
+        for (k0, kt, ja, jb), (rows, right, left) in samples.items():
+            if k0 <= k <= kt:
+                ju, jv = lab.labels(ja + k - k0, jb - k + k0, lab.level)
+                au, av = lab.abs_u[ju], lab.abs_v[jv]
+                right.append(np.square(au[-1]))
+                left.append(np.square(av[0]))
+                if k in (k0, kt):
+                    rows.append(au ** 2 + av ** 2)
         if k in record_steps:
             t = k * dt
             traj.times.append(t)

@@ -70,8 +70,10 @@ def triangles():
     for h in (1.0 / 128.0, 1.0 / 256.0):
         grid = Grid.from_domain(-12.0, 12.0, h, 4.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-        runs[h] = run(data, grid, ModelParams.gross_neveu(), Scheme(), [0.0, 4.0],
-                      record_all_moduli=True)
+        # criterion 4's regions at tau = 2, and its light cone with apex (0.5, 2)
+        triangles = [(TriangleRegion(-6.0, 6.0, 0.0), 2.0), (TriangleRegion(-4.0, 4.0, 0.0), 2.0),
+                     (TriangleRegion(-2.0, 3.0, 0.5), 2.0), (TriangleRegion(-1.5, 2.5, 0.0), 2.0)]
+        runs[h] = run(data, grid, ModelParams.gross_neveu(), Scheme(), [0.0, 4.0], triangles)
     return runs
 
 

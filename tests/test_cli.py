@@ -77,6 +77,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lattice"):
             parse_config(json.dumps({**SMALL, "triangle_regions": [[-1.01, 1.0, 0.0, 0.5]]}))
 
+    @pytest.mark.parametrize("overrides,prefix,fragment", [
+        # the default triangle region needs a unit-step scheme
+        ({"scheme": "oracle4"}, "triangle_regions[0]:", "unit-step"),
+        ({"triangle_regions": [[1.0, 1.0, 0.0, 0.0]]}, "triangle_regions[0]:", "a < b"),
+        ({"triangle_regions": [[-1.0, 1.0, -0.5, 0.0]]}, "triangle_regions[0]:", "t0 must be"),
+        ({"triangle_regions": [[-1.0, 1.0, 0.5, 0.25]]}, "triangle_regions[0]:", "tau = 0.25"),
+        ({"triangle_regions": [[-0.5, 0.5, 0.0, 0.75]]}, "triangle_regions[0]:", "apex"),
+        ({"triangle_regions": [[-4.0, 4.0, 0.0, 2.0]]}, "triangle_regions[0]:", "horizon"),
+        ({"fixed_point_tol": 0.0}, "scheme:", "fixed_point_tol"),
+        ({"fixed_point_tol": -1e-9}, "scheme:", "fixed_point_tol"),
+        ({"fixed_point_max_iter": 0}, "scheme:", "fixed_point_max_iter"),
+        ({"triangle_regions": [[True, 1.0, 0.0, 0.5]]}, "triangle_regions[0]:", "expected"),
+        ({"h": 0.0}, "h:", "positive"),
+    ])
+    def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                       overrides, prefix, fragment):
+        from dirac1d import solver
+        monkeypatch.setattr(solver, "run", lambda *a, **k: pytest.fail("solver ran"))
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path.read_text())
+        assert any(v.startswith(prefix) and fragment in v for v in exc.value.violations)
+        assert main(["check", str(path)]) == 1
+        assert main(["run", str(path)]) == 1
+        assert f"  {prefix}" in capsys.readouterr().err
+
     def test_digest_stable_and_sensitive(self):
         a = parse_config(json.dumps(SMALL)).digest()
         b = parse_config(json.dumps(SMALL)).digest()

@@ -1,5 +1,7 @@
 """Charge drift, triangle balance law and the pointwise exponential envelope."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from dirac1d.solver import run
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 
 
-def moduli_run(m, h, T=2.0, span=10.0):
+def moduli_run(m, h, T=2.0, span=10.0, triangles=()):
     grid = Grid.from_domain(-span, span, h, T)
     data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-    return run(data, grid, m, Scheme(), [0.0, T], record_all_moduli=True)
+    return run(data, grid, m, Scheme(), [0.0, T], triangles)
 
 
 class TestChargeDrift:
@@ -36,25 +38,78 @@ class TestChargeDrift:
             total_charge_drift(bare)
 
 
+def seed_triangle_balance(moduli, grid, region, tau):
+    """The balance terms as once computed from the full per-step history
+    moduli[k] = (|u|^2, |v|^2) on the padded lattice at step k."""
+    h = grid.h
+    k0, kt = grid.step_of(region.t0), grid.step_of(tau)
+    ja, jb = grid.index_of(region.a), grid.index_of(region.b)
+    seg = lambda vals: 0.0 if len(vals) < 2 else float(np.trapezoid(vals, dx=h))
+    mu0, mv0 = moduli[k0]
+    initial = seg(mu0[ja:jb + 1] + mv0[ja:jb + 1])
+    off = kt - k0
+    mu_t, mv_t = moduli[kt]
+    interior = seg(mu_t[ja + off:jb - off + 1] + mv_t[ja + off:jb - off + 1])
+    right = 2.0 * seg(np.array([moduli[k][0][jb - (k - k0)] for k in range(k0, kt + 1)]))
+    left = 2.0 * seg(np.array([moduli[k][1][ja + (k - k0)] for k in range(k0, kt + 1)]))
+    return {"interior_charge": interior, "right_flux": right, "left_flux": left,
+            "initial_charge": initial, "defect": interior + right + left - initial}
+
+
 class TestTriangleBalance:
+    def test_equals_full_history_formula(self):
+        # criterion 4's regions, the light cone and an elevated base
+        h, T = 1.0 / 32.0, 2.0
+        triangles = [(TriangleRegion(-6.0, 6.0, 0.0), 2.0), (TriangleRegion(-4.0, 4.0, 0.0), 2.0),
+                     (TriangleRegion(-2.0, 3.0, 0.5), 2.0), (TriangleRegion(-1.5, 2.5, 0.0), 2.0),
+                     (TriangleRegion(-2.0, 2.0, 0.5), 1.5)]
+        grid = Grid.from_domain(-12.0, 12.0, h, T)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+        every_step = [k * h for k in range(grid.n_steps + 1)]
+        traj = run(data, grid, ModelParams.gross_neveu(), Scheme(), every_step, triangles)
+        moduli = [(np.abs(traj.snapshots[t].u) ** 2, np.abs(traj.snapshots[t].v) ** 2)
+                  for t in traj.times]
+        assert len(moduli) == grid.n_steps + 1
+        for region, tau in triangles:
+            rep = triangle_balance(traj, region, tau)
+            for name, value in seed_triangle_balance(moduli, grid, region, tau).items():
+                assert getattr(rep, name) == value, (region, tau, name)
+
+    def test_memory_bounded_by_the_triangle(self):
+        # the full per-step history of this run would take 158 MB
+        grid = Grid.from_domain(-40.0, 40.0, 1.0 / 64.0, 20.0)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+        region = TriangleRegion(-20.0, 20.0, 0.0)
+        tracemalloc.start()
+        try:
+            traj = run(data, grid, ModelParams.thirring(), Scheme("phase_split"), [20.0],
+                       [(region, 20.0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert abs(triangle_balance(traj, region, 20.0).defect) <= 1e-12
+
     def test_defect_is_second_order(self):
         region = TriangleRegion(-4.0, 4.0, 0.0)
         defects = {}
         for h in (1.0 / 32.0, 1.0 / 64.0):
-            traj = moduli_run(ModelParams.gross_neveu(), h)
+            traj = moduli_run(ModelParams.gross_neveu(), h, triangles=[(region, 2.0)])
             defects[h] = triangle_balance(traj, region, 2.0).defect
         assert abs(defects[1.0 / 32.0]) <= 1.0 * (1.0 / 32.0) ** 2
         ratio = defects[1.0 / 32.0] / defects[1.0 / 64.0]
         assert 3.0 <= ratio <= 5.0
 
     def test_elevated_base(self):
-        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0)
-        rep = triangle_balance(traj, TriangleRegion(-2.0, 2.0, 0.5), 1.5)
+        region = TriangleRegion(-2.0, 2.0, 0.5)
+        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0, triangles=[(region, 1.5)])
+        rep = triangle_balance(traj, region, 1.5)
         assert abs(rep.defect) <= 1.0 * (1.0 / 32.0) ** 2
         assert rep.initial_charge > 0.0
 
     def test_light_cone_case(self):
-        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0)
+        cone = (TriangleRegion(0.5 - 1.5, 0.5 + 1.5, 0.0), 1.5)
+        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0, triangles=[cone])
         rep = light_cone_balance(traj, 0.5, 1.5)
         # degenerate apex: everything leaves through the slanted sides
         assert rep.interior_charge == 0.0
@@ -62,8 +117,9 @@ class TestTriangleBalance:
         assert rep.right_flux > 0.0 and rep.left_flux > 0.0
 
     def test_balance_terms_sum(self):
-        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0)
-        rep = triangle_balance(traj, TriangleRegion(-4.0, 4.0, 0.0), 1.0)
+        region = TriangleRegion(-4.0, 4.0, 0.0)
+        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0, triangles=[(region, 1.0)])
+        rep = triangle_balance(traj, region, 1.0)
         assert rep.defect == pytest.approx(
             rep.interior_charge + rep.right_flux + rep.left_flux - rep.initial_charge)
         d = rep.as_dict()
@@ -74,27 +130,26 @@ class TestTriangleBalance:
     def test_zero_data_zero_defect(self):
         grid = Grid.from_domain(-4.0, 4.0, 0.25, 1.0)
         data = make_initial_data("zero", {}, grid)
-        traj = run(data, grid, ModelParams.thirring(), Scheme(), [1.0],
-                   record_all_moduli=True)
-        rep = triangle_balance(traj, TriangleRegion(-2.0, 2.0, 0.0), 1.0)
+        region = TriangleRegion(-2.0, 2.0, 0.0)
+        traj = run(data, grid, ModelParams.thirring(), Scheme(), [1.0], [(region, 1.0)])
+        rep = triangle_balance(traj, region, 1.0)
         assert rep.defect == 0.0
 
-    def test_requires_moduli(self, gn_small):
-        with pytest.raises(ValueError, match="record_all_moduli"):
+    def test_requires_registered_triangle(self, gn_small):
+        with pytest.raises(ValueError, match=r"triangle \[-2.0, 2.0\] .* not passed to run"):
             triangle_balance(gn_small, TriangleRegion(-2.0, 2.0, 0.0), 1.0)
 
     def test_rejects_double_step_scheme(self):
         grid = Grid.from_domain(-10.0, 10.0, 0.125, 1.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-        traj = run(data, grid, ModelParams.gross_neveu(), Scheme("oracle4"), [1.0],
-                   record_all_moduli=True)
         with pytest.raises(ValueError, match="oracle4"):
-            triangle_balance(traj, TriangleRegion(-2.0, 2.0, 0.0), 1.0)
+            run(data, grid, ModelParams.gross_neveu(), Scheme("oracle4"), [1.0],
+                [(TriangleRegion(-2.0, 2.0, 0.0), 1.0)])
 
     def test_tau_range_checked(self):
-        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0)
         with pytest.raises(ValueError, match="tau"):
-            triangle_balance(traj, TriangleRegion(-1.0, 1.0, 0.0), 1.5)
+            moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0,
+                       triangles=[(TriangleRegion(-1.0, 1.0, 0.0), 1.5)])
 
 
 class TestPointwiseBound:

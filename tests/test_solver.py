@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dirac1d import Grid, ModelParams, Scheme, SolverError, make_initial_data
+from dirac1d import Grid, ModelParams, Scheme, SolverError, TriangleRegion, make_initial_data
 from dirac1d.solver import init_state, l2_diff, restrict, run, shift_left, shift_right, step
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
@@ -200,8 +200,9 @@ class TestWindowedSolver:
         grid = Grid.from_domain(-2.0, 2.0, 0.25, 1.0)
         data = make_initial_data("zero", {}, grid)
         counter = CountingN(monkeypatch)
+        triangles = [(TriangleRegion(-1.0, 1.0, 0.0), 1.0)] if kind != "oracle4" else []
         traj = run(data, grid, ModelParams.thirring(), Scheme(kind), [0.0, 1.0],
-                   record_all_moduli=kind != "oracle4", track_modulus_drift=True)
+                   triangles, track_modulus_drift=True)
         assert counter.nodes == 0
         assert not traj.snapshot_at(1.0).u.any() and not traj.snapshot_at(1.0).v.any()
         assert not any(a.any() for a in traj.traces_at(1.0))
