@@ -37,7 +37,6 @@ from .solver import (
     l2_diff,
     restrict,
     run,
-    step,
 )
 from .conservation import (
     BalanceReport,
@@ -66,6 +65,6 @@ __all__ = [
     "charge_flux_defect", "check_pointwise_bound", "compute_profile",
     "eval_N1", "eval_N2", "eval_W", "field_residual", "init_state", "l2_diff",
     "light_cone_balance", "make_initial_data", "pair_overlap", "parse_config",
-    "residual", "restrict", "run", "run_experiment", "step", "sup_tail_bound",
+    "residual", "restrict", "run", "run_experiment", "sup_tail_bound",
     "tail_bound", "total_charge_drift", "triangle_balance",
 ]

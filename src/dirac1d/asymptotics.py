@@ -11,7 +11,9 @@ just -i * A(y, t_max), and the remainder at a recorded time t,
 
     u(x, t) - u0(x - t) - G1(x - t) = i * int_t^{t_max} N1(...) ds,
 
-is evaluated from the trace difference A(t_max) - A(t).  For the implicit
+is evaluated from the trace difference A(t_max) - A(t).  Snapshots, traces
+and profiles all hold the labels y of [x_min, x_max], so both routes compare
+arrays label by label with no shift.  For the implicit
 trapezoid scheme that identity is exact by telescoping, and computing the
 residual from the traces avoids the catastrophic cancellation of subtracting
 two O(1) fields whose difference decays below machine epsilon.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import InitialData, ModelParams
-from .solver import Trajectory, shift_left, shift_right
+from .solver import Trajectory
 
 SIDES = ("u", "v")
 
@@ -85,15 +87,13 @@ class ResidualReport:
 
 
 def _suffix_trapz(w: np.ndarray, h: float) -> np.ndarray:
-    """S[m] = trapezoid integral of w from node m to the end of the array."""
-    rev_cum = np.cumsum(w[::-1])[::-1]
-    return h * (rev_cum - 0.5 * w - 0.5 * w[-1])
+    """S[m] = trapezoid integral of w from node m to +inf (w is 0 past the array)."""
+    return h * (np.cumsum(w[::-1])[::-1] - 0.5 * w)
 
 
 def _prefix_trapz(w: np.ndarray, h: float) -> np.ndarray:
-    """P[m] = trapezoid integral of w from the start of the array to node m."""
-    cum = np.cumsum(w)
-    return h * (cum - 0.5 * w - 0.5 * w[0])
+    """P[m] = trapezoid integral of w from -inf (w is 0 before the array) to node m."""
+    return h * (np.cumsum(w) - 0.5 * w)
 
 
 def _even_cells(t: float, h: float) -> int:
@@ -117,13 +117,15 @@ def tail_bound(data: InitialData, m: ModelParams, t: float, side: str = "u") -> 
     h = data.grid.h
     mu0 = np.abs(data.u0) ** 2
     mv0 = np.abs(data.v0) ** 2
-    n = _even_cells(t, h)
+    n = min(_even_cells(t, h), len(mu0))
+    # the inner integral starts 2t = n cells past the outer label (ends n before)
+    inner = np.zeros_like(mu0)
     if side == "u":
-        inner = shift_left(_suffix_trapz(mv0, h), n) if n else _suffix_trapz(mv0, h)
-        outer = float(np.trapezoid(mu0 * inner ** 2, dx=h))
+        inner[:len(inner) - n] = _suffix_trapz(mv0, h)[n:]
+        outer = h * float(np.sum(mu0 * inner ** 2))
     else:
-        inner = shift_right(_prefix_trapz(mu0, h), n) if n else _prefix_trapz(mu0, h)
-        outer = float(np.trapezoid(mv0 * inner ** 2, dx=h))
+        inner[n:] = _prefix_trapz(mu0, h)[:len(inner) - n]
+        outer = h * float(np.sum(mv0 * inner ** 2))
     const = m.c_star ** 2 * 0.25 * float(np.exp(24.0 * abs(m.beta) * data.c0))
     return const * outer
 
@@ -142,27 +144,26 @@ def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     h = data.grid.h
-    x = data.grid.x_padded()
+    x = data.grid.x()
     mu0 = np.abs(data.u0) ** 2
     mv0 = np.abs(data.v0) ** 2
-    n = _even_cells(t, h)
     if side == "u":
         near = x <= split_point
         sup_near = float(np.sqrt(np.max(mu0[near]))) if np.any(near) else 0.0
-        piece1 = sup_near * float(np.trapezoid(mv0, dx=h))
-        suffix = _suffix_trapz(mv0, h)
+        mass = h * float(np.sum(mv0))
+        piece1 = sup_near * mass
         # round the lower limit down a node: conservative (enlarges the bound)
         start = int(np.searchsorted(x, split_point + 2.0 * t)) - 1
-        far_mass = float(suffix[min(max(start, 0), len(x) - 1)])
+        far_mass = float(_suffix_trapz(mv0, h)[start]) if start >= 0 else mass
         piece2 = float(np.sqrt(np.max(mu0))) * 0.5 * far_mass
     else:
         near = x >= -split_point
         sup_near = float(np.sqrt(np.max(mv0[near]))) if np.any(near) else 0.0
-        piece1 = sup_near * float(np.trapezoid(mu0, dx=h))
-        prefix = _prefix_trapz(mu0, h)
+        mass = h * float(np.sum(mu0))
+        piece1 = sup_near * mass
         # round the upper limit up a node: conservative (enlarges the bound)
         end = int(np.searchsorted(x, -split_point - 2.0 * t))
-        far_mass = float(prefix[min(max(end, 0), len(x) - 1)])
+        far_mass = float(_prefix_trapz(mu0, h)[end]) if end < len(x) else mass
         piece2 = float(np.sqrt(np.max(mv0))) * 0.5 * far_mass
     const = m.c_star * float(np.exp(12.0 * abs(m.beta) * data.c0))
     return const * max(piece1, piece2)
@@ -183,7 +184,7 @@ def compute_profile(traj: Trajectory, side: str = "u") -> Profile:
     acc = a1 if side == "u" else a2
     cert = traj.params.c_star * float(np.sqrt(
         tail_bound(traj.data, traj.params, t_max, side)))
-    return Profile(side=side, y_grid=traj.grid.x_padded(), values=-1j * acc,
+    return Profile(side=side, y_grid=traj.grid.x(), values=-1j * acc,
                    t_max=t_max, tail_certificate=cert)
 
 
@@ -222,12 +223,8 @@ def field_residual(traj: Trajectory, t: float, p_u: Profile, p_v: Profile
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Direct field-difference residuals (u - u0 - G1, v - v0 - G2) per label.
 
-    The shift by t is an exact lattice shift.  Agrees with the trace route up
-    to the scheme's fixed-point tolerance and accumulated roundoff; kept for
-    cross-checking.
+    Agrees with the trace route up to the scheme's fixed-point tolerance and
+    accumulated roundoff; kept for cross-checking.
     """
     snap = traj.snapshot_at(t)
-    k = traj.grid.step_of(t)
-    r_u = shift_left(snap.u, k) - traj.data.u0 - p_u.values
-    r_v = shift_right(snap.v, k) - traj.data.v0 - p_v.values
-    return r_u, r_v
+    return snap.u - traj.data.u0 - p_u.values, snap.v - traj.data.v0 - p_v.values

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, conservation, solver
-from .fields import FAMILIES, Grid, ModelParams, TriangleRegion, make_initial_data, triangle_nodes
+from .fields import (FAMILIES, Grid, ModelParams, TriangleRegion, at_nodes, make_initial_data,
+                     triangle_nodes)
 from .nonlinearity import charge_flux_defect
 from .solver import Scheme, SolverError
 
@@ -170,11 +171,16 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.scheme = take("scheme", cfg.scheme, str)
     cfg.fixed_point_tol = take("fixed_point_tol", cfg.fixed_point_tol, (int, float), float)
     cfg.fixed_point_max_iter = take("fixed_point_max_iter", cfg.fixed_point_max_iter, int)
-    scheme = None
-    try:
-        scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
-    except ValueError as exc:
-        errors.append(f"scheme: {exc}")
+    scheme_errors = []  # each field checked alone, so every bad one is reported
+    for key, name in (("scheme", "kind"), ("fixed_point_tol", "fixed_point_tol"),
+                      ("fixed_point_max_iter", "fixed_point_max_iter")):
+        try:
+            Scheme(**{name: getattr(cfg, key)})
+        except ValueError as exc:
+            scheme_errors.append(f"{key}: {exc}")
+    errors += scheme_errors
+    scheme = (None if scheme_errors
+              else Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter))
 
     times = raw.get("record_times", None)
     if times is None:
@@ -207,6 +213,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 else:
                     cfg.checks.append(c)
 
+    triangles = []  # (index, region, tau) of every region that could be built
     regions = raw.get("triangle_regions", None)
     if regions is not None:
         if not isinstance(regions, list):
@@ -217,14 +224,20 @@ def parse_config(text: str) -> ExperimentConfig:
                 if not isinstance(r, list) or len(r) != 4 or not all(map(_is_number, r)):
                     errors.append(f"triangle_regions[{i}]: expected [a, b, t0, tau], got {r!r}")
                     continue
-                cfg.triangle_regions.append(list(map(float, r)))
-    elif "triangle" in cfg.checks and cfg.h > 0:
+                a, b, t0, tau = map(float, r)
+                cfg.triangle_regions.append([a, b, t0, tau])
+                try:
+                    triangles.append((i, TriangleRegion(a, b, t0), tau))
+                except ValueError as exc:
+                    errors.append(f"triangle_regions[{i}]: {exc}")
+    elif "triangle" in cfg.checks and cfg.h > 0 and cfg.x_max > cfg.x_min:
         # default region: middle half of the domain from t0 = 0 up to mid-height
         span = cfg.x_max - cfg.x_min
         a = cfg.x_min + round(span / 4 / cfg.h) * cfg.h
         b = cfg.x_max - round(span / 4 / cfg.h) * cfg.h
         tau = min(cfg.T, round((b - a) / 4 / cfg.h) * cfg.h)
         cfg.triangle_regions = [[a, b, 0.0, tau]]
+        triangles = [(0, TriangleRegion(a, b, 0.0), tau)]
 
     cfg.residual_k = take("residual_k", cfg.residual_k, (int, float), float)
     cfg.output_dir = take("output_dir", cfg.output_dir, str)
@@ -237,9 +250,9 @@ def parse_config(text: str) -> ExperimentConfig:
             make_initial_data(cfg.family, cfg.shape_params, grid)
         except ValueError as exc:
             errors.append(f"family: {exc}")
-        for i, (a, b, t0, tau) in enumerate(cfg.triangle_regions):
+        for i, region, tau in triangles:
             try:
-                triangle_nodes(TriangleRegion(a, b, t0), tau, grid, scheme)
+                triangle_nodes(region, tau, grid, scheme)
             except ValueError as exc:
                 errors.append(f"triangle_regions[{i}]: {exc}")
 
@@ -322,13 +335,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         _dump_json(out / "summary.json", summary)
         return 2
 
-    # snapshots.csv over the physical domain at recorded times
-    interior = grid.interior()
-    x_int = grid.x_padded()[interior]
+    # snapshots.csv: u and v at the domain's nodes at each recorded time
+    x = grid.x()
     rows = []
     for t in traj.times:
         snap = traj.snapshots[t]
-        for xx, uu, vv in zip(x_int, snap.u[interior], snap.v[interior]):
+        nodes = at_nodes(snap.u, snap.v, 0, grid.n_cells - 1, grid.step_of(t))
+        for xx, uu, vv in zip(x, *nodes):
             rows.append((float(t), float(xx), float(uu.real), float(uu.imag),
                          float(vv.real), float(vv.imag)))
     _write_csv(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"], rows)
@@ -366,7 +379,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     _write_csv(out / "profiles.csv", ["side", "y", "re", "im"],
                [(side, float(y), float(val.real), float(val.imag))
                 for side, prof in (("u", p_u), ("v", p_v))
-                for y, val in zip(prof.y_grid[interior], prof.values[interior])])
+                for y, val in zip(prof.y_grid, prof.values)])
 
     reports = [asymptotics.residual(traj, t, p_u, p_v)
                for t in traj.times if t > 0]

@@ -2,9 +2,9 @@
 
 Three checks:
 
-* global charge conservation on the padded line (the flux vanishes at the
-  array edges, so Q(t) = h * sum(|u|^2 + |v|^2) should be constant up to the
-  scheme's O(h^2) error);
+* global charge conservation on the whole line (the data are compactly
+  supported, so Q(t) = h * sum(|u|^2 + |v|^2) over the labels should be
+  constant up to the scheme's O(h^2) error);
 * the characteristic-triangle balance law: interior charge at time tau plus
   twice the outflow through the two slanted sides equals the charge on the
   base segment;
@@ -13,7 +13,8 @@ Three checks:
 
 All spatial and slanted-side integrals use the trapezoid rule on the lattice
 nodes the characteristics actually pass through (unit CFL makes those exact
-node sequences).
+node sequences).  The snapshots hold u and v by characteristic label, so the
+envelope compares each label with its own initial value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .fields import TriangleRegion, charge, triangle_nodes
-from .solver import Trajectory, shift_left, shift_right
+from .solver import Trajectory
 
 
 @dataclass(frozen=True)
@@ -99,21 +100,21 @@ def light_cone_balance(traj: Trajectory, x0: float, t0: float) -> BalanceReport:
 def check_pointwise_bound(traj: Trajectory, c0: float | None = None) -> float:
     """Worst violation of the exponential pointwise envelope over all snapshots.
 
-    Returns max over recorded snapshots and nodes of
-    |u(x,t)|^2 - exp(8|beta| c0) |u0(x-t)|^2 and the mirrored v expression;
-    x -+ t land on exact lattice nodes.  A nonpositive result means the bound
-    holds everywhere.  c0 defaults to the exact initial charge of the run.
+    Returns max over recorded snapshots and the whole line of
+    |u(x,t)|^2 - exp(8|beta| c0) |u0(x-t)|^2 and the mirrored v expression,
+    read label by label.  It is never below 0, the value wherever both sides
+    vanish; 0 means the bound holds everywhere.  c0 defaults to the exact
+    initial charge of the run.
     """
     if c0 is None:
         c0 = traj.data.c0
     factor = float(np.exp(8.0 * abs(traj.params.beta) * c0))
     mu0 = np.abs(traj.data.u0) ** 2
     mv0 = np.abs(traj.data.v0) ** 2
-    worst = -np.inf
+    worst = 0.0
     for t in traj.times:
-        k = traj.grid.step_of(t)
         snap = traj.snapshots[t]
-        vu = np.abs(snap.u) ** 2 - factor * shift_right(mu0, k)
-        vv = np.abs(snap.v) ** 2 - factor * shift_left(mv0, k)
+        vu = np.abs(snap.u) ** 2 - factor * mu0
+        vv = np.abs(snap.v) ** 2 - factor * mv0
         worst = max(worst, float(np.max(vu)), float(np.max(vv)))
     return worst

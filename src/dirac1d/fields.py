@@ -2,9 +2,11 @@
 
 The spatial lattice is uniform with unit CFL (the time step equals the space
 step), so both characteristic families x - t = const and x + t = const pass
-exactly through lattice nodes.  Arrays carry `pad` cells of exact zeros on each
-side; with compactly supported data and pad >= n_steps this reproduces the
-whole-line problem with no boundary modeling at all.
+exactly through lattice nodes.  Every array holds the n_cells labels of the
+domain [x_min, x_max]: u by its label y = x - t and v by z = x + t, which at
+t = 0 are the nodes.  Data start inside the domain and each label keeps its
+support, so the whole-line problem needs no boundary modeling at all; a
+node whose label lies off the domain reads zero.
 """
 
 from __future__ import annotations
@@ -47,23 +49,20 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform unit-CFL lattice.
+    """Uniform unit-CFL lattice over [x_min, x_max].
 
     Attributes
     ----------
-    x_min : left edge of the physical (unpadded) domain
+    x_min : left edge of the domain
     h : space step; also the time step
-    n_cells : number of physical nodes
-    n_steps : number of time steps the grid is sized for
-    pad : zero cells on each side; must be >= n_steps so no signal
-        reaches the array boundary during a run
+    n_cells : number of nodes in [x_min, x_max]
+    n_steps : number of time steps of the run
     """
 
     x_min: float
     h: float
     n_cells: int
     n_steps: int
-    pad: int
 
     def __post_init__(self):
         if self.h <= 0:
@@ -72,44 +71,31 @@ class Grid:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.pad < self.n_steps:
-            raise ValueError(
-                f"pad ({self.pad}) must be >= n_steps ({self.n_steps}) so that "
-                "nonzero data never reaches the array boundary"
-            )
 
     @property
     def x_max(self) -> float:
         return self.x_min + (self.n_cells - 1) * self.h
 
     @property
-    def n_total(self) -> int:
-        return self.n_cells + 2 * self.pad
-
-    @property
     def t_final(self) -> float:
         return self.n_steps * self.h
 
-    def x_padded(self) -> np.ndarray:
-        """Coordinates of all nodes including padding."""
-        return self.x_min + (np.arange(self.n_total) - self.pad) * self.h
-
-    def interior(self) -> slice:
-        """Slice selecting the physical nodes out of a padded array."""
-        return slice(self.pad, self.pad + self.n_cells)
+    def x(self) -> np.ndarray:
+        """Coordinates of the nodes, which are also the labels."""
+        return self.x_min + np.arange(self.n_cells) * self.h
 
     def index_of(self, x: float) -> int:
-        """Padded-array index of the node at coordinate x.
+        """Index of the node at coordinate x.
 
         Raises ValueError when x is not a lattice node (to 1e-9 * h) or
-        falls outside the padded array.
+        falls outside [x_min, x_max].
         """
-        r = (x - self.x_min) / self.h + self.pad
+        r = (x - self.x_min) / self.h
         j = int(round(r))
         if abs(r - j) > 1e-9:
             raise ValueError(f"x = {x} is not a lattice node (h = {self.h})")
-        if not 0 <= j < self.n_total:
-            raise ValueError(f"x = {x} lies outside the padded grid")
+        if not 0 <= j < self.n_cells:
+            raise ValueError(f"x = {x} lies outside [{self.x_min}, {self.x_max}]")
         return j
 
     def step_of(self, t: float) -> int:
@@ -123,12 +109,10 @@ class Grid:
         return k
 
     @classmethod
-    def from_domain(cls, x_min: float, x_max: float, h: float, t_final: float,
-                    extra_pad: int = 8) -> "Grid":
-        """Build a grid covering [x_min, x_max] sized for a run of length t_final.
+    def from_domain(cls, x_min: float, x_max: float, h: float, t_final: float) -> "Grid":
+        """Grid covering [x_min, x_max] for a run of length t_final.
 
         (x_max - x_min) and t_final must be integer multiples of h.
-        Padding is n_steps + extra_pad zero cells per side.
         """
         n_span = (x_max - x_min) / h
         if abs(n_span - round(n_span)) > 1e-9:
@@ -136,25 +120,12 @@ class Grid:
         n_t = t_final / h
         if abs(n_t - round(n_t)) > 1e-9:
             raise ValueError(f"t_final = {t_final} is not a multiple of h = {h}")
-        n_steps = int(round(n_t))
-        return cls(x_min=x_min, h=h, n_cells=int(round(n_span)) + 1,
-                   n_steps=n_steps, pad=n_steps + extra_pad)
-
-    def refined(self, factor: int) -> "Grid":
-        """Grid with `factor` times finer resolution over the same domain and horizon.
-
-        The padded coordinate arrays of the two grids share every coarse node
-        (pad scales exactly by `factor`).
-        """
-        return Grid(x_min=self.x_min, h=self.h / factor,
-                    n_cells=factor * (self.n_cells - 1) + 1,
-                    n_steps=factor * self.n_steps,
-                    pad=factor * self.pad)
+        return cls(x_min=x_min, h=h, n_cells=int(round(n_span)) + 1, n_steps=int(round(n_t)))
 
 
 @dataclass
 class SpinorField:
-    """The pair (u, v) sampled on the padded lattice at a fixed time."""
+    """The pair (u, v) at time t: u on labels x - t, v on labels x + t."""
 
     t: float
     u: np.ndarray
@@ -162,17 +133,31 @@ class SpinorField:
     grid: Grid
 
     def __post_init__(self):
-        if self.u.shape != (self.grid.n_total,) or self.v.shape != (self.grid.n_total,):
-            raise ValueError(
-                f"u and v must have length n_cells + 2*pad = {self.grid.n_total}"
-            )
+        if self.u.shape != (self.grid.n_cells,) or self.v.shape != (self.grid.n_cells,):
+            raise ValueError(f"u and v must have length n_cells = {self.grid.n_cells}")
+
+
+def at_nodes(a: np.ndarray, b: np.ndarray, lo: int, hi: int, s: int) -> tuple:
+    """a (on labels x - t) and b (on labels x + t) at nodes lo..hi of cell level s.
+
+    A label off the domain reads zero; a plain slice would wrap around.
+    """
+    out = []
+    for c, first in ((a, lo - s), (b, lo + s)):
+        row = np.zeros(hi - lo + 1, c.dtype)
+        i = max(first, 0)
+        j = max(min(first + len(row), len(c)), i)
+        row[i - first:j - first] = c[i:j]
+        out.append(row)
+    return tuple(out)
 
 
 def charge(fld: SpinorField) -> float:
     """Total charge Q = h * sum(|u|^2 + |v|^2).
 
-    Equals the trapezoid rule on the padded lattice since the endpoint
-    samples are exact zeros.  Raises on non-finite samples (solver blow-up).
+    The sum runs over labels; it is the trapezoid rule on the whole line,
+    where the field is zero off the domain's labels.  Raises on non-finite
+    samples (solver blow-up).
     """
     if not (np.all(np.isfinite(fld.u)) and np.all(np.isfinite(fld.v))):
         raise FloatingPointError("non-finite samples in spinor field: solver blow-up")
@@ -206,10 +191,11 @@ class TriangleRegion:
 
 
 def triangle_nodes(region: TriangleRegion, tau: float, grid: Grid, scheme) -> tuple:
-    """Steps (k0, k_tau) of t0 and tau and padded indices (ja, jb) of a and b.
+    """Steps (k0, k_tau) of t0 and tau and node indices (ja, jb) of a and b.
 
     Raises ValueError unless the run's `solver.Scheme` steps one cell at a
-    time, t0 <= tau <= min(apex time, t_final), and a, b, t0, tau lie on nodes.
+    time, t0 <= tau <= min(apex time, t_final), and a, b, t0, tau lie on nodes
+    of the domain.
     """
     if scheme.cells != 1:
         raise ValueError(f"triangle balance expects a unit-step scheme, not {scheme.kind}")
@@ -285,15 +271,15 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
 
     Per-component shape parameters: {u,v}_center, {u,v}_width, {u,v}_amplitude,
     {u,v}_phase.  Raises ValueError when the declared support does not fit
-    inside the unpadded domain.
+    inside the domain.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    x = grid.x_padded()
+    x = grid.x()
     params = dict(shape_params)
 
     if family == "zero":
-        z = np.zeros(grid.n_total, dtype=complex)
+        z = np.zeros(grid.n_cells, dtype=complex)
         return InitialData(family, params, grid, z, z.copy())
 
     uc, uw, ua, up = _component_params(params, "u")
@@ -306,8 +292,8 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
         if amp == 0.0:
             continue
         if gaussian:
-            # Gaussian tails are clipped to exact zeros at the physical domain
-            # edge; reject when the clipped value is not negligible there.
+            # Gaussian tails are clipped to exact zeros at the domain edge;
+            # reject when the clipped value is not negligible there.
             edge = min(c - grid.x_min, grid.x_max - c)
             too_wide = edge < 0 or abs(amp) * np.exp(-((edge / w) ** 2)) > 1e-12
             r = w * np.sqrt(np.log(abs(amp) / UNDERFLOW_FLOOR))  # |samples| >= floor
@@ -316,14 +302,11 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
         if too_wide:
             raise ValueError(
                 f"{comp}0 support [{c - r:.3g}, {c + r:.3g}] is wider than the "
-                f"unpadded grid [{grid.x_min:.3g}, {grid.x_max:.3g}]; enlarge the domain")
+                f"grid [{grid.x_min:.3g}, {grid.x_max:.3g}]; enlarge the domain")
     sampler = _gaussian_samples if gaussian else _bump_samples
 
     u0 = sampler(x, uc, uw, ua, up)
     v0 = sampler(x, vc, vw, va, vp)
-    outside = (x < grid.x_min - 1e-9 * grid.h) | (x > grid.x_max + 1e-9 * grid.h)
-    u0[outside] = 0.0
-    v0[outside] = 0.0
 
     if family == "separated":
         if not (ua == 0.0 or va == 0.0 or uc - uw >= vc + vw):

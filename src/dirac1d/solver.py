@@ -11,7 +11,8 @@ free transport is index arithmetic.  N1 and N2 vanish wherever u or v does,
 so a step updates only the new-level nodes whose characteristic foot or head
 lies in the overlap of the two supports (the previous overlap widened by one
 cell per side, two for oracle4), with the arithmetic of a whole-lattice step
-node for node.  Fields are rebuilt on the padded lattice when recorded.
+node for node.  Snapshots keep the labels of [x_min, x_max]: no label leaves
+its initial support, which lies in the domain.
 
 Three schemes are provided:
 
@@ -37,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, InitialData, ModelParams, SpinorField, TriangleRegion, triangle_nodes
+from .fields import (Grid, InitialData, ModelParams, SpinorField, TriangleRegion, at_nodes,
+                     triangle_nodes)
 from .nonlinearity import eval_N1, eval_N2
 
 BLOWUP_LIMIT = 1e6
@@ -59,8 +61,10 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if not self.fixed_point_tol > 0 or self.fixed_point_max_iter < 1:
-            raise ValueError("fixed_point_tol must be > 0 and fixed_point_max_iter >= 1")
+        if not self.fixed_point_tol > 0:
+            raise ValueError(f"fixed_point_tol must be > 0, got {self.fixed_point_tol}")
+        if self.fixed_point_max_iter < 1:
+            raise ValueError(f"fixed_point_max_iter must be >= 1, got {self.fixed_point_max_iter}")
 
     @property
     def cells(self) -> int:
@@ -68,24 +72,12 @@ class Scheme:
         return _KERNELS[self.kind][1]
 
 
-def shift_right(a: np.ndarray, k: int = 1) -> np.ndarray:
-    """a shifted k cells to the right, zeros flowing in from the left edge."""
-    out = np.zeros_like(a)
-    out[k:] = a[:len(a) - k]
-    return out
-
-
-def shift_left(a: np.ndarray, k: int = 1) -> np.ndarray:
-    out = np.zeros_like(a)
-    out[:len(a) - k] = a[k:]
-    return out
-
-
 @dataclass
 class Trajectory:
     """Recorded snapshots plus per-characteristic trace integrals.
 
-    `trace_partials[t]` holds, in the characteristic-label frame
+    `snapshots[t]` holds u and v by label, like the solver.
+    `trace_partials[t]` holds, in the same label frames
     (y = x - t for the u side, y = x + t for the v side), the composite
     trapezoid integrals A1(y, t) = int_0^t N1 along (y + s, s) and
     A2(y, t) = int_0^t N2 along (y - s, s).  The final accumulators at
@@ -123,10 +115,8 @@ class Trajectory:
 
 def init_state(data: InitialData, grid: Grid) -> SpinorField:
     """Spinor field at t = 0 from sampled initial data."""
-    if data.grid is not grid and (data.grid.n_total != grid.n_total
-                                  or data.grid.h != grid.h
-                                  or data.grid.x_min != grid.x_min
-                                  or data.grid.pad != grid.pad):
+    g = data.grid
+    if (g.x_min, g.h, g.n_cells) != (grid.x_min, grid.h, grid.n_cells):
         raise ValueError("initial data was sampled on a different grid")
     return SpinorField(0.0, data.u0.copy(), data.v0.copy(), grid)
 
@@ -136,17 +126,15 @@ class _Labels:
 
     At cell level s, u's label i sits at node i + s and v's label i at node
     i - s.  u, v, |u|, |v|, the sources N1, N2 at the current level and the
-    traces A1, A2 are indexed by label + margin, where the zero margin holds
-    every label that `reach` cells of transport bring onto the padded lattice.
+    traces A1, A2 are indexed by label + MARGIN; the zero margin holds the
+    labels a window reaches past the domain.
     """
 
-    def __init__(self, u: np.ndarray, v: np.ndarray, t0: float, h: float,
-                 m: ModelParams, s: Scheme, reach: int):
+    def __init__(self, u: np.ndarray, v: np.ndarray, h: float, m: ModelParams, s: Scheme):
         if s.kind == "phase_split" and m.beta != 0.0:
             raise ValueError("phase_split scheme is only valid for beta = 0")
-        self.n, self.level, self.t0, self.h, self.m, self.s = len(u), 0, t0, h, m, s
-        self.margin = MARGIN + reach
-        self.u, self.v = np.pad(u, self.margin), np.pad(v, self.margin)
+        self.n, self.level, self.h, self.m, self.s = len(u), 0, h, m, s
+        self.u, self.v = np.pad(u, MARGIN), np.pad(v, MARGIN)
         self.abs_u, self.abs_v = np.abs(self.u), np.abs(self.v)
         self.n1, self.n2, self.a1, self.a2 = (np.zeros_like(self.u) for _ in range(4))
         self.mod0, self.drift = None, 0.0  # |u0|, |v0| by label, to track modulus drift
@@ -178,8 +166,8 @@ class _Labels:
 
     def labels(self, lo: int, hi: int, s: int) -> tuple[slice, slice]:
         """Slices of the u and v label arrays at nodes lo..hi of cell level s."""
-        return (slice(self.margin + lo - s, self.margin + hi - s + 1),
-                slice(self.margin + lo + s, self.margin + hi + s + 1))
+        return (slice(MARGIN + lo - s, MARGIN + hi - s + 1),
+                slice(MARGIN + lo + s, MARGIN + hi + s + 1))
 
     def commit(self, ju: slice, jv: slice, U, V, n1, n2):
         """Store a step's window values and guard them."""
@@ -194,16 +182,12 @@ class _Labels:
     def guard(self, au: np.ndarray, av: np.ndarray):
         amp = np.maximum(np.max(au), np.max(av))  # a NaN on either side propagates
         if not np.isfinite(amp) or amp > BLOWUP_LIMIT:
-            t = self.t0 + self.level * self.h
+            t = self.level * self.h
             raise SolverError(f"field blow-up at t = {t:.6g}: max amplitude {amp:.3g}")
 
-    def field(self, t: float, grid: Grid) -> SpinorField:
-        ju, jv = self.labels(0, self.n - 1, self.level)
-        return SpinorField(t, self.u[ju].copy(), self.v[jv].copy(), grid)
-
-    def traces(self) -> tuple[np.ndarray, np.ndarray]:
-        labels = slice(self.margin, self.margin + self.n)
-        return self.a1[labels].copy(), self.a2[labels].copy()
+    def domain(self, *arrays: np.ndarray) -> tuple:
+        """Views of label arrays on the labels of the domain."""
+        return tuple(a[MARGIN:MARGIN + self.n] for a in arrays)
 
 
 def _fixed_point(sweep, start: tuple, lab: _Labels):
@@ -315,13 +299,6 @@ _KERNELS = {
 SCHEME_KINDS = tuple(_KERNELS)
 
 
-def step(state: SpinorField, m: ModelParams, s: Scheme) -> SpinorField:
-    """Advance the field by one time step (h, or 2h for oracle4)."""
-    lab = _Labels(state.u, state.v, state.t, state.grid.h, m, s, s.cells)
-    lab.advance()
-    return lab.field(state.t + lab.level * state.grid.h, state.grid)
-
-
 def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
         record_times: list[float],
         triangles: Iterable[tuple[TriangleRegion, float]] = (),
@@ -354,9 +331,9 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
         record_steps.add(k)
 
     state = init_state(data, grid)
-    lab = _Labels(state.u, state.v, 0.0, grid.h, m, s, grid.n_steps)
+    lab = _Labels(state.u, state.v, grid.h, m, s)
     if track_modulus_drift:
-        lab.mod0 = (np.pad(np.abs(data.u0), lab.margin), np.pad(np.abs(data.v0), lab.margin))
+        lab.mod0 = (np.pad(np.abs(data.u0), MARGIN), np.pad(np.abs(data.v0), MARGIN))
     traj = Trajectory(grid=grid, params=m, scheme=s, data=data, initial=state,
                       triangle_samples=samples)
     for k in range(n_steps + 1):
@@ -364,8 +341,8 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
             traj.max_fp_iterations = max(traj.max_fp_iterations, lab.advance())
         for (k0, kt, ja, jb), (rows, right, left) in samples.items():
             if k0 <= k <= kt:
-                ju, jv = lab.labels(ja + k - k0, jb - k + k0, lab.level)
-                au, av = lab.abs_u[ju], lab.abs_v[jv]
+                au, av = at_nodes(*lab.domain(lab.abs_u, lab.abs_v),
+                                  ja + k - k0, jb - k + k0, lab.level)
                 right.append(np.square(au[-1]))
                 left.append(np.square(av[0]))
                 if k in (k0, kt):
@@ -373,28 +350,25 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
         if k in record_steps:
             t = k * dt
             traj.times.append(t)
-            traj.snapshots[t] = lab.field(t, grid)
-            traj.trace_partials[t] = lab.traces()
+            u, v, a1, a2 = (a.copy() for a in lab.domain(lab.u, lab.v, lab.a1, lab.a2))
+            traj.snapshots[t] = SpinorField(t, u, v, grid)
+            traj.trace_partials[t] = (a1, a2)
     if track_modulus_drift:
         traj.modulus_drift = lab.drift
     return traj
 
 
 def restrict(arr: np.ndarray, fine_grid: Grid, coarse_grid: Grid) -> np.ndarray:
-    """Samples of a refined-grid array at the coarse grid's padded nodes.
+    """Samples of an array on a nested finer grid at the coarse grid's nodes or labels.
 
-    The grids must share x_min and have an integer step ratio.  Coarse nodes
-    falling outside the fine padded array read as zero (they lie in padding).
+    The grids must share x_min and x_max and have an integer step ratio.
     """
     ratio = coarse_grid.h / fine_grid.h
     factor = int(round(ratio))
-    if abs(ratio - factor) > 1e-9 or abs(fine_grid.x_min - coarse_grid.x_min) > 1e-9:
+    if (abs(ratio - factor) > 1e-9 or abs(fine_grid.x_min - coarse_grid.x_min) > 1e-9
+            or abs(fine_grid.x_max - coarse_grid.x_max) > 1e-9):
         raise ValueError("grids are not nested refinements of each other")
-    idx = factor * (np.arange(coarse_grid.n_total) - coarse_grid.pad) + fine_grid.pad
-    out = np.zeros(coarse_grid.n_total, dtype=arr.dtype)
-    valid = (idx >= 0) & (idx < fine_grid.n_total)
-    out[valid] = arr[idx[valid]]
-    return out
+    return arr[::factor]
 
 
 def l2_diff(coarse: SpinorField, fine: SpinorField) -> float:

@@ -85,11 +85,14 @@ class TestParseConfig:
         ({"triangle_regions": [[-1.0, 1.0, 0.5, 0.25]]}, "triangle_regions[0]:", "tau = 0.25"),
         ({"triangle_regions": [[-0.5, 0.5, 0.0, 0.75]]}, "triangle_regions[0]:", "apex"),
         ({"triangle_regions": [[-4.0, 4.0, 0.0, 2.0]]}, "triangle_regions[0]:", "horizon"),
-        ({"fixed_point_tol": 0.0}, "scheme:", "fixed_point_tol"),
-        ({"fixed_point_tol": -1e-9}, "scheme:", "fixed_point_tol"),
-        ({"fixed_point_max_iter": 0}, "scheme:", "fixed_point_max_iter"),
+        ({"fixed_point_tol": 0.0}, "fixed_point_tol:", "> 0"),
+        ({"fixed_point_tol": -1e-9}, "fixed_point_tol:", "> 0"),
+        ({"fixed_point_max_iter": 0}, "fixed_point_max_iter:", ">= 1"),
         ({"triangle_regions": [[True, 1.0, 0.0, 0.5]]}, "triangle_regions[0]:", "expected"),
         ({"h": 0.0}, "h:", "positive"),
+        # a corner outside [x_min, x_max] is off the lattice whatever T is
+        ({"triangle_regions": [[-11.0, 1.0, 0.0, 0.5]]}, "triangle_regions[0]:", "outside"),
+        ({"triangle_regions": [[1.0, 10.5, 0.5, 1.0]]}, "triangle_regions[0]:", "outside"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                        overrides, prefix, fragment):
@@ -102,6 +105,20 @@ class TestParseConfig:
         assert main(["check", str(path)]) == 1
         assert main(["run", str(path)]) == 1
         assert f"  {prefix}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,expected", [
+        ({"scheme": "leapfrog", "fixed_point_tol": 0, "triangle_regions": [[1, 0, 0, 0]],
+          "record_times": [0.3]},
+         ["scheme:", "fixed_point_tol:", "record_times[0]:", "triangle_regions[0]: need a < b"]),
+        ({"fixed_point_tol": 0, "fixed_point_max_iter": 0, "triangle_regions": [[0, 1, -1, 0]]},
+         ["fixed_point_tol:", "fixed_point_max_iter:", "triangle_regions[0]: t0 must be"]),
+    ])
+    def test_every_violation_listed(self, raw, expected):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(raw))
+        assert len(exc.value.violations) == len(expected)
+        for v, prefix in zip(exc.value.violations, expected):
+            assert v.startswith(prefix), (v, prefix)
 
     def test_digest_stable_and_sensitive(self):
         a = parse_config(json.dumps(SMALL)).digest()

@@ -38,12 +38,12 @@ class TestChargeDrift:
             total_charge_drift(bare)
 
 
-def seed_triangle_balance(moduli, grid, region, tau):
+def seed_triangle_balance(moduli, grid, pad, region, tau):
     """The balance terms as once computed from the full per-step history
-    moduli[k] = (|u|^2, |v|^2) on the padded lattice at step k."""
+    moduli[k] = (|u|^2, |v|^2) on the lattice padded by pad cells at step k."""
     h = grid.h
     k0, kt = grid.step_of(region.t0), grid.step_of(tau)
-    ja, jb = grid.index_of(region.a), grid.index_of(region.b)
+    ja, jb = pad + grid.index_of(region.a), pad + grid.index_of(region.b)
     seg = lambda vals: 0.0 if len(vals) < 2 else float(np.trapezoid(vals, dx=h))
     mu0, mv0 = moduli[k0]
     initial = seg(mu0[ja:jb + 1] + mv0[ja:jb + 1])
@@ -67,12 +67,15 @@ class TestTriangleBalance:
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         every_step = [k * h for k in range(grid.n_steps + 1)]
         traj = run(data, grid, ModelParams.gross_neveu(), Scheme(), every_step, triangles)
-        moduli = [(np.abs(traj.snapshots[t].u) ** 2, np.abs(traj.snapshots[t].v) ** 2)
-                  for t in traj.times]
+        # the snapshots hold labels: move step k's u right and v left by k nodes
+        pad = grid.n_steps + 8
+        moduli = [(np.roll(np.pad(np.abs(traj.snapshots[t].u) ** 2, pad), k),
+                   np.roll(np.pad(np.abs(traj.snapshots[t].v) ** 2, pad), -k))
+                  for k, t in enumerate(traj.times)]
         assert len(moduli) == grid.n_steps + 1
         for region, tau in triangles:
             rep = triangle_balance(traj, region, tau)
-            for name, value in seed_triangle_balance(moduli, grid, region, tau).items():
+            for name, value in seed_triangle_balance(moduli, grid, pad, region, tau).items():
                 assert getattr(rep, name) == value, (region, tau, name)
 
     def test_memory_bounded_by_the_triangle(self):

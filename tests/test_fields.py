@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirac1d import Grid, ModelParams, SpinorField, TriangleRegion, charge, make_initial_data
+from dirac1d.fields import at_nodes
 from dirac1d.solver import init_state
 
 # Exact charge of the reference pair u0 = exp(-x^2), v0 = exp(-(x-1)^2):
@@ -33,24 +34,22 @@ class TestGrid:
         g = Grid.from_domain(-10.0, 10.0, 0.25, 2.0)
         assert g.n_cells == 81
         assert g.n_steps == 8
-        assert g.pad == 16
-        assert g.n_total == 81 + 32
         assert g.x_max == pytest.approx(10.0)
         assert g.t_final == pytest.approx(2.0)
 
-    def test_x_padded_and_interior(self):
+    def test_x_nodes(self):
         g = Grid.from_domain(0.0, 1.0, 0.5, 1.0)
-        x = g.x_padded()
-        assert x[g.interior()] == pytest.approx([0.0, 0.5, 1.0])
-        assert x[0] == pytest.approx(-g.pad * g.h)
+        assert g.x() == pytest.approx([0.0, 0.5, 1.0])
 
     def test_index_and_step_lookup(self):
         g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)
-        assert g.index_of(-1.0) == g.pad
-        assert g.index_of(0.5) == g.pad + 3
+        assert g.index_of(-1.0) == 0
+        assert g.index_of(0.5) == 3
         assert g.step_of(1.0) == 2
         with pytest.raises(ValueError):
             g.index_of(0.3)
+        with pytest.raises(ValueError, match="outside"):
+            g.index_of(1.5)
         with pytest.raises(ValueError):
             g.step_of(0.25)
         with pytest.raises(ValueError):
@@ -61,17 +60,6 @@ class TestGrid:
             Grid.from_domain(0.0, 1.0, 0.3, 1.0)
         with pytest.raises(ValueError):
             Grid.from_domain(0.0, 1.0, 0.5, 0.7)
-
-    def test_pad_must_cover_run(self):
-        with pytest.raises(ValueError):
-            Grid(x_min=0.0, h=0.5, n_cells=3, n_steps=4, pad=3)
-
-    def test_refined_shares_coarse_nodes(self):
-        g = Grid.from_domain(-2.0, 2.0, 0.5, 1.0)
-        f = g.refined(4)
-        assert f.h == pytest.approx(g.h / 4)
-        assert f.pad == 4 * g.pad
-        np.testing.assert_allclose(f.x_padded()[::4], g.x_padded(), atol=1e-12)
 
 
 class TestInitialData:
@@ -97,12 +85,13 @@ class TestInitialData:
         assert data.v0[g.index_of(1.0)] == pytest.approx(1.0)
 
     def test_samples_vanish_outside_domain(self):
+        # samples exist on the domain's nodes only; nodes past it read zero
         g = Grid.from_domain(-20.0, 20.0, 0.25, 2.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, g)
-        x = g.x_padded()
-        outside = (x < g.x_min - 1e-9) | (x > g.x_max + 1e-9)
-        assert not data.u0[outside].any()
-        assert not data.v0[outside].any()
+        assert data.u0.shape == data.v0.shape == (g.n_cells,)
+        for lo, hi in ((-8, -1), (g.n_cells, g.n_cells + 7)):
+            u, v = at_nodes(data.u0, data.v0, lo, hi, 0)
+            assert not u.any() and not v.any()
 
     def test_gaussian_too_wide_for_domain(self):
         g = Grid.from_domain(-2.0, 2.0, 0.25, 1.0)
@@ -124,7 +113,7 @@ class TestInitialData:
     def test_bump_is_compact(self):
         g = Grid.from_domain(-5.0, 5.0, 0.125, 1.0)
         data = make_initial_data("bump", {"u_width": 2.0, "v_width": 2.0}, g)
-        x = g.x_padded()
+        x = g.x()
         assert not data.u0[np.abs(x) >= 2.0].any()
         assert data.u0[g.index_of(0.0)] == pytest.approx(1.0)
 
@@ -155,10 +144,21 @@ class TestInitialData:
 class TestSpinorField:
     def test_shape_validation(self):
         g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)
-        z = np.zeros(g.n_total, dtype=complex)
+        z = np.zeros(g.n_cells, dtype=complex)
         SpinorField(0.0, z, z.copy(), g)
         with pytest.raises(ValueError):
             SpinorField(0.0, z[:-1], z, g)
+
+    def test_at_nodes_reads_labels(self):
+        # u's label i sits at node i + s, v's at node i - s; off the domain: 0
+        a, b = np.arange(1.0, 6.0), np.arange(10.0, 15.0)
+        u, v = at_nodes(a, b, -1, 4, 2)
+        np.testing.assert_array_equal(u, [0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(v, [11.0, 12.0, 13.0, 14.0, 0.0, 0.0])
+        # wholly off the domain on either side, with labels to spare
+        long = np.arange(1.0, 101.0)
+        for lo, hi in ((-9, -7), (100, 102)):
+            assert not any(r.any() for r in at_nodes(long, long, lo, hi, 0))
 
     def test_charge_rejects_nonfinite(self):
         g = Grid.from_domain(-20.0, 20.0, 0.25, 1.0)

@@ -1,10 +1,15 @@
 """Scheme correctness: exact transport, convergence orders, trace identities."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dirac1d import Grid, ModelParams, Scheme, SolverError, TriangleRegion, make_initial_data
-from dirac1d.solver import init_state, l2_diff, restrict, run, shift_left, shift_right, step
+from dirac1d import (Grid, InitialData, ModelParams, Scheme, SolverError, TriangleRegion,
+                     make_initial_data, parse_config, run_experiment)
+from dirac1d.fields import triangle_nodes
+from dirac1d.solver import l2_diff, restrict, run
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 
@@ -14,6 +19,19 @@ def gaussian_run(m, h, T, span=10.0, scheme="trapezoidal", record=(0.0,), **kw):
     data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
     times = sorted(set(record) | {T})
     return run(data, grid, m, Scheme(scheme, **kw), times)
+
+
+def shift_right(a, k=1):
+    """a shifted k cells to the right, zeros flowing in from the left edge."""
+    out = np.zeros_like(a)
+    out[k:] = a[:len(a) - k]
+    return out
+
+
+def shift_left(a, k=1):
+    out = np.zeros_like(a)
+    out[:len(a) - k] = a[k:]
+    return out
 
 
 def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
@@ -80,6 +98,36 @@ def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
         yield u, v, shift_left(a1, k * cells), shift_right(a2, k * cells), its
 
 
+def padded_reference(data, grid, m, kind="trapezoidal"):
+    """reference_steps on the data padded with more zero cells than the run
+    has steps, so nothing reaches the ends of its arrays; yields the padded
+    step results and the slice of the domain."""
+    pad = grid.n_steps + 8
+    steps = reference_steps(np.pad(data.u0, pad), np.pad(data.v0, pad), grid.h, m, kind,
+                            grid.n_steps)
+    return steps, slice(pad, pad + grid.n_cells)
+
+
+def reference_labels(data, grid, m, kind):
+    """The whole-lattice stepper read back by label on the domain: yields
+    (u, v, A1, A2, iterations) after each step.  Every label off the domain
+    stays zero."""
+    cells = 2 if kind == "oracle4" else 1
+    steps, dom = padded_reference(data, grid, m, kind)
+    for k, (u, v, a1, a2, its) in enumerate(steps, start=1):
+        labelled = (shift_left(u, k * cells), shift_right(v, k * cells), a1, a2)
+        for a in labelled:
+            assert not a[:dom.start].any() and not a[dom.stop:].any()
+        yield (*(a[dom] for a in labelled), its)
+
+
+def reference_nodes(data, grid, m):
+    """The trapezoid whole-lattice stepper's (u, v) at the domain's nodes at
+    steps 0..n_steps."""
+    steps, dom = padded_reference(data, grid, m)
+    return [(data.u0, data.v0)] + [(u[dom], v[dom]) for u, v, *_ in steps]
+
+
 class CountingN:
     """Tallies the nodes handed to the solver's eval_N1/eval_N2."""
 
@@ -116,8 +164,7 @@ def assert_matches_reference(traj, data, grid, m, kind):
     # so the values agree exactly (array_equal does not see the sign of a zero)
     cells = 2 if kind == "oracle4" else 1
     max_its = 0
-    steps = reference_steps(data.u0, data.v0, grid.h, m, kind, grid.n_steps)
-    for k, (u, v, a1, a2, its) in enumerate(steps, start=1):
+    for k, (u, v, a1, a2, its) in enumerate(reference_labels(data, grid, m, kind), start=1):
         max_its = max(max_its, its)
         t = k * cells * grid.h
         if any(abs(t - rt) < 1e-12 for rt in traj.times):
@@ -142,9 +189,9 @@ class TestWindowedSolver:
 
     @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
     def test_support_touching_the_domain_edges(self, kind):
-        # both bumps fill [x_min, x_max] and the padding is the minimum the
-        # run needs, so the windows reach the ends of the padded lattice
-        grid = Grid(x_min=-2.0, h=0.125, n_cells=33, n_steps=8, pad=8)
+        # both bumps fill [x_min, x_max], so the windows reach past the ends
+        # of the domain's labels into the margin
+        grid = Grid(x_min=-2.0, h=0.125, n_cells=33, n_steps=8)
         shape = {"u_width": 2.0, "v_width": 2.0, "v_center": 0.0, "v_phase": 1.0}
         data = make_initial_data("bump", shape, grid)
         assert data.u0[grid.index_of(-2.0 + grid.h)] != 0
@@ -155,16 +202,16 @@ class TestWindowedSolver:
 
     @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
     def test_step_matches_one_reference_step(self, kind):
-        # a field nonzero on every node, up to the ends of the array
-        grid = Grid(x_min=-1.0, h=0.125, n_cells=17, n_steps=0, pad=0)
-        x = grid.x_padded()
-        state = init_state(make_initial_data("zero", {}, grid), grid)
-        state.u = 0.8 * np.exp(-x ** 2) * np.exp(1j * x)
-        state.v = 0.6 * np.exp(-(x - 0.3) ** 2) + 0.2j
+        # a field nonzero on every node, up to the ends of the domain
+        cells = 2 if kind == "oracle4" else 1
+        grid = Grid(x_min=-1.0, h=0.125, n_cells=17, n_steps=cells)
+        x = grid.x()
+        data = InitialData("custom", {}, grid, 0.8 * np.exp(-x ** 2) * np.exp(1j * x),
+                           0.6 * np.exp(-(x - 0.3) ** 2) + 0.2j)
         m = ModelParams.thirring()
-        got = step(state, m, Scheme(kind))
-        u, v, _, _, _ = next(reference_steps(state.u, state.v, grid.h, m, kind, 2))
-        assert got.t == pytest.approx((2 if kind == "oracle4" else 1) * grid.h)
+        got = run(data, grid, m, Scheme(kind), []).snapshot_at(grid.t_final)
+        u, v, _, _, _ = next(reference_labels(data, grid, m, kind))
+        assert got.t == pytest.approx(cells * grid.h)
         np.testing.assert_array_equal(got.u, u)
         np.testing.assert_array_equal(got.v, v)
 
@@ -178,9 +225,9 @@ class TestWindowedSolver:
         traj = run(data, grid, ModelParams.thirring(), Scheme(kind), [2.0])
         assert counter.nodes == 0
         assert traj.max_fp_iterations == 0
-        k = grid.step_of(2.0)
-        np.testing.assert_array_equal(traj.snapshot_at(2.0).u, shift_right(data.u0, k))
-        np.testing.assert_array_equal(traj.snapshot_at(2.0).v, shift_left(data.v0, k))
+        # free transport leaves every label's value untouched
+        np.testing.assert_array_equal(traj.snapshot_at(2.0).u, data.u0)
+        np.testing.assert_array_equal(traj.snapshot_at(2.0).v, data.v0)
 
     @pytest.mark.parametrize("kind", ["trapezoidal", "oracle4"])
     def test_evaluations_stop_once_supports_part(self, kind, monkeypatch):
@@ -207,17 +254,6 @@ class TestWindowedSolver:
         assert not traj.snapshot_at(1.0).u.any() and not traj.snapshot_at(1.0).v.any()
         assert not any(a.any() for a in traj.traces_at(1.0))
         assert traj.modulus_drift == 0.0
-
-
-class TestShifts:
-    def test_shift_semantics(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(shift_right(a, 2), [0.0, 0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(shift_left(a, 1), [2.0, 3.0, 4.0, 0.0])
-        np.testing.assert_array_equal(shift_left(shift_right(a, 3), 3), [1.0, 0.0, 0.0, 0.0])
-        out = shift_right(a, 0)
-        out[0] = -1.0
-        assert a[0] == 1.0
 
 
 class TestScheme:
@@ -248,21 +284,16 @@ class TestExactCases:
                                   "v_center": -3.0, "v_width": 2.0}, grid)
         m = ModelParams.thirring()
         traj = run(data, grid, m, Scheme(scheme), [2.0])
-        k = grid.step_of(2.0)
         snap = traj.snapshot_at(2.0)
-        np.testing.assert_allclose(snap.u, shift_right(data.u0, k), atol=1e-14)
-        np.testing.assert_allclose(snap.v, shift_left(data.v0, k), atol=1e-14)
+        np.testing.assert_allclose(snap.u, data.u0, atol=1e-14)
+        np.testing.assert_allclose(snap.v, data.v0, atol=1e-14)
 
     def test_phase_split_exact_moduli(self):
         m = ModelParams.thirring()
         traj = gaussian_run(m, 1.0 / 32.0, 2.0, scheme="phase_split")
-        data, grid = traj.data, traj.grid
-        k = grid.step_of(2.0)
         snap = traj.snapshot_at(2.0)
-        np.testing.assert_allclose(np.abs(snap.u), shift_right(np.abs(data.u0), k),
-                                   atol=1e-13)
-        np.testing.assert_allclose(np.abs(snap.v), shift_left(np.abs(data.v0), k),
-                                   atol=1e-13)
+        np.testing.assert_allclose(np.abs(snap.u), np.abs(traj.data.u0), atol=1e-13)
+        np.testing.assert_allclose(np.abs(snap.v), np.abs(traj.data.v0), atol=1e-13)
 
     def test_modulus_drift_tracking(self):
         grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
@@ -283,11 +314,10 @@ class TestTraceIdentity:
     def test_field_equals_free_flow_plus_trace(self, scheme, model, tol):
         m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
         traj = gaussian_run(m, 1.0 / 64.0, 1.0, scheme=scheme)
-        k = traj.grid.step_of(1.0)
         a1, a2 = traj.traces_at(1.0)
         snap = traj.snapshot_at(1.0)
-        ru = shift_left(snap.u, k) - traj.data.u0 + 1j * a1
-        rv = shift_right(snap.v, k) - traj.data.v0 + 1j * a2
+        ru = snap.u - traj.data.u0 + 1j * a1
+        rv = snap.v - traj.data.v0 + 1j * a2
         assert np.max(np.abs(ru)) <= tol
         assert np.max(np.abs(rv)) <= tol
 
@@ -364,9 +394,6 @@ class TestGuards:
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         with pytest.raises(ValueError, match="beta"):
             run(data, grid, ModelParams.gross_neveu(), Scheme("phase_split"), [1.0])
-        state = init_state(data, grid)
-        with pytest.raises(ValueError, match="beta"):
-            step(state, ModelParams.gross_neveu(), Scheme("phase_split"))
 
     def test_reference_scheme_needs_even_steps(self):
         grid = Grid.from_domain(-10.0, 10.0, 0.25, 0.75)
@@ -391,22 +418,79 @@ class TestGuards:
 
 class TestRestriction:
     def test_restrict_aligns_by_coordinates(self):
-        # pads of independently built grids do not scale with the step ratio
+        # the horizons differ: only the domain and the step ratio matter
         gc = Grid.from_domain(-2.0, 2.0, 0.5, 1.0)
-        gf = Grid.from_domain(-2.0, 2.0, 0.25, 1.0)
-        vals = np.cos(gf.x_padded())
-        got = restrict(vals, gf, gc)
-        xc = gc.x_padded()
-        fine_lo, fine_hi = gf.x_padded()[0], gf.x_padded()[-1]
-        covered = (xc >= fine_lo - 1e-12) & (xc <= fine_hi + 1e-12)
-        np.testing.assert_allclose(got[covered], np.cos(xc[covered]), atol=1e-14)
-        assert not got[~covered].any()
+        gf = Grid.from_domain(-2.0, 2.0, 0.25, 2.0)
+        got = restrict(np.cos(gf.x()), gf, gc)
+        np.testing.assert_allclose(got, np.cos(gc.x()), atol=1e-14)
 
     def test_restrict_rejects_mismatched_grids(self):
         gc = Grid.from_domain(-2.0, 2.0, 0.5, 1.0)
-        bad = Grid.from_domain(-1.0, 2.0, 0.25, 1.0)
-        with pytest.raises(ValueError):
-            restrict(np.zeros(bad.n_total), bad, gc)
-        odd = Grid.from_domain(-2.0, 2.0, 0.3 * 4 / 3, 0.4)
-        with pytest.raises(ValueError):
-            restrict(np.zeros(odd.n_total), odd, gc)
+        for bad in (Grid.from_domain(-1.0, 2.0, 0.25, 1.0), Grid.from_domain(-2.0, 3.0, 0.25, 1.0),
+                    Grid.from_domain(-2.0, 2.0, 0.3 * 4 / 3, 0.4)):
+            with pytest.raises(ValueError):
+                restrict(np.zeros(bad.n_cells), bad, gc)
+
+
+FILLING_BUMPS = {"u_width": 2.0, "v_width": 2.0, "v_center": 0.0, "v_phase": 1.0}
+
+
+class TestDomainEdges:
+    """Nodes whose labels lie off the domain, against the padded stepper."""
+
+    @pytest.mark.parametrize("a,b", [(-2.0, 0.0), (0.0, 2.0)])
+    def test_elevated_triangle_at_the_domain_edge(self, a, b):
+        # at t0 = 0.5 the base [-2, 0] reads u labels below x_min, and the
+        # base [0, 2] reads v labels past x_max; both fields are nonzero up to
+        # the other end of their label arrays, where a wrapped read would land
+        grid = Grid.from_domain(-2.0, 2.0, 1.0 / 16.0, 1.0)
+        data = make_initial_data("bump", FILLING_BUMPS, grid)
+        m, region, tau = ModelParams.gross_neveu(), TriangleRegion(a, b, 0.5), 1.0
+        traj = run(data, grid, m, Scheme(), [1.0], [(region, tau)])
+        k0, kt, ja, jb = nodes = triangle_nodes(region, tau, grid, Scheme())
+        ref = [(np.abs(u) ** 2, np.abs(v) ** 2) for u, v in reference_nodes(data, grid, m)]
+        rows, right, left = traj.triangle_samples[nodes]
+        for row, k in zip(rows, (k0, kt)):
+            mu, mv = ref[k]
+            np.testing.assert_array_equal(row, (mu + mv)[ja + k - k0:jb - k + k0 + 1])
+        np.testing.assert_array_equal(right, [ref[k][0][jb - k + k0] for k in range(k0, kt + 1)])
+        np.testing.assert_array_equal(left, [ref[k][1][ja + k - k0] for k in range(k0, kt + 1)])
+        off = slice(0, k0) if a == grid.x_min else slice(len(rows[0]) - k0, None)
+        side = ref[k0][0] if a == grid.x_min else ref[k0][1]
+        assert not side[ja:jb + 1][off].any() and rows[0][off].all()
+
+    def test_snapshot_rows_after_u_leaves_through_x_max(self, tmp_path):
+        cfg = parse_config(json.dumps({
+            "model": "gross_neveu", "family": "bump", "x_min": -2.0, "x_max": 2.0,
+            "h": 0.0625, "T": 2.0, "record_times": [0.0, 1.0, 2.0], "checks": ["charge"],
+            "u_center": 1.0, "u_width": 0.75, "v_center": 0.0, "v_width": 0.75,
+            "output_dir": str(tmp_path)}))
+        assert run_experiment(cfg) == 0
+        lines = (tmp_path / "snapshots.csv").read_text().splitlines()[1:]
+        grid = Grid.from_domain(-2.0, 2.0, 0.0625, 2.0)
+        data = make_initial_data("bump", cfg.shape_params, grid)
+        ref = reference_nodes(data, grid, cfg.model_params())
+        rows = np.array([[float(c) for c in line.split(",")] for line in lines])
+        for i, t in enumerate((0.0, 1.0, 2.0)):
+            block = rows[i * grid.n_cells:(i + 1) * grid.n_cells]
+            u, v = ref[grid.step_of(t)]
+            np.testing.assert_array_equal(block[:, 0], t)
+            np.testing.assert_array_equal(block[:, 1], grid.x())
+            np.testing.assert_array_equal(block[:, 2] + 1j * block[:, 3], u)
+            np.testing.assert_array_equal(block[:, 4] + 1j * block[:, 5], v)
+        # u's support [0.25, 1.75] is half out at t = 1 and gone at t = 2
+        assert ref[16][0][-1] != 0 and not ref[32][0].any()
+
+
+def test_memory_bounded_in_T():
+    # arrays hold the domain's labels only; a lattice padded by n_steps
+    # zero cells per side peaked at 23 MB here
+    grid = Grid.from_domain(-10.0, 10.0, 1.0 / 64.0, 400.0)
+    data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+    tracemalloc.start()
+    try:
+        run(data, grid, ModelParams.thirring(), Scheme("phase_split"), [0.0, 200.0, 400.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
