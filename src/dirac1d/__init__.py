@@ -24,6 +24,7 @@ from .fields import (
 )
 from .nonlinearity import (
     charge_flux_defect,
+    eval_N,
     eval_N1,
     eval_N2,
     eval_W,
@@ -63,8 +64,8 @@ __all__ = [
     "ModelParams", "Profile", "ResidualReport", "Scheme", "SolverError",
     "SpinorField", "Trajectory", "TriangleRegion", "charge",
     "charge_flux_defect", "check_pointwise_bound", "compute_profile",
-    "eval_N1", "eval_N2", "eval_W", "field_residual", "init_state", "l2_diff",
-    "light_cone_balance", "make_initial_data", "pair_overlap", "parse_config",
-    "residual", "restrict", "run", "run_experiment", "sup_tail_bound",
-    "tail_bound", "total_charge_drift", "triangle_balance",
+    "eval_N", "eval_N1", "eval_N2", "eval_W", "field_residual", "init_state",
+    "l2_diff", "light_cone_balance", "make_initial_data", "pair_overlap",
+    "parse_config", "residual", "restrict", "run", "run_experiment",
+    "sup_tail_bound", "tail_bound", "total_charge_drift", "triangle_balance",
 ]

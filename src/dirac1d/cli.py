@@ -261,15 +261,13 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, header: list[str], blocks) -> None:
+    """CSV of blocks (prefix, 2-D float array), each block one %-format of its rows."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+        for prefix, table in blocks:
+            fmt = prefix + ",".join(["%.17g"] * table.shape[1]) + "\n"
+            fh.write(fmt * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def _identity_sweep(seed: int, n: int = 10000) -> float:
@@ -337,14 +335,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     # snapshots.csv: u and v at the domain's nodes at each recorded time
     x = grid.x()
-    rows = []
+    blocks = []
     for t in traj.times:
         snap = traj.snapshots[t]
-        nodes = at_nodes(snap.u, snap.v, 0, grid.n_cells - 1, grid.step_of(t))
-        for xx, uu, vv in zip(x, *nodes):
-            rows.append((float(t), float(xx), float(uu.real), float(uu.imag),
-                         float(vv.real), float(vv.imag)))
-    _write_csv(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"], rows)
+        u, v = at_nodes(snap.u, snap.v, 0, grid.n_cells - 1, grid.step_of(t))
+        blocks.append(("", np.column_stack((np.full(len(x), t), x, u.real, u.imag,
+                                             v.real, v.imag))))
+    _write_table(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"], blocks)
 
     if "charge" in cfg.checks:
         drift = conservation.total_charge_drift(traj)
@@ -376,17 +373,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         add_check("profile", max(p_u.tail_certificate, p_v.tail_certificate),
                   None, finite,
                   {"l2_G1": p_u.l2_norm(cfg.h), "l2_G2": p_v.l2_norm(cfg.h)})
-    _write_csv(out / "profiles.csv", ["side", "y", "re", "im"],
-               [(side, float(y), float(val.real), float(val.imag))
-                for side, prof in (("u", p_u), ("v", p_v))
-                for y, val in zip(prof.y_grid, prof.values)])
+    _write_table(out / "profiles.csv", ["side", "y", "re", "im"],
+                 [(f"{side},", np.column_stack((prof.y_grid, prof.values.real,
+                                                prof.values.imag)))
+                  for side, prof in (("u", p_u), ("v", p_v))])
 
     reports = [asymptotics.residual(traj, t, p_u, p_v)
                for t in traj.times if t > 0]
-    _write_csv(out / "residuals.csv",
-               ["t", "l2_u", "sup_u", "l2_v", "sup_v", "bound_u", "bound_v"],
-               [(r.t, r.l2_u, r.sup_u, r.l2_v, r.sup_v,
-                 r.analytic_bound_u, r.analytic_bound_v) for r in reports])
+    _write_table(out / "residuals.csv",
+                 ["t", "l2_u", "sup_u", "l2_v", "sup_v", "bound_u", "bound_v"],
+                 [("", np.reshape([(r.t, r.l2_u, r.sup_u, r.l2_v, r.sup_v, r.analytic_bound_u,
+                                    r.analytic_bound_v) for r in reports], (-1, 7)))])
 
     if "residual" in cfg.checks and reports:
         slack = cfg.residual_k * cfg.h ** 2
@@ -436,7 +433,7 @@ def sweep(cfg: ExperimentConfig, halvings: int) -> list[dict]:
         data = make_initial_data(cfg.family, cfg.shape_params, grid)
         scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
         traj = solver.run(data, grid, m, scheme, [0.0, cfg.T])
-        levels.append({"h": h, "grid": grid, "final": traj.snapshots[cfg.T],
+        levels.append({"h": h, "grid": grid, "final": traj.snapshot_at(cfg.T),
                        "drift": conservation.total_charge_drift(traj)})
     rows = []
     for j, lev in enumerate(levels):
@@ -484,10 +481,10 @@ def main(argv=None) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     keys = ["h", "charge_drift", "l2_diff_to_next", "order_estimate", "drift_ratio"]
-    _write_csv(out / "sweep.csv", keys,
-               [tuple(float(r.get(k, float("nan"))) for k in keys) for r in rows])
+    _write_table(out / "sweep.csv", keys,
+                 [("", np.array([[r.get(k, float("nan")) for k in keys] for r in rows]))])
     for r in rows:
-        print("  ".join(f"{k}={_fmt(float(r[k]))}" for k in keys if k in r))
+        print("  ".join(f"{k}={float(r[k]):.17g}" for k in keys if k in r))
     return 0
 
 

@@ -55,11 +55,6 @@ def total_charge_drift(traj: Trajectory) -> float:
     return worst / max(q0, 1e-300)
 
 
-def _segment_trapz(values: np.ndarray, h: float) -> float:
-    """Trapezoid rule along a lattice-aligned segment (0 for a single node)."""
-    return float(np.trapezoid(values, dx=h))
-
-
 def triangle_balance(traj: Trajectory, region: TriangleRegion, tau: float) -> BalanceReport:
     """Evaluate all four terms of the balance law on a characteristic triangle.
 
@@ -73,13 +68,13 @@ def triangle_balance(traj: Trajectory, region: TriangleRegion, tau: float) -> Ba
                          f"tau = {tau} was not passed to run(triangles=...)")
     rows, right_vals, left_vals = traj.triangle_samples[nodes]
     h = traj.grid.h
-    initial = _segment_trapz(rows[0], h)
+    initial = float(np.trapezoid(rows[0], dx=h))
     # interior at time tau: x in [a - t0 + tau, b + t0 - tau]
-    interior = _segment_trapz(rows[-1], h)
+    interior = float(np.trapezoid(rows[-1], dx=h))
     # slanted sides: right edge x = b + t0 - s carries 2|u|^2 outflow,
     # left edge x = a - t0 + s carries 2|v|^2 outflow, s in [t0, tau]
-    right = 2.0 * _segment_trapz(right_vals, h)
-    left = 2.0 * _segment_trapz(left_vals, h)
+    right = 2.0 * float(np.trapezoid(right_vals, dx=h))
+    left = 2.0 * float(np.trapezoid(left_vals, dx=h))
 
     defect = interior + right + left - initial
     return BalanceReport(region=region, tau=tau, interior_charge=interior,

@@ -12,7 +12,8 @@ so a step updates only the new-level nodes whose characteristic foot or head
 lies in the overlap of the two supports (the previous overlap widened by one
 cell per side, two for oracle4), with the arithmetic of a whole-lattice step
 node for node.  Snapshots keep the labels of [x_min, x_max]: no label leaves
-its initial support, which lies in the domain.
+its initial support, which lies in the domain.  A fixed-point sweep evaluates
+both sources in one `eval_N` call per level, skipping zero-coupling terms.
 
 Three schemes are provided:
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .fields import (Grid, InitialData, ModelParams, SpinorField, TriangleRegion, at_nodes,
                      triangle_nodes)
-from .nonlinearity import eval_N1, eval_N2
+from .nonlinearity import eval_N
 
 BLOWUP_LIMIT = 1e6
 
@@ -145,8 +146,7 @@ class _Labels:
         self.guard(self.abs_u, self.abs_v)
         if (win := self.window(0)) is not None:
             ju, jv = self.labels(*win, 0)
-            self.n1[ju] = eval_N1(self.u[ju], self.v[jv], m)
-            self.n2[jv] = eval_N2(self.u[ju], self.v[jv], m)
+            self.n1[ju], self.n2[jv] = eval_N(self.u[ju], self.v[jv], m)
 
     def advance(self) -> int:
         """One step of the scheme; returns its fixed-point sweeps."""
@@ -169,10 +169,9 @@ class _Labels:
         return (slice(MARGIN + lo - s, MARGIN + hi - s + 1),
                 slice(MARGIN + lo + s, MARGIN + hi + s + 1))
 
-    def commit(self, ju: slice, jv: slice, U, V, n1, n2):
-        """Store a step's window values and guard them."""
+    def commit(self, ju: slice, jv: slice, U, V, n1, n2, au, av):
+        """Store a step's window values with their moduli au, av and guard them."""
         self.u[ju], self.v[jv], self.n1[ju], self.n2[jv] = U, V, n1, n2
-        au, av = np.abs(U), np.abs(V)
         self.abs_u[ju], self.abs_v[jv] = au, av
         self.guard(au, av)
         if self.mod0 is not None:
@@ -208,10 +207,11 @@ def _fixed_point(sweep, start: tuple, lab: _Labels):
 
 def _commit_trapezoid(lab: _Labels, ju: slice, jv: slice, U, V):
     """Store U, V with their sources, adding the trapezoid panel to the traces."""
-    n1, n2 = eval_N1(U, V, lab.m), eval_N2(U, V, lab.m)
+    au, av = np.abs(U), np.abs(V)
+    n1, n2 = eval_N(U, V, lab.m, (au, av))
     lab.a1[ju] += 0.5 * lab.h * (lab.n1[ju] + n1)
     lab.a2[jv] += 0.5 * lab.h * (lab.n2[jv] + n2)
-    lab.commit(ju, jv, U, V, n1, n2)
+    lab.commit(ju, jv, U, V, n1, n2, au, av)
 
 
 def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice) -> int:
@@ -220,7 +220,7 @@ def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice) -> int:
     a = lab.u[ju] - 0.5j * h * lab.n1[ju]
     b = lab.v[jv] - 0.5j * h * lab.n2[jv]
     (U, V), iters = _fixed_point(
-        lambda U, V: (a - 0.5j * h * eval_N1(U, V, m), b - 0.5j * h * eval_N2(U, V, m)),
+        lambda U, V: tuple(c - 0.5j * h * n for c, n in zip((a, b), eval_N(U, V, m))),
         (lab.u[ju], lab.v[jv]), lab)
     _commit_trapezoid(lab, ju, jv, U, V)
     return iters
@@ -272,8 +272,8 @@ def _step_oracle4(lab: _Labels, fu: slice, fv: slice) -> int:
     f1u_h, f1v_h = np.zeros_like(base_uh), np.zeros_like(base_vh)
 
     def sweep(Uf, Vf, Uh, Vh):
-        fhu, f1u = -1j * eval_N1(Uh, Vh, m), -1j * eval_N1(Uf, Vf, m)
-        fhv, f1v = -1j * eval_N2(Uh, Vh, m), -1j * eval_N2(Uf, Vf, m)
+        fhu, fhv = (-1j * n for n in eval_N(Uh, Vh, m))
+        f1u, f1v = (-1j * n for n in eval_N(Uf, Vf, m))
         f1u_h[:-2], f1v_h[2:] = f1u, f1v
         return (base_uh[:-2] + dt * _lobatto(_L_FULL, f0u[:-2], fhu[:-2], f1u),
                 base_vh[2:] + dt * _lobatto(_L_FULL, f0v[2:], fhv[2:], f1v),
@@ -282,11 +282,11 @@ def _step_oracle4(lab: _Labels, fu: slice, fv: slice) -> int:
 
     (Uf, Vf, Uh, Vh), iters = _fixed_point(
         sweep, (base_uh[:-2], base_vh[2:], base_uh, base_vh), lab)
-    n1h, n1f = eval_N1(Uh, Vh, m), eval_N1(Uf, Vf, m)
-    n2h, n2f = eval_N2(Uh, Vh, m), eval_N2(Uf, Vf, m)
+    au, av = np.abs(Uf), np.abs(Vf)
+    (n1h, n2h), (n1f, n2f) = eval_N(Uh, Vh, m), eval_N(Uf, Vf, m, (au, av))
     lab.a1[fu] += dt * _lobatto(_L_FULL, lab.n1[fu], n1h[:-2], n1f)
     lab.a2[fv] += dt * _lobatto(_L_FULL, lab.n2[fv], n2h[2:], n2f)
-    lab.commit(fu, fv, Uf, Vf, n1f, n2f)
+    lab.commit(fu, fv, Uf, Vf, n1f, n2f, au, av)
     return iters
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dirac1d import ConfigError, parse_config, run_experiment
-from dirac1d.cli import _identity_sweep, main, sweep
+from dirac1d.cli import _identity_sweep, _write_table, main, sweep
 
 SMALL = {
     "model": "gross_neveu",
@@ -205,8 +205,8 @@ class TestRunExperiment:
     def test_identity_sweep_runs_production_code(self, monkeypatch):
         from dirac1d import nonlinearity
         calls = []
-        original = nonlinearity.eval_N1
-        monkeypatch.setattr(nonlinearity, "eval_N1",
+        original = nonlinearity.eval_N
+        monkeypatch.setattr(nonlinearity, "eval_N",
                             lambda *a: calls.append(1) or original(*a))
         _identity_sweep(seed=0)
         assert calls
@@ -219,6 +219,49 @@ class TestSweep:
         assert len(rows) == 3
         assert rows[1]["order_estimate"] == pytest.approx(2.0, abs=0.4)
         assert rows[2]["drift_ratio"] == pytest.approx(4.0, abs=1.0)
+
+    def test_final_time_not_a_float_multiple_of_h(self, tmp_path):
+        # 3 * 0.1 is 0.30000000000000004: the final snapshot is looked up
+        # within the recorded-time tolerance, not by the exact key T
+        cfg = parse_config(write_config(tmp_path, h=0.1, T=0.3, record_times=[0.0, 0.3],
+                                        checks=["charge"]).read_text())
+        rows = sweep(cfg, halvings=1)
+        assert len(rows) == 2 and rows[0]["l2_diff_to_next"] > 0
+
+
+def _write_cells(path, header, rows):
+    """The per-cell writer the table writer replaced: the bytes it must keep."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row)
+                     + "\n")
+
+
+class TestWriteTable:
+    VALUES = [-0.0, float("nan"), 5e-324, 1e-300, 20.0, 1e16, 0.1, -2.5e-7, 1.0 / 3.0,
+              float("inf"), -1e308, 123456789.125]
+
+    def test_bytes_equal_the_per_cell_writer(self, tmp_path):
+        a = np.array(self.VALUES).reshape(-1, 3)
+        b = np.array(self.VALUES[::-1]).reshape(-1, 3)
+        _write_table(tmp_path / "new.csv", ["side", "x", "y", "z"], [("u,", a), ("v,", b)])
+        _write_cells(tmp_path / "old.csv", ["side", "x", "y", "z"],
+                     [("u", *map(float, r)) for r in a] + [("v", *map(float, r)) for r in b])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_report_files_equal_the_per_cell_writer(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path).read_text())
+        cfg.output_dir = str(tmp_path / "out")
+        run_experiment(cfg)
+        for name, prefixed in (("snapshots.csv", False), ("profiles.csv", True),
+                               ("residuals.csv", False)):
+            header, *lines = (tmp_path / "out" / name).read_text().splitlines()
+            rows = [c.split(",") for c in lines]
+            rows = [(r[0], *map(float, r[1:])) if prefixed else tuple(map(float, r))
+                    for r in rows]
+            _write_cells(tmp_path / "old.csv", header.split(","), rows)
+            assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
 class TestMain:
@@ -246,3 +289,8 @@ class TestMain:
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("h,charge_drift")
         assert len(lines) == 3
+        # the level without a next one has nan differences, as the per-cell writer wrote
+        header, *rows = lines
+        _write_cells(tmp_path / "old.csv", header.split(","),
+                     [tuple(map(float, r.split(","))) for r in rows])
+        assert (tmp_path / "old.csv").read_text().splitlines() == lines

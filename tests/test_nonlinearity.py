@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dirac1d import ModelParams, charge_flux_defect, eval_N1, eval_N2, eval_W, pair_overlap
+from dirac1d import (ModelParams, charge_flux_defect, eval_N, eval_N1, eval_N2, eval_W,
+                     pair_overlap)
 from dirac1d.nonlinearity import (first_variation, first_variation_fd,
                                   wirtinger_N1_fd, wirtinger_N2_fd)
 
@@ -40,6 +41,54 @@ class TestClosedForms:
         assert eval_N1(u, v, m).shape == (3,)
         for j in range(3):
             assert eval_N1(u, v, m)[j] == pytest.approx(eval_N1(u[j], v[j], m))
+
+
+def two_term_N1(u, v, m):
+    """N1 as two terms, each formed on its own: the reference eval_N must match."""
+    return m.alpha * u * np.abs(v) ** 2 + 2.0 * m.beta * (2.0 * np.real(np.conj(u) * v)) * v
+
+
+def two_term_N2(u, v, m):
+    return m.alpha * v * np.abs(u) ** 2 + 2.0 * m.beta * (2.0 * np.real(np.conj(u) * v)) * u
+
+
+def bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+class TestFusedKernel:
+    n = 5000
+
+    # the presets' couplings are powers of two, which hide a reassociated
+    # product; alpha_only and beta_only take the same paths with other values
+    @pytest.mark.parametrize("case", ["thirring", "gross_neveu", "alpha_only", "beta_only",
+                                      "both", "per_sample"])
+    def test_equals_two_term_formulas_bitwise(self, case):
+        rng = np.random.default_rng(7)
+        u = rng.uniform(-10, 10, self.n) + 1j * rng.uniform(-10, 10, self.n)
+        v = rng.uniform(-10, 10, self.n) + 1j * rng.uniform(-10, 10, self.n)
+        m = {"thirring": ModelParams.thirring(), "gross_neveu": ModelParams.gross_neveu(),
+             "alpha_only": ModelParams(0.7, 0.0), "beta_only": ModelParams(0.0, -0.3),
+             "both": ModelParams(0.7, -0.4),
+             "per_sample": ModelParams(rng.uniform(-2, 2, self.n),
+                                       rng.uniform(-2, 2, self.n))}[case]
+        want1, want2 = two_term_N1(u, v, m), two_term_N2(u, v, m)
+        for n1, n2 in (eval_N(u, v, m), eval_N(u, v, m, (np.abs(u), np.abs(v))),
+                       (eval_N1(u, v, m), eval_N2(u, v, m))):
+            np.testing.assert_array_equal(bits(n1), bits(want1))
+            np.testing.assert_array_equal(bits(n2), bits(want2))
+
+    @pytest.mark.parametrize("m", [ModelParams.thirring(), ModelParams.gross_neveu(),
+                                   ModelParams(0.0, 0.0)])
+    def test_zero_sources_differ_at_most_in_sign(self, m):
+        # a skipped term is exactly +-0, so only a source that is exactly
+        # zero may change, and only in its sign
+        u = np.array([0.0, 1.0 - 2.0j, 0.0, 3.0j])
+        v = np.array([0.5 + 0.5j, 0.0, 0.0, 2.0])
+        n1, n2 = eval_N(u, v, m)
+        assert n1.shape == n2.shape == u.shape
+        np.testing.assert_array_equal(n1, two_term_N1(u, v, m))
+        np.testing.assert_array_equal(n2, two_term_N2(u, v, m))
 
 
 class TestProperties:
