@@ -25,22 +25,6 @@ def _targets():
     return [(module, attr) for module, attr, _ in tracing.SPANNED + tracing.TALLIED]
 
 
-def _resolves(module, attr):
-    return callable(getattr(importlib.import_module(module), attr, None))
-
-
-# The solver evaluates both sources in one `eval_N` call, so the tracer's
-# tallies of these two read zero until it is pointed at `dirac1d.solver.eval_N`.
-RETIRED = {("dirac1d.solver", "eval_N1"), ("dirac1d.solver", "eval_N2")}
-
-
-@pytest.mark.parametrize("module,attr", [t for t in _targets() if t not in RETIRED],
-                         ids=lambda v: v)
+@pytest.mark.parametrize("module,attr", _targets(), ids=lambda v: v)
 def test_traced_function_resolves(module, attr):
-    assert _resolves(module, attr)
-
-
-def test_unresolved_targets_are_exactly_the_retired_ones():
-    # any other lost target fails here too; re-pointing the tracer makes this
-    # test fail until RETIRED is emptied
-    assert {t for t in _targets() if not _resolves(*t)} == RETIRED
+    assert callable(getattr(importlib.import_module(module), attr, None))
