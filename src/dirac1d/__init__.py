@@ -34,15 +34,15 @@ from .solver import (
     Scheme,
     SolverError,
     Trajectory,
-    init_state,
     l2_diff,
     restrict,
     run,
 )
 from .conservation import (
     BalanceReport,
+    ModulusDrift,
+    TriangleSides,
     check_pointwise_bound,
-    light_cone_balance,
     total_charge_drift,
     triangle_balance,
 )
@@ -61,11 +61,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceReport", "ConfigError", "ExperimentConfig", "Grid", "InitialData",
-    "ModelParams", "Profile", "ResidualReport", "Scheme", "SolverError",
-    "SpinorField", "Trajectory", "TriangleRegion", "charge",
+    "ModelParams", "ModulusDrift", "Profile", "ResidualReport", "Scheme", "SolverError",
+    "SpinorField", "Trajectory", "TriangleRegion", "TriangleSides", "charge",
     "charge_flux_defect", "check_pointwise_bound", "compute_profile",
-    "eval_N", "eval_N1", "eval_N2", "eval_W", "field_residual", "init_state",
-    "l2_diff", "light_cone_balance", "make_initial_data", "pair_overlap",
+    "eval_N", "eval_N1", "eval_N2", "eval_W", "field_residual",
+    "l2_diff", "make_initial_data", "pair_overlap",
     "parse_config", "residual", "restrict", "run", "run_experiment",
     "sup_tail_bound", "tail_bound", "total_charge_drift", "triangle_balance",
 ]

@@ -30,17 +30,20 @@ Each run also accumulates, per characteristic label, the running trapezoid
 integral of N1 (and N2) along that characteristic.  These traces are what
 the asymptotics layer turns into scattering profiles, and they make the
 discrete remainder identity u(t) = u0 - i * integral exact by telescoping.
+
+Per-step certificates are probes that `run` hands read-only views of |u| and
+|v| after every step (`conservation.TriangleSides`, `ModulusDrift`).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (Grid, InitialData, ModelParams, SpinorField, TriangleRegion, at_nodes,
-                     triangle_nodes)
+from .fields import Grid, InitialData, ModelParams, SpinorField
 # eval_N1 and eval_N2 are not called here; they stay importable because the
 # benchmark's tracer (perfbench/tracing.py) looks them up on this module
 from .nonlinearity import eval_N, eval_N1, eval_N2  # noqa: F401
@@ -85,22 +88,14 @@ class Trajectory:
     trapezoid integrals A1(y, t) = int_0^t N1 along (y + s, s) and
     A2(y, t) = int_0^t N2 along (y - s, s).  The final accumulators at
     t = grid.t_final feed the scattering profiles.
-
-    `triangle_samples` maps the `triangle_nodes` of each triangle passed to
-    `run` to ([base row, top row] of |u|^2 + |v|^2, right-side |u|^2 and
-    left-side |v|^2 per step from t0 to tau).
     """
 
     grid: Grid
     params: ModelParams
-    scheme: Scheme
     data: InitialData
-    initial: SpinorField
     times: list[float] = field(default_factory=list)
     snapshots: dict[float, SpinorField] = field(default_factory=dict)
     trace_partials: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    triangle_samples: dict[tuple, tuple[list, list, list]] = field(default_factory=dict)
-    modulus_drift: float | None = None
     max_fp_iterations: int = 0
 
     def snapshot_at(self, t: float) -> SpinorField:
@@ -114,14 +109,6 @@ class Trajectory:
             if abs(rt - t) <= 1e-9 * max(1.0, self.grid.h):
                 return rt
         raise ValueError(f"no {what} recorded at t = {t}; recorded times: {self.times}")
-
-
-def init_state(data: InitialData, grid: Grid) -> SpinorField:
-    """Spinor field at t = 0 from sampled initial data."""
-    g = data.grid
-    if (g.x_min, g.h, g.n_cells) != (grid.x_min, grid.h, grid.n_cells):
-        raise ValueError("initial data was sampled on a different grid")
-    return SpinorField(0.0, data.u0.copy(), data.v0.copy(), grid)
 
 
 class _Labels:
@@ -140,7 +127,6 @@ class _Labels:
         self.u, self.v = np.pad(u, MARGIN), np.pad(v, MARGIN)
         self.abs_u, self.abs_v = np.abs(self.u), np.abs(self.v)
         self.n1, self.n2, self.a1, self.a2 = (np.zeros_like(self.u) for _ in range(4))
-        self.mod0, self.drift = None, 0.0  # |u0|, |v0| by label, to track modulus drift
         # A label's support never grows (N1 vanishes where u does, N2 where v
         # does), so the initial supports bound every later overlap.
         iu, iv = np.flatnonzero(u), np.flatnonzero(v)
@@ -176,9 +162,6 @@ class _Labels:
         self.u[ju], self.v[jv], self.n1[ju], self.n2[jv] = U, V, n1, n2
         self.abs_u[ju], self.abs_v[jv] = au, av
         self.guard(au, av)
-        if self.mod0 is not None:
-            self.drift = max(self.drift, np.max(np.abs(au - self.mod0[0][ju])),
-                             np.max(np.abs(av - self.mod0[1][jv])))
 
     def guard(self, au: np.ndarray, av: np.ndarray):
         amp = np.maximum(np.max(au), np.max(av))  # a NaN on either side propagates
@@ -193,14 +176,18 @@ class _Labels:
 
 def _fixed_point(sweep, start: tuple, lab: _Labels):
     """Iterate x <- sweep(*x) from start until no component moves by more than
-    tol * (1 + max(max|u|, max|v|)); returns the last iterate and the sweeps."""
+    tol * (1 + max(max|u|, max|v|)), or raise at the first sweep whose move is
+    not finite; returns the last iterate and the sweeps."""
     s, x = lab.s, start
     scale = 1.0 + max(np.max(lab.abs_u), np.max(lab.abs_v))
     for iters in range(1, s.fixed_point_max_iter + 1):
         new = sweep(*x)
-        delta = max(np.max(np.abs(a - b)) for a, b in zip(new, x))
+        deltas = [np.max(np.abs(a - b)) for a, b in zip(new, x)]
+        if not all(map(math.isfinite, deltas)):
+            raise SolverError(f"fixed-point iteration diverged at t = {lab.level * lab.h:.6g}: "
+                              f"sweep {iters} moved the iterate by {np.max(deltas):.3g}")
         x = new
-        if delta <= s.fixed_point_tol * scale:
+        if max(deltas) <= s.fixed_point_tol * scale:
             return x, iters
     raise SolverError(
         f"fixed-point iteration did not converge in {s.fixed_point_max_iter} iterations; "
@@ -302,25 +289,24 @@ SCHEME_KINDS = tuple(_KERNELS)
 
 
 def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
-        record_times: list[float],
-        triangles: Iterable[tuple[TriangleRegion, float]] = (),
-        track_modulus_drift: bool = False) -> Trajectory:
+        record_times: list[float], probes: Iterable = ()) -> Trajectory:
     """Run the scheme for grid.n_steps steps, recording snapshots and traces.
 
     record_times must be multiples of the scheme's time step within
     [0, n_steps * h].  The final time is always recorded (the profiles need
-    the full trace integrals).  For each (region, tau) in triangles the run
-    keeps the samples `conservation.triangle_balance` reads for that
-    triangle cut at tau; each is validated by `triangle_nodes` before the
-    first step.  track_modulus_drift maintains the running maximum of
-    ||u(x,t)| - |u0(x-t)|| and its v analogue over all nodes and steps.
+    the full trace integrals).  After step k (0: before the first) each probe
+    gets `p.on_step(k, level, abs_u, abs_v)`: the cell level and read-only
+    views of |u| and |v| by label over the domain.  Fields that stop being
+    finite raise SolverError, not a floating-point warning.
     """
+    g = data.grid
+    if (g.x_min, g.h, g.n_cells) != (grid.x_min, grid.h, grid.n_cells):
+        raise ValueError("initial data was sampled on a different grid")
     dt = s.cells * grid.h
     if grid.n_steps % s.cells != 0:
         raise ValueError(f"{s.kind} advances {s.cells} cells per step; "
                          f"n_steps = {grid.n_steps} does not divide evenly")
     n_steps = grid.n_steps // s.cells
-    samples = {triangle_nodes(r, tau, grid, s): ([], [], []) for r, tau in triangles}
 
     record_steps = {n_steps}
     for t in record_times:
@@ -332,31 +318,25 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
                 f"within [0, {grid.t_final}]")
         record_steps.add(k)
 
-    state = init_state(data, grid)
-    lab = _Labels(state.u, state.v, grid.h, m, s)
-    if track_modulus_drift:
-        lab.mod0 = (np.pad(np.abs(data.u0), MARGIN), np.pad(np.abs(data.v0), MARGIN))
-    traj = Trajectory(grid=grid, params=m, scheme=s, data=data, initial=state,
-                      triangle_samples=samples)
-    for k in range(n_steps + 1):
-        if k:
-            traj.max_fp_iterations = max(traj.max_fp_iterations, lab.advance())
-        for (k0, kt, ja, jb), (rows, right, left) in samples.items():
-            if k0 <= k <= kt:
-                au, av = at_nodes(*lab.domain(lab.abs_u, lab.abs_v),
-                                  ja + k - k0, jb - k + k0, lab.level)
-                right.append(np.square(au[-1]))
-                left.append(np.square(av[0]))
-                if k in (k0, kt):
-                    rows.append(au ** 2 + av ** 2)
-        if k in record_steps:
-            t = k * dt
-            traj.times.append(t)
-            u, v, a1, a2 = (a.copy() for a in lab.domain(lab.u, lab.v, lab.a1, lab.a2))
-            traj.snapshots[t] = SpinorField(t, u, v, grid)
-            traj.trace_partials[t] = (a1, a2)
-    if track_modulus_drift:
-        traj.modulus_drift = lab.drift
+    probes = tuple(probes)
+    traj = Trajectory(grid=grid, params=m, data=data)
+    # overflow and NaN are caught by _fixed_point and the blow-up guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        lab = _Labels(data.u0, data.v0, grid.h, m, s)
+        moduli = lab.domain(lab.abs_u, lab.abs_v)
+        for a in moduli:
+            a.flags.writeable = False
+        for k in range(n_steps + 1):
+            if k:
+                traj.max_fp_iterations = max(traj.max_fp_iterations, lab.advance())
+            for p in probes:
+                p.on_step(k, lab.level, *moduli)
+            if k in record_steps:
+                t = k * dt
+                traj.times.append(t)
+                u, v, a1, a2 = (a.copy() for a in lab.domain(lab.u, lab.v, lab.a1, lab.a2))
+                traj.snapshots[t] = SpinorField(t, u, v, grid)
+                traj.trace_partials[t] = (a1, a2)
     return traj
 
 

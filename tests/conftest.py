@@ -27,4 +27,4 @@ def thirring_small():
 
 @pytest.fixture(scope="session")
 def thirring_phase_small():
-    return small_run("thirring", scheme="phase_split", track_modulus_drift=True)
+    return small_run("thirring", scheme="phase_split")

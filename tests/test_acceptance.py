@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirac1d import (Grid, ModelParams, Scheme, TriangleRegion, check_pointwise_bound,
-                     compute_profile, light_cone_balance, make_initial_data,
+from dirac1d import (Grid, ModelParams, ModulusDrift, Scheme, TriangleRegion, TriangleSides,
+                     check_pointwise_bound, compute_profile, make_initial_data,
                      parse_config, residual, run, run_experiment, sup_tail_bound,
                      tail_bound, total_charge_drift, triangle_balance)
 from dirac1d.nonlinearity import (charge_flux_defect, eval_N1, eval_N2,
@@ -43,12 +43,11 @@ def report(num, title, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def reference_run(model, h, scheme="trapezoidal", T=20.0, span=40.0,
-                  record=RECORD, **kwargs):
+def reference_run(model, h, scheme="trapezoidal", T=20.0, span=40.0, record=RECORD):
     m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
     grid = Grid.from_domain(-span, span, h, T)
     data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-    return run(data, grid, m, Scheme(scheme), list(record), **kwargs)
+    return run(data, grid, m, Scheme(scheme), list(record))
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +59,12 @@ def ref():
 
 @pytest.fixture(scope="module")
 def thirring_exact():
-    return reference_run("thirring", 1.0 / 128.0, scheme="phase_split",
-                         track_modulus_drift=True)
+    """The beta = 0 reference run on the phase-rotation scheme, and its modulus drift."""
+    grid = Grid.from_domain(-40.0, 40.0, 1.0 / 128.0, 20.0)
+    data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+    drift = ModulusDrift(data)
+    traj = run(data, grid, ModelParams.thirring(), Scheme("phase_split"), list(RECORD), [drift])
+    return traj, drift
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +74,11 @@ def triangles():
         grid = Grid.from_domain(-12.0, 12.0, h, 4.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         # criterion 4's regions at tau = 2, and its light cone with apex (0.5, 2)
-        triangles = [(TriangleRegion(-6.0, 6.0, 0.0), 2.0), (TriangleRegion(-4.0, 4.0, 0.0), 2.0),
-                     (TriangleRegion(-2.0, 3.0, 0.5), 2.0), (TriangleRegion(-1.5, 2.5, 0.0), 2.0)]
-        runs[h] = run(data, grid, ModelParams.gross_neveu(), Scheme(), [0.0, 4.0], triangles)
+        sides = [TriangleSides(region, 2.0, grid, Scheme())
+                 for region in (TriangleRegion(-6.0, 6.0, 0.0), TriangleRegion(-4.0, 4.0, 0.0),
+                                TriangleRegion(-2.0, 3.0, 0.5), TriangleRegion(-1.5, 2.5, 0.0))]
+        run(data, grid, ModelParams.gross_neveu(), Scheme(), [0.0, 4.0], sides)
+        runs[h] = sides
     return runs
 
 
@@ -129,25 +134,22 @@ def test_criterion_02_charge_conservation(ref):
 
 
 def test_criterion_03_exact_modulus_transport(thirring_exact):
-    tol = 1e-12 * float(np.max(np.abs(thirring_exact.data.u0)))
-    drift = thirring_exact.modulus_drift
+    traj, probe = thirring_exact
+    tol = 1e-12 * float(np.max(np.abs(traj.data.u0)))
+    drift = probe.value
     report(3, "modulus transport with the phase-rotation scheme",
            drift <= tol, f"max modulus drift {drift:.2e} vs tol {tol:.1e}")
 
 
 def test_criterion_04_triangle_balance(triangles):
-    regions = [TriangleRegion(-6.0, 6.0, 0.0), TriangleRegion(-4.0, 4.0, 0.0),
-               TriangleRegion(-2.0, 3.0, 0.5)]
     ok, details = True, []
-    for i, reg in enumerate(regions):
-        defects = {h: triangle_balance(traj, reg, 2.0).defect
-                   for h, traj in triangles.items()}
+    for i in range(3):
+        defects = {h: triangle_balance(sides[i]).defect for h, sides in triangles.items()}
         d1 = defects[1.0 / 128.0]
         ratio = d1 / defects[1.0 / 256.0]
         ok &= abs(d1) <= TRIANGLE_C * (1.0 / 128.0) ** 2 and 3.0 <= ratio <= 5.0
         details.append(f"region{i}: {d1:.2e} (ratio {ratio:.2f})")
-    cones = {h: light_cone_balance(traj, 0.5, 2.0).defect
-             for h, traj in triangles.items()}
+    cones = {h: triangle_balance(sides[3]).defect for h, sides in triangles.items()}
     c1 = cones[1.0 / 128.0]
     cr = c1 / cones[1.0 / 256.0]
     ok &= abs(c1) <= TRIANGLE_C * (1.0 / 128.0) ** 2 and 3.0 <= cr <= 5.0
@@ -160,7 +162,7 @@ def test_criterion_05_pointwise_envelope(ref, thirring_exact):
     # characteristic, so it is checked on the modulus-preserving scheme; the
     # quartic-coupling run keeps the production trapezoid scheme
     v_gn = check_pointwise_bound(ref[("gross_neveu", 1.0 / 128.0)])
-    v_th = check_pointwise_bound(thirring_exact)
+    v_th = check_pointwise_bound(thirring_exact[0])
     ok = v_gn <= 1e-8 and v_th <= 1e-8
     report(5, "pointwise exponential envelope", ok,
            f"violation gross_neveu {v_gn:.2e}, thirring {v_th:.2e}")

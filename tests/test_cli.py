@@ -93,6 +93,10 @@ class TestParseConfig:
         # a corner outside [x_min, x_max] is off the lattice whatever T is
         ({"triangle_regions": [[-11.0, 1.0, 0.0, 0.5]]}, "triangle_regions[0]:", "outside"),
         ({"triangle_regions": [[1.0, 10.5, 0.5, 1.0]]}, "triangle_regions[0]:", "outside"),
+        # 257 steps of h: oracle4 advances two cells per step
+        ({"scheme": "oracle4", "T": 2.0 + 0.0078125, "checks": ["charge"]}, "T:", "oracle4"),
+        # the identity preflight seeds numpy's generator, which takes no negative seed
+        ({"seed": -1}, "seed:", ">= 0"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                        overrides, prefix, fragment):

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dirac1d import (Grid, ModelParams, Scheme, TriangleRegion, check_pointwise_bound,
-                     light_cone_balance, make_initial_data, total_charge_drift,
+from dirac1d import (Grid, ModelParams, Scheme, TriangleRegion, TriangleSides,
+                     check_pointwise_bound, make_initial_data, total_charge_drift,
                      triangle_balance)
 from dirac1d.solver import run
 
@@ -14,26 +14,34 @@ GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.
 
 
 def moduli_run(m, h, T=2.0, span=10.0, triangles=()):
+    """A Gaussian-pair run; returns it with the TriangleSides of each (region, tau)."""
     grid = Grid.from_domain(-span, span, h, T)
     data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-    return run(data, grid, m, Scheme(), [0.0, T], triangles)
+    sides = [TriangleSides(region, tau, grid, Scheme()) for region, tau in triangles]
+    return run(data, grid, m, Scheme(), [0.0, T], sides), sides
 
 
 class TestChargeDrift:
     def test_small_and_second_order(self, gn_small):
         d1 = total_charge_drift(gn_small)
         assert d1 <= 1e-4
-        fine = moduli_run(ModelParams.gross_neveu(), 1.0 / 128.0)
+        fine, _ = moduli_run(ModelParams.gross_neveu(), 1.0 / 128.0)
         d2 = total_charge_drift(fine)
         assert 3.0 <= d1 / d2 <= 5.0
 
     def test_phase_split_conserves_exactly(self, thirring_phase_small):
         assert total_charge_drift(thirring_phase_small) <= 1e-13
 
+    def test_initial_charge_of_the_samples_run(self):
+        # data changed after sampling: Q(0) is the charge of the samples the run started from
+        grid = Grid.from_domain(-20.0, 20.0, 0.25, 1.0)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+        data.u0 = 2.0 * data.u0
+        traj = run(data, grid, ModelParams.thirring(), Scheme("phase_split"), [1.0])
+        assert total_charge_drift(traj) <= 1e-13
+
     def test_requires_snapshots(self, gn_small):
-        bare = type(gn_small)(grid=gn_small.grid, params=gn_small.params,
-                              scheme=gn_small.scheme, data=gn_small.data,
-                              initial=gn_small.initial)
+        bare = type(gn_small)(grid=gn_small.grid, params=gn_small.params, data=gn_small.data)
         with pytest.raises(ValueError):
             total_charge_drift(bare)
 
@@ -66,15 +74,16 @@ class TestTriangleBalance:
         grid = Grid.from_domain(-12.0, 12.0, h, T)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         every_step = [k * h for k in range(grid.n_steps + 1)]
-        traj = run(data, grid, ModelParams.gross_neveu(), Scheme(), every_step, triangles)
+        sides = [TriangleSides(region, tau, grid, Scheme()) for region, tau in triangles]
+        traj = run(data, grid, ModelParams.gross_neveu(), Scheme(), every_step, sides)
         # the snapshots hold labels: move step k's u right and v left by k nodes
         pad = grid.n_steps + 8
         moduli = [(np.roll(np.pad(np.abs(traj.snapshots[t].u) ** 2, pad), k),
                    np.roll(np.pad(np.abs(traj.snapshots[t].v) ** 2, pad), -k))
                   for k, t in enumerate(traj.times)]
         assert len(moduli) == grid.n_steps + 1
-        for region, tau in triangles:
-            rep = triangle_balance(traj, region, tau)
+        for (region, tau), s in zip(triangles, sides):
+            rep = triangle_balance(s)
             for name, value in seed_triangle_balance(moduli, grid, pad, region, tau).items():
                 assert getattr(rep, name) == value, (region, tau, name)
 
@@ -82,38 +91,38 @@ class TestTriangleBalance:
         # the full per-step history of this run would take 158 MB
         grid = Grid.from_domain(-40.0, 40.0, 1.0 / 64.0, 20.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-        region = TriangleRegion(-20.0, 20.0, 0.0)
+        sides = TriangleSides(TriangleRegion(-20.0, 20.0, 0.0), 20.0, grid, Scheme("phase_split"))
         tracemalloc.start()
         try:
-            traj = run(data, grid, ModelParams.thirring(), Scheme("phase_split"), [20.0],
-                       [(region, 20.0)])
+            run(data, grid, ModelParams.thirring(), Scheme("phase_split"), [20.0], [sides])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6
-        assert abs(triangle_balance(traj, region, 20.0).defect) <= 1e-12
+        assert abs(triangle_balance(sides).defect) <= 1e-12
 
     def test_defect_is_second_order(self):
         region = TriangleRegion(-4.0, 4.0, 0.0)
         defects = {}
         for h in (1.0 / 32.0, 1.0 / 64.0):
-            traj = moduli_run(ModelParams.gross_neveu(), h, triangles=[(region, 2.0)])
-            defects[h] = triangle_balance(traj, region, 2.0).defect
+            _, (sides,) = moduli_run(ModelParams.gross_neveu(), h, triangles=[(region, 2.0)])
+            defects[h] = triangle_balance(sides).defect
         assert abs(defects[1.0 / 32.0]) <= 1.0 * (1.0 / 32.0) ** 2
         ratio = defects[1.0 / 32.0] / defects[1.0 / 64.0]
         assert 3.0 <= ratio <= 5.0
 
     def test_elevated_base(self):
         region = TriangleRegion(-2.0, 2.0, 0.5)
-        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0, triangles=[(region, 1.5)])
-        rep = triangle_balance(traj, region, 1.5)
+        _, (sides,) = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0, triangles=[(region, 1.5)])
+        rep = triangle_balance(sides)
         assert abs(rep.defect) <= 1.0 * (1.0 / 32.0) ** 2
         assert rep.initial_charge > 0.0
 
     def test_light_cone_case(self):
+        # the backward light cone of (0.5, 1.5): the triangle cut at its apex
         cone = (TriangleRegion(0.5 - 1.5, 0.5 + 1.5, 0.0), 1.5)
-        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0, triangles=[cone])
-        rep = light_cone_balance(traj, 0.5, 1.5)
+        _, (sides,) = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0, triangles=[cone])
+        rep = triangle_balance(sides)
         # degenerate apex: everything leaves through the slanted sides
         assert rep.interior_charge == 0.0
         assert abs(rep.defect) <= 1.0 * (1.0 / 32.0) ** 2
@@ -121,8 +130,8 @@ class TestTriangleBalance:
 
     def test_balance_terms_sum(self):
         region = TriangleRegion(-4.0, 4.0, 0.0)
-        traj = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0, triangles=[(region, 1.0)])
-        rep = triangle_balance(traj, region, 1.0)
+        _, (sides,) = moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0, triangles=[(region, 1.0)])
+        rep = triangle_balance(sides)
         assert rep.defect == pytest.approx(
             rep.interior_charge + rep.right_flux + rep.left_flux - rep.initial_charge)
         d = rep.as_dict()
@@ -133,21 +142,15 @@ class TestTriangleBalance:
     def test_zero_data_zero_defect(self):
         grid = Grid.from_domain(-4.0, 4.0, 0.25, 1.0)
         data = make_initial_data("zero", {}, grid)
-        region = TriangleRegion(-2.0, 2.0, 0.0)
-        traj = run(data, grid, ModelParams.thirring(), Scheme(), [1.0], [(region, 1.0)])
-        rep = triangle_balance(traj, region, 1.0)
+        sides = TriangleSides(TriangleRegion(-2.0, 2.0, 0.0), 1.0, grid, Scheme())
+        run(data, grid, ModelParams.thirring(), Scheme(), [1.0], [sides])
+        rep = triangle_balance(sides)
         assert rep.defect == 0.0
-
-    def test_requires_registered_triangle(self, gn_small):
-        with pytest.raises(ValueError, match=r"triangle \[-2.0, 2.0\] .* not passed to run"):
-            triangle_balance(gn_small, TriangleRegion(-2.0, 2.0, 0.0), 1.0)
 
     def test_rejects_double_step_scheme(self):
         grid = Grid.from_domain(-10.0, 10.0, 0.125, 1.0)
-        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         with pytest.raises(ValueError, match="oracle4"):
-            run(data, grid, ModelParams.gross_neveu(), Scheme("oracle4"), [1.0],
-                [(TriangleRegion(-2.0, 2.0, 0.0), 1.0)])
+            TriangleSides(TriangleRegion(-2.0, 2.0, 0.0), 1.0, grid, Scheme("oracle4"))
 
     def test_tau_range_checked(self):
         with pytest.raises(ValueError, match="tau"):

@@ -5,7 +5,6 @@ import pytest
 
 from dirac1d import Grid, ModelParams, SpinorField, TriangleRegion, charge, make_initial_data
 from dirac1d.fields import at_nodes
-from dirac1d.solver import init_state
 
 # Exact charge of the reference pair u0 = exp(-x^2), v0 = exp(-(x-1)^2):
 # each component integrates to sqrt(pi/2); value from the closed form.
@@ -162,7 +161,8 @@ class TestSpinorField:
 
     def test_charge_rejects_nonfinite(self):
         g = Grid.from_domain(-20.0, 20.0, 0.25, 1.0)
-        state = init_state(make_initial_data("gaussian", GAUSSIAN_PAIR, g), g)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, g)
+        state = SpinorField(0.0, data.u0.copy(), data.v0.copy(), g)
         state.u[0] = np.nan
         with pytest.raises(FloatingPointError):
             charge(state)

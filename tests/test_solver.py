@@ -2,13 +2,14 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from dirac1d import (Grid, InitialData, ModelParams, Scheme, SolverError, TriangleRegion,
-                     make_initial_data, parse_config, run_experiment)
-from dirac1d.fields import triangle_nodes
+from dirac1d import (Grid, InitialData, ModelParams, ModulusDrift, Scheme, SolverError,
+                     TriangleRegion, TriangleSides, make_initial_data, parse_config,
+                     run_experiment)
 from dirac1d.solver import l2_diff, restrict, run
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
@@ -245,13 +246,15 @@ class TestWindowedSolver:
         grid = Grid.from_domain(-2.0, 2.0, 0.25, 1.0)
         data = make_initial_data("zero", {}, grid)
         counter = CountingN(monkeypatch)
-        triangles = [(TriangleRegion(-1.0, 1.0, 0.0), 1.0)] if kind != "oracle4" else []
-        traj = run(data, grid, ModelParams.thirring(), Scheme(kind), [0.0, 1.0],
-                   triangles, track_modulus_drift=True)
+        drift = ModulusDrift(data)
+        probes = [drift]
+        if kind != "oracle4":
+            probes.append(TriangleSides(TriangleRegion(-1.0, 1.0, 0.0), 1.0, grid, Scheme(kind)))
+        traj = run(data, grid, ModelParams.thirring(), Scheme(kind), [0.0, 1.0], probes)
         assert counter.nodes == 0
         assert not traj.snapshot_at(1.0).u.any() and not traj.snapshot_at(1.0).v.any()
         assert not any(a.any() for a in traj.traces_at(1.0))
-        assert traj.modulus_drift == 0.0
+        assert drift.value == 0.0
 
 
 class TestScheme:
@@ -296,10 +299,54 @@ class TestExactCases:
     def test_modulus_drift_tracking(self):
         grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-        traj = run(data, grid, ModelParams.thirring(), Scheme("phase_split"),
-                   [1.0], track_modulus_drift=True)
-        assert traj.modulus_drift is not None
-        assert traj.modulus_drift <= 1e-13
+        drift = ModulusDrift(data)
+        run(data, grid, ModelParams.thirring(), Scheme("phase_split"), [1.0], [drift])
+        assert drift.value <= 1e-13
+
+
+class StepLog:
+    """Probe recording each call's step, level and copies of the moduli."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_step(self, k, level, abs_u, abs_v):
+        assert not abs_u.flags.writeable and not abs_v.flags.writeable
+        self.calls.append((k, level, abs_u.copy(), abs_v.copy()))
+
+
+class TestProbes:
+    @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
+    def test_called_before_and_after_every_step(self, kind):
+        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+        cells = Scheme(kind).cells
+        every = [k * cells * grid.h for k in range(grid.n_steps // cells + 1)]
+        log = StepLog()
+        traj = run(data, grid, ModelParams.thirring(), Scheme(kind), every, [log])
+        assert [(k, level) for k, level, *_ in log.calls] == [
+            (k, k * cells) for k in range(grid.n_steps // cells + 1)]
+        # the views are |u| and |v| by label over the domain at that step
+        for (_, _, au, av), t in zip(log.calls, traj.times):
+            snap = traj.snapshot_at(t)
+            np.testing.assert_array_equal(au, np.abs(snap.u))
+            np.testing.assert_array_equal(av, np.abs(snap.v))
+
+    @pytest.mark.parametrize("kind,model", [("phase_split", ModelParams.thirring()),
+                                            ("trapezoidal", ModelParams.gross_neveu())])
+    def test_modulus_drift_equals_the_snapshots_running_max(self, kind, model):
+        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+        drift = ModulusDrift(data)
+        every = [k * grid.h for k in range(grid.n_steps + 1)]
+        traj = run(data, grid, model, Scheme(kind), every, [drift])
+        want = 0.0
+        for t in traj.times:
+            snap = traj.snapshot_at(t)
+            want = max(want, np.max(np.abs(np.abs(snap.u) - np.abs(data.u0))),
+                       np.max(np.abs(np.abs(snap.v) - np.abs(data.v0))))
+        assert drift.value == want
+        assert (want > 1e-6) == (kind == "trapezoidal")
 
 
 class TestTraceIdentity:
@@ -387,6 +434,24 @@ class TestGuards:
         with pytest.raises(SolverError, match="did not converge"):
             run(data, grid, ModelParams.thirring(), Scheme(fixed_point_max_iter=3), [1.0])
 
+    def test_nonfinite_sweep_stops_with_its_time(self):
+        # amplitude 8 at h = 1/32: the first step's fixed point overflows
+        grid = Grid.from_domain(-12.0, 12.0, 1.0 / 32.0, 4.0)
+        data = make_initial_data("gaussian", {**GAUSSIAN_PAIR, "u_amplitude": 8.0,
+                                              "v_amplitude": 8.0}, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"diverged at t = 0\.\d+: sweep \d+ "):
+                run(data, grid, ModelParams.gross_neveu(), Scheme(), [4.0])
+
+    def test_data_from_another_grid_rejected(self):
+        grid = Grid.from_domain(-10.0, 10.0, 0.25, 1.0)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+        for other in (Grid.from_domain(-10.0, 10.0, 0.125, 1.0),
+                      Grid.from_domain(-9.75, 10.25, 0.25, 1.0)):
+            with pytest.raises(ValueError, match="different grid"):
+                run(data, other, ModelParams.thirring(), Scheme(), [1.0])
+
     def test_phase_split_requires_beta_zero(self):
         grid = Grid.from_domain(-10.0, 10.0, 0.25, 1.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
@@ -443,11 +508,12 @@ class TestDomainEdges:
         # the other end of their label arrays, where a wrapped read would land
         grid = Grid.from_domain(-2.0, 2.0, 1.0 / 16.0, 1.0)
         data = make_initial_data("bump", FILLING_BUMPS, grid)
-        m, region, tau = ModelParams.gross_neveu(), TriangleRegion(a, b, 0.5), 1.0
-        traj = run(data, grid, m, Scheme(), [1.0], [(region, tau)])
-        k0, kt, ja, jb = nodes = triangle_nodes(region, tau, grid, Scheme())
+        m = ModelParams.gross_neveu()
+        sides = TriangleSides(TriangleRegion(a, b, 0.5), 1.0, grid, Scheme())
+        run(data, grid, m, Scheme(), [1.0], [sides])
+        k0, kt, ja, jb = sides.k0, sides.kt, sides.ja, sides.jb
         ref = [(np.abs(u) ** 2, np.abs(v) ** 2) for u, v in reference_nodes(data, grid, m)]
-        rows, right, left = traj.triangle_samples[nodes]
+        rows, right, left = sides.rows, sides.right, sides.left
         for row, k in zip(rows, (k0, kt)):
             mu, mv = ref[k]
             np.testing.assert_array_equal(row, (mu + mv)[ja + k - k0:jb - k + k0 + 1])
