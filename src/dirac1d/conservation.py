@@ -92,10 +92,17 @@ def total_charge_drift(traj: Trajectory) -> float:
 def triangle_balance(sides: TriangleSides) -> BalanceReport:
     """Evaluate all four terms of the balance law on a characteristic triangle.
 
-    Reads the samples a run gathered into `sides`.  The defect is
+    Reads the samples a run gathered into `sides`, and raises ValueError
+    when the probe did not see every step from t0 to tau.  The defect is
     mathematically zero and numerically O(h^2).  Cut at its apex, the triangle
     is a backward light cone: all the initial charge leaves through the sides.
     """
+    steps = sides.kt - sides.k0 + 1
+    if len(sides.right) != steps:
+        raise ValueError(
+            f"triangle {sides.region} cut at tau = {sides.tau} has samples of "
+            f"{len(sides.right)} of its {steps} steps; pass the probe to run(probes=...) "
+            "and let the run reach tau")
     h = sides.h
     initial = float(np.trapezoid(sides.rows[0], dx=h))
     # interior at time tau: x in [a - t0 + tau, b + t0 - tau]

@@ -11,7 +11,7 @@ node whose label lies off the domain reads zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -209,9 +209,10 @@ def triangle_nodes(region: TriangleRegion, tau: float, grid: Grid, scheme) -> tu
 class InitialData:
     """Sampled initial data (u0, v0) on a grid, with its charge budget c0.
 
-    c0 is the trapezoid-rule charge of the samples, computed at construction;
-    it is the sharpest admissible constant for every exponential bound
-    downstream.
+    c0 is the trapezoid-rule charge of the current samples, so it follows a
+    reassigned u0 or v0; it is the sharpest admissible constant for every
+    exponential bound downstream.  Construction checks that the samples fit
+    the grid and are finite.
     """
 
     family: str
@@ -219,10 +220,13 @@ class InitialData:
     grid: Grid
     u0: np.ndarray
     v0: np.ndarray
-    c0: float = field(init=False)
 
     def __post_init__(self):
-        self.c0 = charge(SpinorField(0.0, self.u0, self.v0, self.grid))
+        self.c0  # the charge rejects samples that do not fit the grid or are not finite
+
+    @property
+    def c0(self) -> float:
+        return charge(SpinorField(0.0, self.u0, self.v0, self.grid))
 
 
 def _component_params(shape_params: Mapping, comp: str) -> tuple[float, float, float, float]:

@@ -8,12 +8,20 @@ the quadrature of the source along the characteristic segment.
 
 u is held on its characteristic labels y = x - t and v on z = x + t, so
 free transport is index arithmetic.  N1 and N2 vanish wherever u or v does,
-so a step updates only the new-level nodes whose characteristic foot or head
+so a step looks only at the new-level nodes whose characteristic foot or head
 lies in the overlap of the two supports (the previous overlap widened by one
-cell per side, two for oracle4), with the arithmetic of a whole-lattice step
-node for node.  Snapshots keep the labels of [x_min, x_max]: no label leaves
-its initial support, which lies in the domain.  A fixed-point sweep evaluates
-both sources in one `eval_N` call per level, skipping zero-coupling terms.
+cell per side, two for oracle4).  The trapezoid and oracle4 steps then trim
+that hull window to its first and last node that is not quiet: a node whose
+stored sources are exact zeros and whose stored moduli are so small that
+`eval_N` returns exact zeros for every pair its step evaluates
+(`_Labels.trim`).  A quiet node's first iterate is its fixed point, so the
+trimmed step keeps every bit and sweep count of the hull window, whose
+arithmetic is that of a whole-lattice step node for node.  phase_split stays
+on the hull window.  Snapshots keep the labels of [x_min, x_max]: no label
+leaves its initial support, which lies in the domain.  A fixed-point sweep
+evaluates both sources in one `eval_N` call per level, skipping
+zero-coupling terms, and the trapezoid's sweeps write into preallocated
+window buffers.
 
 Three schemes are provided:
 
@@ -37,9 +45,12 @@ Per-step certificates are probes that `run` hands read-only views of |u| and
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,6 +63,17 @@ BLOWUP_LIMIT = 1e6
 
 # Labels the widest window (oracle4's half level) reaches past the supports
 MARGIN = 4
+
+# A pair of stored moduli (a, b) is quiet when c_star * a * b * max(a, b) is
+# below 2**QUIET_EXP, 2**-10 times half the smallest subnormal (_Labels.trim
+# spends the margin).  The product is formed on moduli lifted by 2**LIFT_EXP,
+# so near the bound it is a normal number and rounds by at most one ulp.
+QUIET_EXP = -1085
+LIFT_EXP = 300
+
+# Nodes into the last step's window up to which the pair test first looks
+# for the outermost loud ones; it tests every node when they are not there
+TRIM_SLACK = 8
 
 
 class SolverError(RuntimeError):
@@ -127,21 +149,52 @@ class _Labels:
         self.u, self.v = np.pad(u, MARGIN), np.pad(v, MARGIN)
         self.abs_u, self.abs_v = np.abs(self.u), np.abs(self.v)
         self.n1, self.n2, self.a1, self.a2 = (np.zeros_like(self.u) for _ in range(4))
+        # Labels holding a negative zero.  The kernels never make one (x - y
+        # and x + y are -0 only when x is), but may turn one into +0, so a
+        # node whose label holds one is never quiet.
+        self.signed_zeros = tuple(
+            np.flatnonzero((f == 0) & np.signbit(f)) // 2
+            for f in (self.u.view(float), self.v.view(float)))
+        if not any(a.size for a in self.signed_zeros):
+            self.signed_zeros = ()
         # A label's support never grows (N1 vanishes where u does, N2 where v
         # does), so the initial supports bound every later overlap.
         iu, iv = np.flatnonzero(u), np.flatnonzero(v)
-        self.hull = (iu[0], iu[-1], iv[0], iv[-1]) if iu.size and iv.size else None
+        self.hull = ((int(iu[0]), int(iu[-1]), int(iv[0]), int(iv[-1]))
+                     if iu.size and iv.size else None)
         self.guard(self.abs_u, self.abs_v)
+        # the labels whose sources the last evaluation wrote (see trim)
+        self.fresh = (slice(0, 0), slice(0, 0))
         if (win := self.window(0)) is not None:
-            ju, jv = self.labels(*win, 0)
+            ju, jv = self.fresh = self.labels(*win, 0)
             self.n1[ju], self.n2[jv] = eval_N(self.u[ju], self.v[jv], m)
+
+    @cached_property
+    def buffers(self) -> SimpleNamespace:
+        """Work arrays of the implicit schemes, as long as the label arrays
+        and sliced to a window, made on first use: a complex and a real one
+        for the fixed point's moves, and real and boolean rows for the quiet
+        rule."""
+        size = len(self.u)
+        return SimpleNamespace(c=np.empty(size, complex), r=np.empty(size),
+                               p=np.empty((2, size)), b=np.empty((3, size), bool))
+
+    @cached_property
+    def work(self) -> np.ndarray:
+        """The trapezoid's constant part and the two iterates its sweeps
+        alternate between, each a (u, v) pair of rows sliced to a window."""
+        return np.empty((3, 2, len(self.u)), complex)
 
     def advance(self) -> int:
         """One step of the scheme; returns its fixed-point sweeps."""
-        kernel, cells = _KERNELS[self.s.kind]
-        win = self.window(cells)
+        kernel, cells, reach = _KERNELS[self.s.kind]
+        hull = self.window(cells)
         self.level += cells
-        return 0 if win is None else kernel(self, *self.labels(*win, self.level))
+        win = hull if hull is None or reach is None else self.trim(*hull, reach)
+        self.fresh = (slice(0, 0), slice(0, 0)) if win is None else self.labels(*win, self.level)
+        if win is None:  # for a hull of quiet nodes the first sweep is the fixed point
+            return 0 if hull is None else 1
+        return kernel(self, *self.fresh)
 
     def window(self, w: int) -> tuple[int, int] | None:
         """Nodes (lo - w, hi + w) around the supports' overlap lo..hi, or None."""
@@ -151,6 +204,99 @@ class _Labels:
         lo = max(ulo + self.level, vlo - self.level) - w
         hi = min(uhi + self.level, vhi - self.level) + w
         return (lo, hi) if lo <= hi else None
+
+    def trim(self, lo: int, hi: int, r: int) -> tuple[int, int] | None:
+        """Nodes lo..hi of the new level from their first to their last node
+        that is not quiet; None when every one is quiet.
+
+        r is the half level's reach: 0 for the trapezoid, whose node x (u
+        label i, v label j) evaluates only the pair (i, j); 2 for oracle4,
+        whose node x also evaluates the half-level pairs (i, j - 2), at node
+        x - 1, and (i + 2, j), at node x + 1, and whose half level also steps
+        u labels i_hi + 1, i_hi + 2 and v labels j_lo - 2, j_lo - 1.
+
+        Node x is quiet when n1[i] and n2[j] are exact zeros, neither label
+        holds a negative zero, and every pair it evaluates is quiet by its
+        stored moduli a, b: c_star * a * b * max(a, b) < 2**QUIET_EXP.  Then:
+
+        * eval_N at the pair returns exact zeros.  Before its last rounding
+          each component of a source is at most 16 c_star |u| |v| max(|u|,
+          |v|) (an earlier rounding at most doubles a value), and
+          |u| <= sqrt(2) a, so it is below half the smallest subnormal and
+          rounds to zero.  That spends 2**6 of the margin.
+        * The first iterate is the stored state: a stored value minus or
+          plus zeros keeps its bits unless it holds -0.  So the node adds 0
+          to every sweep's largest move and leaves the sweeps unchanged, its
+          traces gain zeros, and skipping it changes no bit.
+        * oracle4 alone pairs a node across the trimmed window's edge, at a
+          half-level pair, with a label the window moves.  Let A be the
+          largest stored modulus and B = 1.5 A.  If dt c_star A^2 <= 1/7,
+          every iterate of a sweep stays within B, so a moved label's
+          modulus stays within 1.48 times its stored one, plus 13 times half
+          the smallest subnormal where dt (B^2 + (2 c_star + 1) B + 5) <= 8
+          bounds the roundings.  The pair's last products then stay below
+          0.4 times half the smallest subnormal.  Where these bounds fail
+          the window is not trimmed.
+
+        The rule reads the run's stored state alone.  Only labels the last
+        step (or the initial evaluation) wrote, `fresh`, can hold a nonzero
+        source: a skipped node's sources were zeros, and a label leaves the
+        hull window once its partner has left the other support, where its
+        last source is a product with zero.  So the sources are tested on
+        the fresh labels of the quiet flanks alone.  The pairs are tested
+        first on the flanks the last step left, a few nodes into it, and on
+        every node only when a flank holds no loud pair.
+        """
+        n, bound, buf, (fu, fv) = hi - lo + 1, quiet_bound(self.m), self.buffers, self.fresh
+        iu, iv = MARGIN + lo - self.level, MARGIN + lo + self.level  # labels of node lo
+        if r:
+            amp = max(self.abs_u.max(), self.abs_v.max())
+            lim, dt, c = 1.5 * amp, r * self.h, self.m.c_star  # lim bounds every iterate
+            if 7.0 * dt * c * amp ** 2 > 1.0 or dt * (lim ** 2 + (2 * c + 1) * lim + 5) > 8.0:
+                return lo, hi
+
+        def loud(start: int, stop: int, row: int) -> np.ndarray:
+            """Mask of the nodes start..stop - 1 (counted from lo) with a loud pair."""
+            k = stop - start
+            au, av = self.abs_u[iu + start:iu + stop + r], self.abs_v[iv + start - r:iv + stop]
+            p, q, out = buf.p[0, :k + r], buf.p[1, :k + r], buf.b[row, :k]
+            if not r:
+                return _loud_pairs(au, av, bound, p, q, out)
+            half = _loud_pairs(au, av, bound, p, q, buf.b[2, :k + r])
+            _loud_pairs(au[:k], av[r:], bound, p[:k], q[:k], out)
+            out |= half[:k]
+            out |= half[r:]
+            return out
+
+        # the last step's nodes at this level are those of its u labels moved
+        # right and of its v labels moved left
+        a = min(fu.start - iu, fv.start - iv) + TRIM_SLACK
+        b = max(fu.stop - iu, fv.stop - iv) - TRIM_SLACK
+        if 0 < a < b < n:
+            k_lo, k_hi = _first(loud(0, a, 0)), b + _last(loud(b, n, 1))
+        if not 0 < a < b < n or k_lo == a or k_hi < b:
+            mask = loud(0, n, 0)
+            k_lo, k_hi = _first(mask), _last(mask)
+        for held, first in zip(self.signed_zeros, (iu, iv)):
+            k = held - first
+            if (k := k[(k >= 0) & (k < n)]).size:
+                k_lo, k_hi = min(k_lo, int(k.min())), max(k_hi, int(k.max()))
+
+        n1, n2 = self.n1.view(float), self.n2.view(float)  # (real, imaginary) pairs
+        if k_lo:  # u labels of nodes 0..k_lo - 1, v labels of nodes -r..k_lo - 1
+            for z, first, f, start in ((n1, iu, fu, iu), (n2, iv, fv, iv - r)):
+                a, b = max(start, f.start), min(first + k_lo, f.stop)
+                if a < b and (k := _first(z[2 * a:2 * b] != 0)) < 2 * (b - a):
+                    k_lo = max(min(k_lo, a + k // 2 - first), 0)
+        if k_lo == n:
+            return None
+        k_hi = max(k_hi, k_lo)
+        if k_hi < n - 1:  # u labels of nodes k_hi + 1..n + r - 1, v labels of k_hi + 1..n - 1
+            for z, first, f, stop in ((n1, iu, fu, iu + n + r), (n2, iv, fv, iv + n)):
+                a, b = max(first + k_hi + 1, f.start), min(stop, f.stop)
+                if a < b and (k := _last(z[2 * a:2 * b] != 0)) >= 0:
+                    k_hi = min(max(k_hi, a + k // 2 - first), n - 1)
+        return lo + k_lo, lo + k_hi
 
     def labels(self, lo: int, hi: int, s: int) -> tuple[slice, slice]:
         """Slices of the u and v label arrays at nodes lo..hi of cell level s."""
@@ -174,15 +320,50 @@ class _Labels:
         return tuple(a[MARGIN:MARGIN + self.n] for a in arrays)
 
 
+def quiet_bound(m: ModelParams) -> float:
+    """The bound on LIFT * a * b * max(a, b) below which stored moduli a, b
+    make a quiet pair under the couplings m.
+
+    The lift keeps the comparison exact enough while c_star < 2**200: a lifted
+    product that underflows comes from a * b * max(a, b) < 2**-1302 (moduli
+    stay below 2**20).  Past that nothing is quiet.
+    """
+    c = m.c_star
+    if c == 0.0:
+        return math.inf
+    return math.ldexp(1.0, QUIET_EXP + LIFT_EXP) / c if c < 2.0 ** 200 else 0.0
+
+
+def _loud_pairs(a, b, bound: float, p, q, out):
+    """out <- LIFT * a * b * max(a, b) >= bound elementwise, with the buffers p, q."""
+    np.multiply(a, 2.0 ** LIFT_EXP, out=p)
+    p *= b
+    p *= np.maximum(a, b, out=q)
+    return np.greater_equal(p, bound, out=out)
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in a nonempty mask, or its length."""
+    k = int(mask.argmax())
+    return k if mask[k] else len(mask)
+
+
+def _last(mask: np.ndarray) -> int:
+    """Index of the last True in a nonempty mask, or -1."""
+    return len(mask) - 1 - _first(mask[::-1])
+
+
 def _fixed_point(sweep, start: tuple, lab: _Labels):
     """Iterate x <- sweep(*x) from start until no component moves by more than
     tol * (1 + max(max|u|, max|v|)), or raise at the first sweep whose move is
     not finite; returns the last iterate and the sweeps."""
     s, x = lab.s, start
     scale = 1.0 + max(np.max(lab.abs_u), np.max(lab.abs_v))
+    buf = lab.buffers
     for iters in range(1, s.fixed_point_max_iter + 1):
         new = sweep(*x)
-        deltas = [np.max(np.abs(a - b)) for a, b in zip(new, x)]
+        deltas = [np.abs(np.subtract(a, b, out=buf.c[:a.size]), out=buf.r[:a.size]).max()
+                  for a, b in zip(new, x)]
         if not all(map(math.isfinite, deltas)):
             raise SolverError(f"fixed-point iteration diverged at t = {lab.level * lab.h:.6g}: "
                               f"sweep {iters} moved the iterate by {np.max(deltas):.3g}")
@@ -206,11 +387,19 @@ def _commit_trapezoid(lab: _Labels, ju: slice, jv: slice, U, V):
 def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice) -> int:
     """Unit-CFL implicit trapezoid on the window's labels; returns the sweeps."""
     h, m = lab.h, lab.m
-    a = lab.u[ju] - 0.5j * h * lab.n1[ju]
-    b = lab.v[jv] - 0.5j * h * lab.n2[jv]
-    (U, V), iters = _fixed_point(
-        lambda U, V: tuple(c - 0.5j * h * n for c, n in zip((a, b), eval_N(U, V, m))),
-        (lab.u[ju], lab.v[jv]), lab)
+    base, *iterates = lab.work[:, :, :ju.stop - ju.start]
+    np.subtract(lab.u[ju], 0.5j * h * lab.n1[ju], out=base[0])
+    np.subtract(lab.v[jv], 0.5j * h * lab.n2[jv], out=base[1])
+    slots = itertools.cycle(iterates)  # a sweep never writes over its input
+
+    def sweep(U, V):
+        out = next(slots)
+        for c, n, o in zip(base, eval_N(U, V, m), out):  # eval_N returns new arrays
+            n *= 0.5j * h
+            np.subtract(c, n, out=o)
+        return tuple(out)
+
+    (U, V), iters = _fixed_point(sweep, (lab.u[ju], lab.v[jv]), lab)
     _commit_trapezoid(lab, ju, jv, U, V)
     return iters
 
@@ -279,11 +468,12 @@ def _step_oracle4(lab: _Labels, fu: slice, fv: slice) -> int:
     return iters
 
 
-# kind -> (kernel for a nonempty window, cells per step = window widening)
+# kind -> (kernel for a nonempty window, cells per step = window widening,
+#          half-level reach of the quiet rule, or None to step the hull window)
 _KERNELS = {
-    "trapezoidal": (_step_trapezoidal, 1),
-    "phase_split": (_step_phase_split, 1),
-    "oracle4": (_step_oracle4, 2),
+    "trapezoidal": (_step_trapezoidal, 1, 0),
+    "phase_split": (_step_phase_split, 1, None),
+    "oracle4": (_step_oracle4, 2, 2),
 }
 SCHEME_KINDS = tuple(_KERNELS)
 

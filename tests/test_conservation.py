@@ -147,6 +147,18 @@ class TestTriangleBalance:
         rep = triangle_balance(sides)
         assert rep.defect == 0.0
 
+    def test_unfed_probe_names_the_fix(self):
+        grid = Grid.from_domain(-4.0, 4.0, 0.25, 1.0)
+        sides = TriangleSides(TriangleRegion(-2.0, 2.0, 0.0), 1.0, grid, Scheme())
+        with pytest.raises(ValueError, match=r"a=-2\.0, b=2\.0.*0 of its 5 steps.*probes="):
+            triangle_balance(sides)
+        # a run that stops before tau leaves the probe short as well
+        short = Grid.from_domain(-4.0, 4.0, 0.25, 0.5)
+        run(make_initial_data("zero", {}, short), short, ModelParams.thirring(), Scheme(),
+            [0.5], [sides])
+        with pytest.raises(ValueError, match="3 of its 5 steps"):
+            triangle_balance(sides)
+
     def test_rejects_double_step_scheme(self):
         grid = Grid.from_domain(-10.0, 10.0, 0.125, 1.0)
         with pytest.raises(ValueError, match="oracle4"):

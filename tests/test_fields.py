@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dirac1d import Grid, ModelParams, SpinorField, TriangleRegion, charge, make_initial_data
+from dirac1d import (Grid, InitialData, ModelParams, SpinorField, TriangleRegion, charge,
+                     make_initial_data)
 from dirac1d.fields import at_nodes
 
 # Exact charge of the reference pair u0 = exp(-x^2), v0 = exp(-(x-1)^2):
@@ -68,6 +69,22 @@ class TestInitialData:
         assert data.c0 == pytest.approx(REFERENCE_CHARGE, rel=1e-12)
         u_charge = g.h * np.sum(np.abs(data.u0) ** 2)
         assert u_charge == pytest.approx(COMPONENT_CHARGE, rel=1e-12)
+
+    def test_charge_follows_reassigned_samples(self):
+        g = Grid.from_domain(-20.0, 20.0, 0.25, 1.0)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, g)
+        u_charge = g.h * np.sum(np.abs(data.u0) ** 2)
+        before = data.c0
+        data.u0 = 2.0 * data.u0
+        assert data.c0 == pytest.approx(before + 3.0 * u_charge, rel=1e-12)
+
+    def test_samples_checked_on_construction(self):
+        g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)
+        z = np.zeros(g.n_cells, dtype=complex)
+        with pytest.raises(ValueError):
+            InitialData("custom", {}, g, z[:-1], z)
+        with pytest.raises(FloatingPointError):
+            InitialData("custom", {}, g, np.full(g.n_cells, np.nan + 0j), z)
 
     def test_zero_family(self):
         g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)

@@ -1,16 +1,19 @@
 """Scheme correctness: exact transport, convergence orders, trace identities."""
 
 import json
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dirac1d import (Grid, InitialData, ModelParams, ModulusDrift, Scheme, SolverError,
                      TriangleRegion, TriangleSides, make_initial_data, parse_config,
                      run_experiment)
-from dirac1d.solver import l2_diff, restrict, run
+from dirac1d.nonlinearity import eval_N
+from dirac1d.solver import QUIET_EXP, _loud_pairs, l2_diff, quiet_bound, restrict, run
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 
@@ -143,24 +146,44 @@ class CountingN:
         monkeypatch.setattr(solver, "eval_N", counted)
 
 
+def hull_only(monkeypatch):
+    """Make the solver step the whole hull window, as before the quiet rule."""
+    from dirac1d import solver
+    monkeypatch.setattr(solver._Labels, "trim", lambda self, lo, hi, r: (lo, hi))
+
+
+def bits(a):
+    """The bit patterns of a complex array: array_equal does not see the sign of a zero."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+# (half-span, h, T).  On the wide domain the Gaussians part far enough for
+# the products of their tails to underflow, so the quiet rule trims the
+# window; h = 1/32 keeps oracle4's double step within the rule's growth bound.
+SMALL, WIDE = (10.0, 1.0 / 32.0, 2.0), (30.0, 1.0 / 32.0, 12.0)
+COLLIDING_BUMPS = {"u_center": -1.0, "u_width": 0.5, "v_center": 1.0, "v_width": 0.5,
+                   "u_amplitude": 2.0, "v_amplitude": 1.5, "v_phase": 0.7}
+PHASED_PAIR = {**GAUSSIAN_PAIR, "v_phase": 0.6}
+
 REFERENCE_CASES = [
-    # (scheme, model, family, shape): overlapping Gaussians, and bumps that
-    # start apart and collide, so the window opens mid-run
-    ("trapezoidal", "gross_neveu", "gaussian", GAUSSIAN_PAIR),
-    ("phase_split", "thirring", "gaussian", GAUSSIAN_PAIR),
-    ("oracle4", "gross_neveu", "gaussian", GAUSSIAN_PAIR),
-    ("trapezoidal", "thirring", "bump",
-     {"u_center": -1.0, "u_width": 0.5, "v_center": 1.0, "v_width": 0.5,
-      "u_amplitude": 2.0, "v_amplitude": 1.5, "v_phase": 0.7}),
-    ("oracle4", "thirring", "bump",
-     {"u_center": -1.0, "u_width": 0.5, "v_center": 1.0, "v_width": 0.5,
-      "u_amplitude": 2.0, "v_amplitude": 1.5, "v_phase": 0.7}),
+    # (scheme, model, family, shape, domain): overlapping Gaussians, and bumps
+    # that start apart and collide, so the window opens mid-run
+    ("trapezoidal", "gross_neveu", "gaussian", GAUSSIAN_PAIR, SMALL),
+    ("phase_split", "thirring", "gaussian", GAUSSIAN_PAIR, SMALL),
+    ("oracle4", "gross_neveu", "gaussian", GAUSSIAN_PAIR, SMALL),
+    ("trapezoidal", "thirring", "bump", COLLIDING_BUMPS, SMALL),
+    ("oracle4", "thirring", "bump", COLLIDING_BUMPS, SMALL),
+    ("trapezoidal", "gross_neveu", "gaussian", PHASED_PAIR, WIDE),
+    ("trapezoidal", "thirring", "gaussian", PHASED_PAIR, WIDE),
+    ("oracle4", "gross_neveu", "gaussian", PHASED_PAIR, WIDE),
+    ("oracle4", "thirring", "gaussian", PHASED_PAIR, WIDE),
 ]
 
 
 def assert_matches_reference(traj, data, grid, m, kind):
-    # the window repeats the whole-lattice arithmetic operation for operation,
-    # so the values agree exactly (array_equal does not see the sign of a zero)
+    # the window repeats the whole-lattice arithmetic operation for operation
+    # and skips only nodes whose step would not change a bit, so the values
+    # agree bit for bit, signed zeros included
     cells = 2 if kind == "oracle4" else 1
     max_its = 0
     for k, (u, v, a1, a2, its) in enumerate(reference_labels(data, grid, m, kind), start=1):
@@ -169,22 +192,108 @@ def assert_matches_reference(traj, data, grid, m, kind):
         if any(abs(t - rt) < 1e-12 for rt in traj.times):
             snap, (b1, b2) = traj.snapshot_at(t), traj.traces_at(t)
             for got, want in ((snap.u, u), (snap.v, v), (b1, a1), (b2, a2)):
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(bits(got), bits(want))
     assert traj.max_fp_iterations == max_its
 
 
 class TestWindowedSolver:
     """The label-frame, overlap-window solver against a whole-lattice stepper."""
 
-    @pytest.mark.parametrize("kind,model,family,shape", REFERENCE_CASES)
-    def test_matches_whole_lattice_stepper(self, kind, model, family, shape):
+    @pytest.mark.parametrize(
+        "kind,model,family,shape,domain", REFERENCE_CASES,
+        ids=[f"{k}-{m}-{f}-" + (f"shape{i}" if d == SMALL else "wide")
+             for i, (k, m, f, _, d) in enumerate(REFERENCE_CASES)])
+    def test_matches_whole_lattice_stepper(self, kind, model, family, shape, domain,
+                                           monkeypatch):
         m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
-        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 2.0)
+        span, h, T = domain
+        grid = Grid.from_domain(-span, span, h, T)
         data = make_initial_data(family, shape, grid)
         cells = 2 if kind == "oracle4" else 1
         every = [k * cells * grid.h for k in range(grid.n_steps // cells + 1)]
+        counter = CountingN(monkeypatch)
         traj = run(data, grid, m, Scheme(kind), every)
         assert_matches_reference(traj, data, grid, m, kind)
+        if domain == WIDE:
+            # the quiet rule skipped nodes the hull window would have stepped
+            trimmed = counter.nodes
+            hull_only(monkeypatch)
+            counter = CountingN(monkeypatch)
+            run(data, grid, m, Scheme(kind), [T])
+            assert trimmed < 0.9 * counter.nodes
+
+    def test_oracle4_untrimmed_where_growth_is_unbounded(self, monkeypatch):
+        # at h = 1/4 the double step's iterates may grow past what the margin
+        # covers (dt * c_star * max|u|^2 > 1/7): the hull window is stepped
+        grid = Grid.from_domain(-30.0, 30.0, 0.25, 12.0)
+        shape = {**PHASED_PAIR, "u_amplitude": 0.6, "v_amplitude": 0.6}
+        data = make_initial_data("gaussian", shape, grid)
+        m = ModelParams.gross_neveu()
+        every = [k * 2 * grid.h for k in range(grid.n_steps // 2 + 1)]
+        counter = CountingN(monkeypatch)
+        traj = run(data, grid, m, Scheme("oracle4"), every)
+        assert_matches_reference(traj, data, grid, m, "oracle4")
+        seen = counter.nodes
+        hull_only(monkeypatch)
+        counter = CountingN(monkeypatch)
+        run(data, grid, m, Scheme("oracle4"), [grid.t_final])
+        assert seen == counter.nodes
+
+    @pytest.mark.parametrize("model", ["gross_neveu", "thirring"])
+    def test_oracle4_half_level_pairs_keep_a_node(self, model):
+        # u at node 6 and v at node 8 only: at the first double step node 8's
+        # full pair (u from node 6, v from node 10) and stored sources are
+        # zero, and only its half-level pair (u from 6, v from 8) is not
+        grid = Grid(x_min=-0.25, h=1.0 / 32.0, n_cells=17, n_steps=4)
+        u0, v0 = np.zeros(17, complex), np.zeros(17, complex)
+        u0[6], v0[8] = 0.9 + 0.2j, 0.8 - 0.3j
+        data = InitialData("custom", {}, grid, u0, v0)
+        m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
+        traj = run(data, grid, m, Scheme("oracle4"), [0.0625, 0.125])
+        assert_matches_reference(traj, data, grid, m, "oracle4")
+        assert traj.snapshot_at(0.0625).u[6] != u0[6]
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "oracle4"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_negative_zeros_keep_their_bits(self, kind, seed, monkeypatch):
+        # the kernels may turn a stored -0 into +0 (never the reverse), so a
+        # node whose label holds one is stepped as in the hull window, which
+        # a whole-lattice step does not match outside the hull
+        rng = np.random.default_rng(seed)
+        grid = Grid(x_min=-1.5, h=0.125, n_cells=24, n_steps=4)
+        fields = []
+        for _ in range(2):
+            a = np.zeros(24, complex)
+            a[rng.choice(24, 6, replace=False)] = rng.normal(size=6) + 1j * rng.normal(size=6)
+            f = a.view(float)
+            f[[k for k in rng.choice(48, 8, replace=False) if f[k] == 0]] = -0.0
+            fields.append(a)
+        data = InitialData("custom", {}, grid, *fields)
+        m = ModelParams(0.5, -0.3)
+        every = [0.25, 0.5]
+        got = run(data, grid, m, Scheme(kind), every)
+        hull_only(monkeypatch)
+        want = run(data, grid, m, Scheme(kind), every)
+        for t in every:
+            for a, b in zip((got.snapshot_at(t).u, got.snapshot_at(t).v, *got.traces_at(t)),
+                            (want.snapshot_at(t).u, want.snapshot_at(t).v, *want.traces_at(t))):
+                np.testing.assert_array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "oracle4"])
+    def test_all_quiet_steps_report_one_sweep(self, kind, monkeypatch):
+        # products of amplitude-1e-110 data underflow everywhere: every step
+        # after the initial evaluation is skipped, and reports one sweep
+        grid = Grid.from_domain(-25.0, 25.0, 0.125, 1.0)
+        shape = {**PHASED_PAIR, "u_amplitude": 1e-110, "v_amplitude": 1e-110}
+        data = make_initial_data("gaussian", shape, grid)
+        nodes = []
+        for T in (2 * grid.h, 1.0):
+            counter = CountingN(monkeypatch)
+            traj = run(data, grid, ModelParams.gross_neveu(), Scheme(kind), [T])
+            nodes.append(counter.nodes)
+            assert traj.max_fp_iterations == 1
+        assert 0 < nodes[0] == nodes[1]
+        assert_matches_reference(traj, data, grid, ModelParams.gross_neveu(), kind)
 
     @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
     def test_support_touching_the_domain_edges(self, kind):
@@ -255,6 +364,56 @@ class TestWindowedSolver:
         assert not traj.snapshot_at(1.0).u.any() and not traj.snapshot_at(1.0).v.any()
         assert not any(a.any() for a in traj.traces_at(1.0))
         assert drift.value == 0.0
+
+
+def polar(log2_modulus, phase):
+    """A complex number of modulus 2**log2_modulus, rounded, at the given phase."""
+    e = math.floor(log2_modulus)
+    mant = 2.0 ** (log2_modulus - e)
+    return complex(math.ldexp(mant * math.cos(phase), e), math.ldexp(mant * math.sin(phase), e))
+
+
+phases = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, 0.7]),
+                   st.floats(-math.pi, math.pi))
+
+
+class TestQuietRule:
+    """A pair the rule calls quiet has exact-zero sources."""
+
+    @given(st.floats(-1120.0, -1040.0),
+           st.one_of(st.floats(-1074.0, -1060.0), st.floats(-1074.0, -300.0)),
+           st.booleans(), phases, phases, st.sampled_from(["alpha", "beta", "both"]),
+           st.floats(0.05, 4.0), st.booleans())
+    @settings(max_examples=1000, deadline=None)
+    def test_quiet_pairs_have_zero_sources(self, target, small, u_small, pu, pv, coupling,
+                                           size, negative):
+        # c_star |u| |v| max(|u|, |v|) = 2**target, the smaller modulus 2**small:
+        # the subnormal end is drawn often, where each rounding may double a value
+        sign = -1.0 if negative else 1.0
+        m = {"alpha": ModelParams(sign * size, 0.0), "beta": ModelParams(0.0, sign * size),
+             "both": ModelParams(size, -sign * size / 3.0)}[coupling]
+        large = 0.5 * (target - math.log2(m.c_star) - small)
+        assume(small <= large <= 20.0)
+        x, y = (small, large) if u_small else (large, small)
+        u, v = np.array([polar(x, pu)]), np.array([polar(y, pv)])
+        a, b = np.abs(u), np.abs(v)  # the moduli the solver stores
+        loud = _loud_pairs(a, b, quiet_bound(m), np.empty(1), np.empty(1), np.empty(1, bool))
+        if a[0] and b[0]:  # the rule compares log2 of the product with QUIET_EXP
+            p = sum(map(math.log2, (m.c_star, a[0], b[0], max(a[0], b[0]))))
+            assert loud[0] == (p >= QUIET_EXP) or abs(p - QUIET_EXP) < 1e-9
+        else:
+            assert not loud[0]
+        if not loud[0]:
+            for n1, n2 in (eval_N(u, v, m), eval_N(u, v, m, (a, b))):
+                assert n1[0] == 0 and n2[0] == 0
+
+    def test_bound(self):
+        assert quiet_bound(ModelParams(0.0, 0.0)) == math.inf
+        assert quiet_bound(ModelParams(2.0 ** 201, 0.0)) == 0.0  # nothing is quiet
+        tiny = np.array([2.0 ** -700])
+        loud = _loud_pairs(tiny, tiny, quiet_bound(ModelParams.gross_neveu()),
+                           np.empty(1), np.empty(1), np.empty(1, bool))
+        assert not loud[0]  # quiet, although the lifted product underflows to 0
 
 
 class TestScheme:
