@@ -108,7 +108,9 @@ class ExperimentConfig:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """True for a JSON number that is a finite float (json.loads also accepts
+    NaN, Infinity and integers past the float range)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _is_multiple(value: float, h: float) -> bool:
@@ -136,6 +138,9 @@ def parse_config(text: str) -> ExperimentConfig:
         val = raw.get(key, default)
         if not isinstance(val, types) or isinstance(val, bool):
             errors.append(f"{key}: expected {types}, got {val!r}")
+            return default
+        if not isinstance(val, str) and not _is_number(val):
+            errors.append(f"{key}: must be finite, got {val!r}")
             return default
         return convert(val)
 
@@ -195,7 +200,7 @@ def parse_config(text: str) -> ExperimentConfig:
         step = (scheme.cells if scheme else 1) * cfg.h
         for i, t in enumerate(times):
             if not _is_number(t):
-                errors.append(f"record_times[{i}]: not a number: {t!r}")
+                errors.append(f"record_times[{i}]: not a finite number: {t!r}")
                 continue
             t = float(t)
             if cfg.h > 0 and (not _is_multiple(t, step) or not 0 <= t <= cfg.T):
@@ -459,6 +464,8 @@ def main(argv=None) -> int:
         if verb == "sweep":
             p.add_argument("--halve-h", "-k", type=int, default=2, dest="halvings")
     args = parser.parse_args(argv)
+    if args.verb == "sweep" and args.halvings < 0:
+        parser.error(f"--halve-h must be >= 0, got {args.halvings}")
 
     try:
         cfg = parse_config(args.config.read_text())

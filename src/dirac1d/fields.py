@@ -65,7 +65,7 @@ class Grid:
     n_steps: int
 
     def __post_init__(self):
-        if self.h <= 0:
+        if not self.h > 0:  # NaN too
             raise ValueError(f"h must be positive, got {self.h}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
@@ -237,11 +237,12 @@ def _component_params(shape_params: Mapping, comp: str) -> tuple[float, float, f
             float(p.get(f"{comp}_phase", 0.0)))
 
 
-def _check_shape(comp: str, width: float, amp: float):
-    if width <= 0:
+def _check_shape(comp: str, center: float, width: float, amp: float, phase: float):
+    if not width > 0:  # NaN too
         raise ValueError(f"{comp}_width must be positive, got {width}")
-    if not np.isfinite(amp):
-        raise ValueError(f"{comp}_amplitude must be finite, got {amp}")
+    for name, value in (("center", center), ("amplitude", amp), ("phase", phase)):
+        if not np.isfinite(value):
+            raise ValueError(f"{comp}_{name} must be finite, got {value}")
 
 
 def _gaussian_samples(x, center, width, amp, phase):
@@ -288,8 +289,8 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
 
     uc, uw, ua, up = _component_params(params, "u")
     vc, vw, va, vp = _component_params(params, "v")
-    _check_shape("u", uw, ua)
-    _check_shape("v", vw, va)
+    _check_shape("u", uc, uw, ua, up)
+    _check_shape("v", vc, vw, va, vp)
 
     gaussian = family == "gaussian"
     for comp, c, w, amp in (("u", uc, uw, ua), ("v", vc, vw, va)):

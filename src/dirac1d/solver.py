@@ -11,17 +11,18 @@ free transport is index arithmetic.  N1 and N2 vanish wherever u or v does,
 so a step looks only at the new-level nodes whose characteristic foot or head
 lies in the overlap of the two supports (the previous overlap widened by one
 cell per side, two for oracle4).  The trapezoid and oracle4 steps then trim
-that hull window to its first and last node that is not quiet: a node whose
-stored sources are exact zeros and whose stored moduli are so small that
-`eval_N` returns exact zeros for every pair its step evaluates
-(`_Labels.trim`).  A quiet node's first iterate is its fixed point, so the
-trimmed step keeps every bit and sweep count of the hull window, whose
-arithmetic is that of a whole-lattice step node for node.  phase_split stays
-on the hull window.  Snapshots keep the labels of [x_min, x_max]: no label
-leaves its initial support, which lies in the domain.  A fixed-point sweep
-evaluates both sources in one `eval_N` call per level, skipping
-zero-coupling terms, and the trapezoid's sweeps write into preallocated
-window buffers.
+that hull window, in one pass over it, to its first and last node that is
+not quiet: a node whose stored sources are exact zeros and whose stored
+moduli are so small that `eval_N` returns exact zeros for every pair its
+step evaluates (`_Labels.trim`).  A quiet node's first iterate is its fixed
+point, so the trimmed step keeps every bit and sweep count of the hull
+window, whose arithmetic is that of a whole-lattice step node for node; only
+a label outside it keeps a negative zero that a whole-lattice step may turn
+into +0.  phase_split stays on the hull window.  Snapshots keep the labels
+of [x_min, x_max]: no label leaves its initial support, which lies in the
+domain.  A fixed-point sweep evaluates both sources in one `eval_N` call per
+level, skipping zero-coupling terms, and the trapezoid's sweeps write into
+preallocated window buffers.
 
 Three schemes are provided:
 
@@ -70,10 +71,6 @@ MARGIN = 4
 # so near the bound it is a normal number and rounds by at most one ulp.
 QUIET_EXP = -1085
 LIFT_EXP = 300
-
-# Nodes into the last step's window up to which the pair test first looks
-# for the outermost loud ones; it tests every node when they are not there
-TRIM_SLACK = 8
 
 
 class SolverError(RuntimeError):
@@ -163,10 +160,8 @@ class _Labels:
         self.hull = ((int(iu[0]), int(iu[-1]), int(iv[0]), int(iv[-1]))
                      if iu.size and iv.size else None)
         self.guard(self.abs_u, self.abs_v)
-        # the labels whose sources the last evaluation wrote (see trim)
-        self.fresh = (slice(0, 0), slice(0, 0))
         if (win := self.window(0)) is not None:
-            ju, jv = self.fresh = self.labels(*win, 0)
+            ju, jv = self.labels(*win, 0)
             self.n1[ju], self.n2[jv] = eval_N(self.u[ju], self.v[jv], m)
 
     @cached_property
@@ -174,7 +169,9 @@ class _Labels:
         """Work arrays of the implicit schemes, as long as the label arrays
         and sliced to a window, made on first use: a complex and a real one
         for the fixed point's moves, and real and boolean rows for the quiet
-        rule."""
+        rule.  The third boolean row is spare: with two, oracle4's runs
+        measured about 10 % slower, from where its per-sweep temporaries
+        then land on the heap."""
         size = len(self.u)
         return SimpleNamespace(c=np.empty(size, complex), r=np.empty(size),
                                p=np.empty((2, size)), b=np.empty((3, size), bool))
@@ -191,10 +188,9 @@ class _Labels:
         hull = self.window(cells)
         self.level += cells
         win = hull if hull is None or reach is None else self.trim(*hull, reach)
-        self.fresh = (slice(0, 0), slice(0, 0)) if win is None else self.labels(*win, self.level)
         if win is None:  # for a hull of quiet nodes the first sweep is the fixed point
             return 0 if hull is None else 1
-        return kernel(self, *self.fresh)
+        return kernel(self, *self.labels(*win, self.level))
 
     def window(self, w: int) -> tuple[int, int] | None:
         """Nodes (lo - w, hi + w) around the supports' overlap lo..hi, or None."""
@@ -238,16 +234,12 @@ class _Labels:
           0.4 times half the smallest subnormal.  Where these bounds fail
           the window is not trimmed.
 
-        The rule reads the run's stored state alone.  Only labels the last
-        step (or the initial evaluation) wrote, `fresh`, can hold a nonzero
-        source: a skipped node's sources were zeros, and a label leaves the
-        hull window once its partner has left the other support, where its
-        last source is a product with zero.  So the sources are tested on
-        the fresh labels of the quiet flanks alone.  The pairs are tested
-        first on the flanks the last step left, a few nodes into it, and on
-        every node only when a flank holds no loud pair.
+        The rule reads the run's stored state alone, in one pass: the pair
+        test over every node gives the outermost loud nodes, the labels
+        holding a negative zero widen that span, and the stored sources are
+        tested over the quiet flanks beyond it.
         """
-        n, bound, buf, (fu, fv) = hi - lo + 1, quiet_bound(self.m), self.buffers, self.fresh
+        n, bound, buf = hi - lo + 1, quiet_bound(self.m), self.buffers
         iu, iv = MARGIN + lo - self.level, MARGIN + lo + self.level  # labels of node lo
         if r:
             amp = max(self.abs_u.max(), self.abs_v.max())
@@ -255,28 +247,16 @@ class _Labels:
             if 7.0 * dt * c * amp ** 2 > 1.0 or dt * (lim ** 2 + (2 * c + 1) * lim + 5) > 8.0:
                 return lo, hi
 
-        def loud(start: int, stop: int, row: int) -> np.ndarray:
-            """Mask of the nodes start..stop - 1 (counted from lo) with a loud pair."""
-            k = stop - start
-            au, av = self.abs_u[iu + start:iu + stop + r], self.abs_v[iv + start - r:iv + stop]
-            p, q, out = buf.p[0, :k + r], buf.p[1, :k + r], buf.b[row, :k]
-            if not r:
-                return _loud_pairs(au, av, bound, p, q, out)
-            half = _loud_pairs(au, av, bound, p, q, buf.b[2, :k + r])
-            _loud_pairs(au[:k], av[r:], bound, p[:k], q[:k], out)
-            out |= half[:k]
-            out |= half[r:]
-            return out
-
-        # the last step's nodes at this level are those of its u labels moved
-        # right and of its v labels moved left
-        a = min(fu.start - iu, fv.start - iv) + TRIM_SLACK
-        b = max(fu.stop - iu, fv.stop - iv) - TRIM_SLACK
-        if 0 < a < b < n:
-            k_lo, k_hi = _first(loud(0, a, 0)), b + _last(loud(b, n, 1))
-        if not 0 < a < b < n or k_lo == a or k_hi < b:
-            mask = loud(0, n, 0)
-            k_lo, k_hi = _first(mask), _last(mask)
+        au, av = self.abs_u[iu:iu + n + r], self.abs_v[iv - r:iv + n]
+        p, q, loud = buf.p[0, :n + r], buf.p[1, :n + r], buf.b[0, :n]
+        if r:  # loud[k] |= half[k], pair (i, j - 2), and half[k + r], pair (i + 2, j)
+            half = _loud_pairs(au, av, bound, p, q, buf.b[1, :n + r])
+            _loud_pairs(au[:n], av[r:], bound, p[:n], q[:n], loud)
+            loud |= half[:n]
+            loud |= half[r:]
+        else:
+            _loud_pairs(au, av, bound, p, q, loud)
+        k_lo, k_hi = _first(loud), _last(loud)
         for held, first in zip(self.signed_zeros, (iu, iv)):
             k = held - first
             if (k := k[(k >= 0) & (k < n)]).size:
@@ -284,18 +264,16 @@ class _Labels:
 
         n1, n2 = self.n1.view(float), self.n2.view(float)  # (real, imaginary) pairs
         if k_lo:  # u labels of nodes 0..k_lo - 1, v labels of nodes -r..k_lo - 1
-            for z, first, f, start in ((n1, iu, fu, iu), (n2, iv, fv, iv - r)):
-                a, b = max(start, f.start), min(first + k_lo, f.stop)
-                if a < b and (k := _first(z[2 * a:2 * b] != 0)) < 2 * (b - a):
-                    k_lo = max(min(k_lo, a + k // 2 - first), 0)
+            for z, first, start in ((n1, iu, iu), (n2, iv, iv - r)):
+                if np.count_nonzero(flank := z[2 * start:2 * (first + k_lo)]):
+                    k_lo = max(start - first + _first(flank != 0) // 2, 0)
         if k_lo == n:
             return None
         k_hi = max(k_hi, k_lo)
         if k_hi < n - 1:  # u labels of nodes k_hi + 1..n + r - 1, v labels of k_hi + 1..n - 1
-            for z, first, f, stop in ((n1, iu, fu, iu + n + r), (n2, iv, fv, iv + n)):
-                a, b = max(first + k_hi + 1, f.start), min(stop, f.stop)
-                if a < b and (k := _last(z[2 * a:2 * b] != 0)) >= 0:
-                    k_hi = min(max(k_hi, a + k // 2 - first), n - 1)
+            for z, first, stop in ((n1, iu, iu + n + r), (n2, iv, iv + n)):
+                if np.count_nonzero(flank := z[2 * (first + k_hi + 1):2 * stop]):
+                    k_hi = min(k_hi + 1 + _last(flank != 0) // 2, n - 1)
         return lo + k_lo, lo + k_hi
 
     def labels(self, lo: int, hi: int, s: int) -> tuple[slice, slice]:

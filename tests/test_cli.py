@@ -8,6 +8,8 @@ import pytest
 from dirac1d import ConfigError, parse_config, run_experiment
 from dirac1d.cli import _identity_sweep, _write_table, main, sweep
 
+NAN, INF = float("nan"), float("inf")
+
 SMALL = {
     "model": "gross_neveu",
     "x_min": -10.0, "x_max": 10.0,
@@ -97,6 +99,18 @@ class TestParseConfig:
         ({"scheme": "oracle4", "T": 2.0 + 0.0078125, "checks": ["charge"]}, "T:", "oracle4"),
         # the identity preflight seeds numpy's generator, which takes no negative seed
         ({"seed": -1}, "seed:", ">= 0"),
+        # json.loads accepts NaN and Infinity
+        ({"h": NAN}, "h:", "finite"),
+        ({"record_times": [NAN]}, "record_times[0]:", "finite"),
+        ({"T": INF}, "T:", "finite"),
+        ({"T": 10 ** 400}, "T:", "finite"),
+        ({"record_times": [10 ** 400]}, "record_times[0]:", "finite"),
+        ({"x_max": INF}, "x_max:", "finite"),
+        ({"u_width": NAN}, "u_width:", "finite"),
+        ({"u_center": NAN}, "u_center:", "finite"),
+        ({"model": "custom", "alpha": NAN, "beta": 0}, "alpha:", "finite"),
+        ({"residual_k": NAN}, "residual_k:", "finite"),
+        ({"triangle_regions": [[-INF, 1.0, 0.0, 0.5]]}, "triangle_regions[0]:", "expected"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                        overrides, prefix, fragment):
@@ -285,6 +299,14 @@ class TestMain:
         assert main(["run", str(path)]) == 0
         assert (tmp_path / "out" / "summary.json").exists()
         assert "status 0" in capsys.readouterr().out
+
+    def test_sweep_rejects_a_negative_count(self, tmp_path, capsys):
+        path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(path), "--halve-h", "-1"])
+        assert exc.value.code == 2
+        assert "--halve-h" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_verb(self, tmp_path):
         path = write_config(tmp_path, output_dir=str(tmp_path / "out"),

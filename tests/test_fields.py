@@ -55,6 +55,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.step_of(5.0)
 
+    @pytest.mark.parametrize("h", [0.0, -0.5, float("nan")])
+    def test_step_must_be_positive(self, h):
+        with pytest.raises(ValueError, match="positive"):
+            Grid(x_min=0.0, h=h, n_cells=3, n_steps=1)
+
     def test_non_multiple_domain_rejected(self):
         with pytest.raises(ValueError):
             Grid.from_domain(0.0, 1.0, 0.3, 1.0)
@@ -151,8 +156,13 @@ class TestInitialData:
 
     def test_bad_shape_params(self):
         g = Grid.from_domain(-5.0, 5.0, 0.25, 1.0)
-        with pytest.raises(ValueError, match="width"):
-            make_initial_data("gaussian", {"u_width": -1.0}, g)
+        for width in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="u_width"):
+                make_initial_data("gaussian", {"u_width": width}, g)
+        for key in ("v_center", "u_amplitude", "v_phase"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{key} must be finite"):
+                    make_initial_data("bump", {key: value}, g)
         with pytest.raises(ValueError, match="unknown family"):
             make_initial_data("plane_wave", {}, g)
 

@@ -13,7 +13,8 @@ from dirac1d import (Grid, InitialData, ModelParams, ModulusDrift, Scheme, Solve
                      TriangleRegion, TriangleSides, make_initial_data, parse_config,
                      run_experiment)
 from dirac1d.nonlinearity import eval_N
-from dirac1d.solver import QUIET_EXP, _loud_pairs, l2_diff, quiet_bound, restrict, run
+from dirac1d.solver import (MARGIN, QUIET_EXP, _loud_pairs, l2_diff, quiet_bound, restrict,
+                            run)
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 
@@ -115,7 +116,9 @@ def padded_reference(data, grid, m, kind="trapezoidal"):
 def reference_labels(data, grid, m, kind):
     """The whole-lattice stepper read back by label on the domain: yields
     (u, v, A1, A2, iterations) after each step.  Every label off the domain
-    stays zero."""
+    stays zero.  For data holding negative zeros it is no bit-exact
+    reference: it may turn a -0 into +0 on a label outside the solver's hull
+    window, which keeps its -0."""
     cells = 2 if kind == "oracle4" else 1
     steps, dom = padded_reference(data, grid, m, kind)
     for k, (u, v, a1, a2, its) in enumerate(steps, start=1):
@@ -155,6 +158,53 @@ def hull_only(monkeypatch):
 def bits(a):
     """The bit patterns of a complex array: array_equal does not see the sign of a zero."""
     return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def negative_zero_labels(a):
+    """Indices (+ MARGIN, as the solver stores them) of the entries holding a -0."""
+    f = a.view(float).reshape(-1, 2)
+    return MARGIN + np.flatnonzero(((f == 0) & np.signbit(f)).any(axis=1))
+
+
+def rule_window(lab, lo, hi, r, held):
+    """The window _Labels.trim must give for the hull lo..hi, straight from its
+    docstring's definition over every node of the hull: from the first to the
+    last node with a loud pair, a nonzero stored source on a label its step
+    moves, or a label that held -0 in the data (`held`: u's, v's); the hull
+    where oracle4's growth bound fails."""
+    if r:
+        a = max(lab.abs_u.max(), lab.abs_v.max())
+        b, dt, c = 1.5 * a, r * lab.h, lab.m.c_star
+        if dt * c * a ** 2 > 1.0 / 7.0 or dt * (b ** 2 + (2 * c + 1) * b + 5) > 8.0:
+            return lo, hi
+    x = np.arange(lo, hi + 1)
+    i, j = MARGIN + x - lab.level, MARGIN + x + lab.level  # the labels at node x
+    n = len(x)
+    loud = (lab.n1[i] != 0) | (lab.n2[j] != 0) | np.isin(i, held[0]) | np.isin(j, held[1])
+    for pi, pj in [(i, j)] + ([(i, j - r), (i + r, j)] if r else []):
+        loud |= _loud_pairs(lab.abs_u[pi], lab.abs_v[pj], quiet_bound(lab.m),
+                            np.empty(n), np.empty(n), np.empty(n, bool))
+    # oracle4's half level also moves u labels i[-1] + 1..i[-1] + r and v labels j[0] - r..j[0] - 1
+    loud[-1] |= lab.n1[i[-1] + 1:i[-1] + r + 1].any()
+    loud[0] |= lab.n2[j[0] - r:j[0]].any()
+    k = np.flatnonzero(loud)
+    return (lo + int(k[0]), lo + int(k[-1])) if k.size else None
+
+
+def check_every_window(monkeypatch, data):
+    """Make every trim assert that its window is rule_window's; returns a list
+    that gains, per step, whether the window was narrower than the hull."""
+    from dirac1d import solver
+    trim, held, narrowed = solver._Labels.trim, (
+        negative_zero_labels(data.u0), negative_zero_labels(data.v0)), []
+
+    def checked(self, lo, hi, r):
+        got, want = trim(self, lo, hi, r), rule_window(self, lo, hi, r, held)
+        assert got == want, (self.level, (lo, hi), got, want)
+        narrowed.append(got != (lo, hi))
+        return got
+    monkeypatch.setattr(solver._Labels, "trim", checked)
+    return narrowed
 
 
 # (half-span, h, T).  On the wide domain the Gaussians part far enough for
@@ -212,10 +262,12 @@ class TestWindowedSolver:
         cells = 2 if kind == "oracle4" else 1
         every = [k * cells * grid.h for k in range(grid.n_steps // cells + 1)]
         counter = CountingN(monkeypatch)
+        narrowed = check_every_window(monkeypatch, data)
         traj = run(data, grid, m, Scheme(kind), every)
         assert_matches_reference(traj, data, grid, m, kind)
         if domain == WIDE:
             # the quiet rule skipped nodes the hull window would have stepped
+            assert any(narrowed)
             trimmed = counter.nodes
             hull_only(monkeypatch)
             counter = CountingN(monkeypatch)
@@ -271,7 +323,9 @@ class TestWindowedSolver:
         data = InitialData("custom", {}, grid, *fields)
         m = ModelParams(0.5, -0.3)
         every = [0.25, 0.5]
+        windows = check_every_window(monkeypatch, data)
         got = run(data, grid, m, Scheme(kind), every)
+        assert windows  # the rule ran
         hull_only(monkeypatch)
         want = run(data, grid, m, Scheme(kind), every)
         for t in every:
