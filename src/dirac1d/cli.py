@@ -186,6 +186,9 @@ def parse_config(text: str) -> ExperimentConfig:
     errors += scheme_errors
     scheme = (None if scheme_errors
               else Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter))
+    if cfg.scheme == "phase_split" and cfg.model in (*MODELS, "custom"):
+        if beta := cfg.model_params().beta:
+            errors.append(f"scheme: phase_split needs beta = 0, got {beta}")
     if scheme and cfg.h > 0 and cfg.T > 0 and round(cfg.T / cfg.h) % scheme.cells:
         errors.append(f"T: {scheme.kind} advances {scheme.cells} cells per step; "
                       f"T / h = {round(cfg.T / cfg.h)} is not a multiple of {scheme.cells}")

@@ -21,8 +21,8 @@ a label outside it keeps a negative zero that a whole-lattice step may turn
 into +0.  phase_split stays on the hull window.  Snapshots keep the labels
 of [x_min, x_max]: no label leaves its initial support, which lies in the
 domain.  A fixed-point sweep evaluates both sources in one `eval_N` call per
-level, skipping zero-coupling terms, and the trapezoid's sweeps write into
-preallocated window buffers.
+level, skipping zero-coupling terms.  The trapezoid's sweeps and phase_split,
+whose real cos/sin rotation has the bits of cexp, write into window buffers.
 
 Three schemes are provided:
 
@@ -175,6 +175,11 @@ class _Labels:
         size = len(self.u)
         return SimpleNamespace(c=np.empty(size, complex), r=np.empty(size),
                                p=np.empty((2, size)), b=np.empty((3, size), bool))
+
+    @cached_property
+    def rotations(self) -> tuple[np.ndarray, np.ndarray]:
+        """phase_split's real and complex (u, v) rows, made on first use."""
+        return np.empty((2, 2, len(self.u))), np.empty((2, len(self.u)), complex)
 
     @cached_property
     def work(self) -> np.ndarray:
@@ -353,9 +358,9 @@ def _fixed_point(sweep, start: tuple, lab: _Labels):
         "the time step is too large for the data amplitude")
 
 
-def _commit_trapezoid(lab: _Labels, ju: slice, jv: slice, U, V):
-    """Store U, V with their sources, adding the trapezoid panel to the traces."""
-    au, av = np.abs(U), np.abs(V)
+def _commit_trapezoid(lab: _Labels, ju: slice, jv: slice, U, V, moduli=None):
+    """Store U, V and their sources (moduli |U|, |V|), adding the trapezoid panel to the traces."""
+    au, av = (np.abs(U), np.abs(V)) if moduli is None else moduli
     n1, n2 = eval_N(U, V, lab.m, (au, av))
     lab.a1[ju] += 0.5 * lab.h * (lab.n1[ju] + n1)
     lab.a2[jv] += 0.5 * lab.h * (lab.n2[jv] + n2)
@@ -388,16 +393,23 @@ def _step_phase_split(lab: _Labels, ju: slice, jv: slice) -> int:
     For the Thirring-type nonlinearity N1 = alpha*u*|v|^2 the characteristic
     ODE is a pure phase rotation, so |u| and |v| transport exactly; the phase
     uses the midpoint |v|^2 averaged from the two endpoint values along the
-    characteristic (second order).
+    characteristic (second order).  The exponent of exp(-1j*alpha*h*mid) has real
+    part +0, where cexp gives (cos, sin) of its imaginary part theta: the step forms
+    theta with the same bits (+ 0.0 turns a zero product's -0 into +0), then cos, sin.
     """
-    # the previous level's moduli at both neighbours of every window node
-    mu = lab.abs_u[ju.start:ju.stop + 2] ** 2
-    mv = lab.abs_v[jv.start - 2:jv.stop] ** 2
-    v_mid = 0.5 * (mv[:-2] + mv[2:])
-    u_mid = 0.5 * (mu[:-2] + mu[2:])
-    U = lab.u[ju] * np.exp(-1j * lab.m.alpha * lab.h * v_mid)
-    V = lab.v[jv] * np.exp(-1j * lab.m.alpha * lab.h * u_mid)
-    _commit_trapezoid(lab, ju, jv, U, V)
+    (sq, mid), rot, n = *lab.rotations, ju.stop - ju.start
+    # the previous level's squared moduli at both neighbours of every window node
+    np.square(lab.abs_u[ju.start:ju.stop + 2], out=sq[0, :n + 2])
+    np.square(lab.abs_v[jv.start - 2:jv.stop], out=sq[1, :n + 2])
+    # u turns by the midpoint |v|^2, v by the midpoint |u|^2
+    for q, x, r, old in zip(sq[::-1, :n + 2], mid[:, :n], rot[:, :n], (lab.u[ju], lab.v[jv])):
+        np.multiply(np.add(q[:-2], q[2:], out=x), 0.5, out=x)
+        np.multiply(-(lab.m.alpha * lab.h), x, out=x)
+        x += 0.0
+        np.cos(x, out=r.real)
+        np.sin(x, out=r.imag)
+        np.multiply(old, r, out=r)
+    _commit_trapezoid(lab, ju, jv, *rot[:, :n], np.abs(rot[:, :n], out=sq[:, :n]))
     return 0
 
 

@@ -111,6 +111,10 @@ class TestParseConfig:
         ({"model": "custom", "alpha": NAN, "beta": 0}, "alpha:", "finite"),
         ({"residual_k": NAN}, "residual_k:", "finite"),
         ({"triangle_regions": [[-INF, 1.0, 0.0, 0.5]]}, "triangle_regions[0]:", "expected"),
+        # phase_split is exact only where the nonlinearity is a pure phase rotation
+        ({"model": "gross_neveu", "scheme": "phase_split"}, "scheme:", "beta = 0"),
+        ({"model": "custom", "alpha": 1.0, "beta": -0.5, "scheme": "phase_split"},
+         "scheme:", "beta = 0"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                        overrides, prefix, fragment):

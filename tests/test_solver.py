@@ -13,8 +13,8 @@ from dirac1d import (Grid, InitialData, ModelParams, ModulusDrift, Scheme, Solve
                      TriangleRegion, TriangleSides, make_initial_data, parse_config,
                      run_experiment)
 from dirac1d.nonlinearity import eval_N
-from dirac1d.solver import (MARGIN, QUIET_EXP, _loud_pairs, l2_diff, quiet_bound, restrict,
-                            run)
+from dirac1d.solver import (_KERNELS, MARGIN, QUIET_EXP, _loud_pairs, l2_diff, quiet_bound,
+                            restrict, run)
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 
@@ -227,6 +227,10 @@ REFERENCE_CASES = [
     ("trapezoidal", "thirring", "gaussian", PHASED_PAIR, WIDE),
     ("oracle4", "gross_neveu", "gaussian", PHASED_PAIR, WIDE),
     ("oracle4", "thirring", "gaussian", PHASED_PAIR, WIDE),
+    # the rotation's phases on underflowed tails are zero products, whose sign
+    # the step must give as cexp's exponent has it
+    ("phase_split", "thirring", "gaussian", GAUSSIAN_PAIR, WIDE),
+    ("phase_split", "thirring", "gaussian", PHASED_PAIR, WIDE),
 ]
 
 
@@ -251,8 +255,9 @@ class TestWindowedSolver:
 
     @pytest.mark.parametrize(
         "kind,model,family,shape,domain", REFERENCE_CASES,
-        ids=[f"{k}-{m}-{f}-" + (f"shape{i}" if d == SMALL else "wide")
-             for i, (k, m, f, _, d) in enumerate(REFERENCE_CASES)])
+        ids=[f"{k}-{m}-{f}-" + (f"shape{i}" if d == SMALL else
+                                "wide" if s is PHASED_PAIR else "wide-in-phase")
+             for i, (k, m, f, s, d) in enumerate(REFERENCE_CASES)])
     def test_matches_whole_lattice_stepper(self, kind, model, family, shape, domain,
                                            monkeypatch):
         m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
@@ -265,7 +270,7 @@ class TestWindowedSolver:
         narrowed = check_every_window(monkeypatch, data)
         traj = run(data, grid, m, Scheme(kind), every)
         assert_matches_reference(traj, data, grid, m, kind)
-        if domain == WIDE:
+        if domain == WIDE and _KERNELS[kind][2] is not None:  # phase_split does not trim
             # the quiet rule skipped nodes the hull window would have stepped
             assert any(narrowed)
             trimmed = counter.nodes
@@ -508,6 +513,28 @@ class TestExactCases:
         snap = traj.snapshot_at(2.0)
         np.testing.assert_allclose(np.abs(snap.u), np.abs(traj.data.u0), atol=1e-13)
         np.testing.assert_allclose(np.abs(snap.v), np.abs(traj.data.v0), atol=1e-13)
+
+    @pytest.mark.parametrize("alpha,h", [(1.0, 1.0 / 128.0), (1.0, 1.0 / 32.0), (-1.0, 0.25),
+                                         (0.3, 1.0 / 1024.0), (0.0, 1.0 / 128.0)])
+    def test_rotation_has_the_bits_of_cexp(self, alpha, h):
+        # _step_phase_split rotates by cos and sin of theta = -(alpha*h)*x + 0.0
+        # where the whole-lattice stepper takes exp(-1j*alpha*h*x): the two
+        # agree only while this platform's cexp returns (cos, sin) of the
+        # imaginary part for an exponent whose real part is +0
+        rng = np.random.default_rng(9)
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.concatenate([
+            [0.0, tiny, 2 * tiny, 1e-310, np.finfo(float).tiny],
+            tiny * rng.integers(1, 2 ** 20, 200),  # products that underflow
+            rng.uniform(0.0, 2.0, 5000),  # the midpoint |u|^2, |v|^2 of the workloads
+            10.0 ** rng.uniform(-323.0, 12.0, 20000),
+        ])
+        want = np.exp(-1j * alpha * h * x)
+        theta = np.multiply(-(alpha * h), x) + 0.0
+        got = np.empty_like(want)
+        np.cos(theta, out=got.real)
+        np.sin(theta, out=got.imag)
+        np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_modulus_drift_tracking(self):
         grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
