@@ -55,17 +55,14 @@ from .asymptotics import (
     sup_tail_bound,
     tail_bound,
 )
-from .cli import ConfigError, ExperimentConfig, parse_config, run_experiment
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceReport", "ConfigError", "ExperimentConfig", "Grid", "InitialData",
-    "ModelParams", "ModulusDrift", "Profile", "ResidualReport", "Scheme", "SolverError",
-    "SpinorField", "Trajectory", "TriangleRegion", "TriangleSides", "charge",
-    "charge_flux_defect", "check_pointwise_bound", "compute_profile",
-    "eval_N", "eval_N1", "eval_N2", "eval_W", "field_residual",
-    "l2_diff", "make_initial_data", "pair_overlap",
-    "parse_config", "residual", "restrict", "run", "run_experiment",
-    "sup_tail_bound", "tail_bound", "total_charge_drift", "triangle_balance",
+    "BalanceReport", "Grid", "InitialData", "ModelParams", "ModulusDrift", "Profile",
+    "ResidualReport", "Scheme", "SolverError", "SpinorField", "Trajectory", "TriangleRegion",
+    "TriangleSides", "charge", "charge_flux_defect", "check_pointwise_bound", "compute_profile",
+    "eval_N", "eval_N1", "eval_N2", "eval_W", "field_residual", "l2_diff", "make_initial_data",
+    "pair_overlap", "residual", "restrict", "run", "sup_tail_bound", "tail_bound",
+    "total_charge_drift", "triangle_balance",
 ]

@@ -20,16 +20,16 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import asymptotics, conservation, solver
-from .fields import (FAMILIES, Grid, ModelParams, TriangleRegion, at_nodes, make_initial_data,
-                     triangle_nodes)
+from .fields import (FAMILIES, Grid, ModelParams, TriangleRegion, at_nodes, lattice_count,
+                     make_initial_data, triangle_nodes)
 from .nonlinearity import charge_flux_defect
-from .solver import Scheme, SolverError
+from .solver import SCHEME_KINDS, Scheme, SolverError
 
 ALL_CHECKS = ("charge", "triangle", "pointwise", "profile", "residual", "tails")
 
@@ -54,13 +54,6 @@ IDENTITIES = {
 
 _SHAPE_KEYS = tuple(f"{c}_{k}" for c in "uv" for k in ("center", "width", "amplitude", "phase"))
 
-KNOWN_KEYS = {
-    "model", "alpha", "beta", "family", "x_min", "x_max", "h", "T",
-    "scheme", "fixed_point_tol", "fixed_point_max_iter",
-    "record_times", "checks", "triangle_regions", "residual_k",
-    "output_dir", "seed", *_SHAPE_KEYS,
-}
-
 
 class ConfigError(ValueError):
     """Carries the full list of validation violations, not just the first."""
@@ -72,6 +65,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """The config keys, each declared once.  A field with a plain default is a
+    scalar key of that type; shape_params collects the {u,v}_{center,width,
+    amplitude,phase} keys present, and `_rules` reads the list keys."""
+
     model: str = "thirring"
     alpha: float = 1.0
     beta: float = 0.0
@@ -96,6 +93,11 @@ class ExperimentConfig:
             return ModelParams(self.alpha, self.beta)
         return MODELS[self.model]()
 
+    @property
+    def cells(self) -> int:
+        """Cells one step of the scheme advances; 1 for an unknown scheme."""
+        return Scheme(self.scheme).cells if self.scheme in SCHEME_KINDS else 1
+
     def canonical(self) -> dict:
         d = asdict(self)
         # where the reports land is not part of the experiment's identity
@@ -107,165 +109,153 @@ class ExperimentConfig:
             json.dumps(self.canonical(), sort_keys=True).encode()).hexdigest()
 
 
+KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"shape_params"} | set(_SHAPE_KEYS)
+
+# the JSON types a scalar key accepts, by the type of its default
+_JSON_TYPES = {float: (int, float), int: int, str: str}
+
+
 def _is_number(x) -> bool:
     """True for a JSON number that is a finite float (json.loads also accepts
     NaN, Infinity and integers past the float range)."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _is_multiple(value: float, h: float) -> bool:
-    r = value / h
-    return abs(r - round(r)) <= 1e-9
+def _rules(key: str, cfg: ExperimentConfig, raw: dict):
+    """Yield the violations due once `key` is set, reading `key` if it is a
+    list.  Each check runs once the last key it reads is set, so the messages
+    come in field order."""
+    match key:
+        case "model" if cfg.model not in (*MODELS, "custom"):
+            yield f"model: unknown model {cfg.model!r}"
+        case "beta" if cfg.model == "custom" and not ("alpha" in raw and "beta" in raw):
+            yield "model: custom model requires explicit alpha and beta"
+        case "family" if cfg.family not in FAMILIES:
+            yield f"family: unknown family {cfg.family!r}"
+        case "T":  # x_max - x_min and T are whole numbers of cells of h
+            if cfg.h <= 0:
+                yield f"h: must be positive, got {cfg.h}"
+            elif cfg.h * cfg.h == math.inf:
+                yield f"h: {cfg.h} is too large: the check tolerances scale with h^2"
+            if cfg.x_max <= cfg.x_min:
+                yield f"x_max: must exceed x_min, got [{cfg.x_min}, {cfg.x_max}]"
+            if cfg.h > 0:
+                n = lattice_count(cfg.x_max - cfg.x_min, cfg.h)
+                if n is None:
+                    yield "x_max: x_max - x_min not a multiple of h"
+                elif n > sys.maxsize // 16:  # numpy's size limit for complex samples
+                    yield f"h: {cfg.h} cuts [{cfg.x_min}, {cfg.x_max}] into too many cells ({n})"
+                if cfg.T < 0 or lattice_count(cfg.T, cfg.h) is None:
+                    yield f"T: not a nonnegative multiple of h (T={cfg.T}, h={cfg.h})"
+        case "fixed_point_max_iter":
+            # each scheme field checked alone, so every bad one is reported
+            for name, arg in (("scheme", "kind"), ("fixed_point_tol", "fixed_point_tol"),
+                              ("fixed_point_max_iter", "fixed_point_max_iter")):
+                try:
+                    Scheme(**{arg: getattr(cfg, name)})
+                except ValueError as exc:
+                    yield f"{name}: {exc}"
+            if cfg.scheme == "phase_split" and cfg.model in (*MODELS, "custom"):
+                if beta := cfg.model_params().beta:
+                    yield f"scheme: phase_split needs beta = 0, got {beta}"
+            n = lattice_count(cfg.T, cfg.h) if cfg.h > 0 and cfg.T > 0 else None
+            if n and n % cfg.cells:
+                yield (f"T: {cfg.scheme} advances {cfg.cells} cells per step; "
+                       f"T / h = {n} is not a multiple of {cfg.cells}")
+        case "record_times":
+            times = raw.get("record_times", None)
+            if times is None:
+                cfg.record_times = [0.0, cfg.T]
+                return
+            if not isinstance(times, list):
+                yield f"record_times: expected a list, got {times!r}"
+                return
+            step = cfg.cells * cfg.h
+            for i, t in enumerate(times):
+                if not _is_number(t):
+                    yield f"record_times[{i}]: not a finite number: {t!r}"
+                    continue
+                t = float(t)
+                if cfg.h > 0 and (lattice_count(t, step) is None or not 0 <= t <= cfg.T):
+                    yield (f"record_times[{i}]: {t} is not a multiple of the time step "
+                           f"{step} within [0, {cfg.T}]")
+                cfg.record_times.append(t)
+        case "checks":
+            checks = raw.get("checks", cfg.checks)
+            if not isinstance(checks, list):
+                yield f"checks: expected a list, got {checks!r}"
+                return
+            cfg.checks = [c for c in checks if c in ALL_CHECKS]
+            yield from (f"checks[{i}]: unknown check {c!r}" for i, c in enumerate(checks)
+                        if c not in ALL_CHECKS)
+        case "triangle_regions":
+            regions = raw.get("triangle_regions", None)
+            if regions is None:
+                n = lattice_count(cfg.x_max - cfg.x_min, cfg.h) if cfg.h > 0 else None
+                if "triangle" in cfg.checks and n and n > 0:
+                    # default region: middle half of the domain from t0 = 0 up to mid-height
+                    q = round(n / 4)
+                    a, b = cfg.x_min + q * cfg.h, cfg.x_max - q * cfg.h
+                    cfg.triangle_regions = [[a, b, 0.0, min(cfg.T, round((n - 2 * q) / 4) * cfg.h)]]
+                return
+            if not isinstance(regions, list):
+                yield "triangle_regions: expected a list of [a, b, t0, tau]"
+                return
+            for i, r in enumerate(regions):
+                if not isinstance(r, list) or len(r) != 4 or not all(map(_is_number, r)):
+                    yield f"triangle_regions[{i}]: expected [a, b, t0, tau], got {r!r}"
+                    continue
+                a, b, t0, tau = map(float, r)
+                cfg.triangle_regions.append([a, b, t0, tau])
+                try:
+                    TriangleRegion(a, b, t0)
+                except ValueError as exc:
+                    yield f"triangle_regions[{i}]: {exc}"
+        case "seed" if cfg.seed < 0:
+            yield f"seed: must be >= 0, got {cfg.seed}"
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat JSON config; raises ConfigError listing
     every violation found, each prefixed by the offending key."""
-    errors: list[str] = []
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"<root>: not valid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["<root>: config must be a JSON object"])
+    errors = [f"{key}: unknown key" for key in sorted(set(raw) - KNOWN_KEYS)]
 
-    for key in sorted(set(raw) - KNOWN_KEYS):
-        errors.append(f"{key}: unknown key")
-
-    cfg = ExperimentConfig()
-
-    def take(key, default, types, convert=lambda x: x):
-        val = raw.get(key, default)
+    def take(key, default):
+        val, types = raw.get(key, default), _JSON_TYPES[type(default)]
         if not isinstance(val, types) or isinstance(val, bool):
             errors.append(f"{key}: expected {types}, got {val!r}")
-            return default
-        if not isinstance(val, str) and not _is_number(val):
+        elif not isinstance(val, str) and not _is_number(val):
             errors.append(f"{key}: must be finite, got {val!r}")
-            return default
-        return convert(val)
-
-    cfg.model = take("model", cfg.model, str)
-    if cfg.model not in (*MODELS, "custom"):
-        errors.append(f"model: unknown model {cfg.model!r}")
-    cfg.alpha = take("alpha", cfg.alpha, (int, float), float)
-    cfg.beta = take("beta", cfg.beta, (int, float), float)
-    if cfg.model == "custom" and not ("alpha" in raw and "beta" in raw):
-        errors.append("model: custom model requires explicit alpha and beta")
-
-    cfg.family = take("family", cfg.family, str)
-    if cfg.family not in FAMILIES:
-        errors.append(f"family: unknown family {cfg.family!r}")
-    for key in _SHAPE_KEYS:
-        if key in raw:
-            cfg.shape_params[key] = take(key, 0.0, (int, float), float)
-
-    cfg.x_min = take("x_min", cfg.x_min, (int, float), float)
-    cfg.x_max = take("x_max", cfg.x_max, (int, float), float)
-    cfg.h = take("h", cfg.h, (int, float), float)
-    cfg.T = take("T", cfg.T, (int, float), float)
-    if cfg.h <= 0:
-        errors.append(f"h: must be positive, got {cfg.h}")
-    if cfg.x_max <= cfg.x_min:
-        errors.append(f"x_max: must exceed x_min, got [{cfg.x_min}, {cfg.x_max}]")
-    if cfg.h > 0:
-        if not _is_multiple(cfg.x_max - cfg.x_min, cfg.h):
-            errors.append("x_max: x_max - x_min not a multiple of h")
-        if cfg.T < 0 or not _is_multiple(cfg.T, cfg.h):
-            errors.append(f"T: not a nonnegative multiple of h (T={cfg.T}, h={cfg.h})")
-
-    cfg.scheme = take("scheme", cfg.scheme, str)
-    cfg.fixed_point_tol = take("fixed_point_tol", cfg.fixed_point_tol, (int, float), float)
-    cfg.fixed_point_max_iter = take("fixed_point_max_iter", cfg.fixed_point_max_iter, int)
-    scheme_errors = []  # each field checked alone, so every bad one is reported
-    for key, name in (("scheme", "kind"), ("fixed_point_tol", "fixed_point_tol"),
-                      ("fixed_point_max_iter", "fixed_point_max_iter")):
-        try:
-            Scheme(**{name: getattr(cfg, key)})
-        except ValueError as exc:
-            scheme_errors.append(f"{key}: {exc}")
-    errors += scheme_errors
-    scheme = (None if scheme_errors
-              else Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter))
-    if cfg.scheme == "phase_split" and cfg.model in (*MODELS, "custom"):
-        if beta := cfg.model_params().beta:
-            errors.append(f"scheme: phase_split needs beta = 0, got {beta}")
-    if scheme and cfg.h > 0 and cfg.T > 0 and round(cfg.T / cfg.h) % scheme.cells:
-        errors.append(f"T: {scheme.kind} advances {scheme.cells} cells per step; "
-                      f"T / h = {round(cfg.T / cfg.h)} is not a multiple of {scheme.cells}")
-
-    times = raw.get("record_times", None)
-    if times is None:
-        cfg.record_times = [0.0, cfg.T]
-    elif not isinstance(times, list):
-        errors.append(f"record_times: expected a list, got {times!r}")
-    else:
-        cfg.record_times = []
-        step = (scheme.cells if scheme else 1) * cfg.h
-        for i, t in enumerate(times):
-            if not _is_number(t):
-                errors.append(f"record_times[{i}]: not a finite number: {t!r}")
-                continue
-            t = float(t)
-            if cfg.h > 0 and (not _is_multiple(t, step) or not 0 <= t <= cfg.T):
-                errors.append(
-                    f"record_times[{i}]: {t} is not a multiple of the time step "
-                    f"{step} within [0, {cfg.T}]")
-            cfg.record_times.append(t)
-
-    checks = raw.get("checks", None)
-    if checks is not None:
-        if not isinstance(checks, list):
-            errors.append(f"checks: expected a list, got {checks!r}")
         else:
-            cfg.checks = []
-            for i, c in enumerate(checks):
-                if c not in ALL_CHECKS:
-                    errors.append(f"checks[{i}]: unknown check {c!r}")
-                else:
-                    cfg.checks.append(c)
+            return type(default)(val)
+        return default
 
-    triangles = []  # (index, region, tau) of every region that could be built
-    regions = raw.get("triangle_regions", None)
-    if regions is not None:
-        if not isinstance(regions, list):
-            errors.append(f"triangle_regions: expected a list of [a, b, t0, tau]")
-        else:
-            cfg.triangle_regions = []
-            for i, r in enumerate(regions):
-                if not isinstance(r, list) or len(r) != 4 or not all(map(_is_number, r)):
-                    errors.append(f"triangle_regions[{i}]: expected [a, b, t0, tau], got {r!r}")
-                    continue
-                a, b, t0, tau = map(float, r)
-                cfg.triangle_regions.append([a, b, t0, tau])
-                try:
-                    triangles.append((i, TriangleRegion(a, b, t0), tau))
-                except ValueError as exc:
-                    errors.append(f"triangle_regions[{i}]: {exc}")
-    elif "triangle" in cfg.checks and cfg.h > 0 and cfg.x_max > cfg.x_min:
-        # default region: middle half of the domain from t0 = 0 up to mid-height
-        span = cfg.x_max - cfg.x_min
-        a = cfg.x_min + round(span / 4 / cfg.h) * cfg.h
-        b = cfg.x_max - round(span / 4 / cfg.h) * cfg.h
-        tau = min(cfg.T, round((b - a) / 4 / cfg.h) * cfg.h)
-        cfg.triangle_regions = [[a, b, 0.0, tau]]
-        triangles = [(0, TriangleRegion(a, b, 0.0), tau)]
-
-    cfg.residual_k = take("residual_k", cfg.residual_k, (int, float), float)
-    cfg.output_dir = take("output_dir", cfg.output_dir, str)
-    cfg.seed = take("seed", cfg.seed, int)
-    if cfg.seed < 0:
-        errors.append(f"seed: must be >= 0, got {cfg.seed}")
+    cfg = ExperimentConfig()
+    for f in fields(cfg):
+        if f.default is not MISSING:
+            setattr(cfg, f.name, take(f.name, f.default))
+        elif f.name == "shape_params":
+            cfg.shape_params = {key: take(key, 0.0) for key in _SHAPE_KEYS if key in raw}
+        errors += _rules(f.name, cfg, raw)
 
     # sample the data to validate its support; the triangles need the grid too
     if not errors:
         grid = Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, cfg.T)
         try:
             make_initial_data(cfg.family, cfg.shape_params, grid)
-        except ValueError as exc:
-            errors.append(f"family: {exc}")
-        for i, region, tau in triangles:
+        except ValueError as exc:  # a complaint about one shape key is listed under it
+            key = next((k for k in _SHAPE_KEYS if str(exc).startswith(k)), "family")
+            errors.append(f"{key}: {exc}")
+        scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
+        for i, (a, b, t0, tau) in enumerate(cfg.triangle_regions):
             try:
-                triangle_nodes(region, tau, grid, scheme)
+                triangle_nodes(TriangleRegion(a, b, t0), tau, grid, scheme)
             except ValueError as exc:
                 errors.append(f"triangle_regions[{i}]: {exc}")
 
@@ -352,10 +342,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     # snapshots.csv: u and v at the domain's nodes at each recorded time
     x = grid.x()
     blocks = []
-    for t in traj.times:
-        snap = traj.snapshots[t]
-        u, v = at_nodes(snap.u, snap.v, 0, grid.n_cells - 1, grid.step_of(t))
-        blocks.append(("", np.column_stack((np.full(len(x), t), x, u.real, u.imag,
+    for level, snap in traj.snapshots.items():
+        u, v = at_nodes(snap.u, snap.v, 0, grid.n_cells - 1, level)
+        blocks.append(("", np.column_stack((np.full(len(x), snap.t), x, u.real, u.imag,
                                              v.real, v.imag))))
     _write_table(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"], blocks)
 
@@ -407,7 +396,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                   {"nonincreasing": decreasing})
 
     if "tails" in cfg.checks:
-        ts = sorted({t for t in traj.times})
+        ts = traj.times
         bounds_u = [asymptotics.tail_bound(data, m, t, "u") for t in ts]
         bounds_v = [asymptotics.tail_bound(data, m, t, "v") for t in ts]
         rise = 0.0
@@ -437,24 +426,20 @@ def sweep(cfg: ExperimentConfig, halvings: int) -> list[dict]:
     solve aborts raises SolverError naming its h.
     """
     m = cfg.model_params()
-    levels = []
+    scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
+    rows, finals = [], []
     for j in range(halvings + 1):
         h = cfg.h / 2 ** j
         grid = Grid.from_domain(cfg.x_min, cfg.x_max, h, cfg.T)
         data = make_initial_data(cfg.family, cfg.shape_params, grid)
-        scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
         try:
             traj = solver.run(data, grid, m, scheme, [0.0, cfg.T])
         except SolverError as exc:
             raise SolverError(f"level h = {h!r}: {exc}") from exc
-        levels.append({"h": h, "grid": grid, "final": traj.snapshot_at(cfg.T),
-                       "drift": conservation.total_charge_drift(traj)})
-    rows = []
-    for j, lev in enumerate(levels):
-        row = {"h": lev["h"], "charge_drift": lev["drift"]}
-        if j + 1 < len(levels):
-            row["l2_diff_to_next"] = solver.l2_diff(lev["final"], levels[j + 1]["final"])
-        rows.append(row)
+        rows.append({"h": h, "charge_drift": conservation.total_charge_drift(traj)})
+        finals.append(traj.snapshot_at(cfg.T))
+    for row, coarse, fine in zip(rows, finals, finals[1:]):
+        row["l2_diff_to_next"] = solver.l2_diff(coarse, fine)
     for prev, cur in zip(rows, rows[1:]):
         if "l2_diff_to_next" in prev and "l2_diff_to_next" in cur and cur["l2_diff_to_next"] > 0:
             cur["order_estimate"] = math.log2(prev["l2_diff_to_next"] / cur["l2_diff_to_next"])

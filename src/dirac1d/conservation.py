@@ -79,12 +79,12 @@ class ModulusDrift:
 
 def total_charge_drift(traj: Trajectory) -> float:
     """Max over recorded snapshots of |Q(t) - Q(0)| / max(Q(0), 1e-300)."""
-    if not traj.times:
+    if not traj.snapshots:
         raise ValueError("trajectory has no recorded snapshots")
     q0 = charge(SpinorField(0.0, traj.data.u0, traj.data.v0, traj.grid))
     worst = 0.0
-    for t in traj.times:
-        q = charge(traj.snapshots[t])
+    for snap in traj.snapshots.values():
+        q = charge(snap)
         worst = max(worst, abs(q - q0))
     return worst / max(q0, 1e-300)
 
@@ -129,13 +129,12 @@ def check_pointwise_bound(traj: Trajectory, c0: float | None = None) -> float:
     """
     if c0 is None:
         c0 = traj.data.c0
-    factor = float(np.exp(8.0 * abs(traj.params.beta) * c0))
-    mu0 = np.abs(traj.data.u0) ** 2
-    mv0 = np.abs(traj.data.v0) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite factor times 0 bounds by 0
+        factor = float(np.exp(8.0 * abs(traj.params.beta) * c0))
+        bu, bv = (np.nan_to_num(factor * np.abs(a) ** 2, nan=0.0, posinf=np.inf)
+                  for a in (traj.data.u0, traj.data.v0))
     worst = 0.0
-    for t in traj.times:
-        snap = traj.snapshots[t]
-        vu = np.abs(snap.u) ** 2 - factor * mu0
-        vv = np.abs(snap.v) ** 2 - factor * mv0
-        worst = max(worst, float(np.max(vu)), float(np.max(vv)))
+    for snap in traj.snapshots.values():
+        worst = max(worst, float(np.max(np.abs(snap.u) ** 2 - bu)),
+                    float(np.max(np.abs(snap.v) ** 2 - bv)))
     return worst

@@ -6,7 +6,8 @@ exactly through lattice nodes.  Every array holds the n_cells labels of the
 domain [x_min, x_max]: u by its label y = x - t and v by z = x + t, which at
 t = 0 are the nodes.  Data start inside the domain and each label keeps its
 support, so the whole-line problem needs no boundary modeling at all; a
-node whose label lies off the domain reads zero.
+node whose label lies off the domain reads zero.  Times, coordinates and
+spans are whole numbers of cells: `lattice_count` is the one rule for that.
 """
 
 from __future__ import annotations
@@ -21,6 +22,20 @@ import numpy as np
 UNDERFLOW_FLOOR = 1e-300
 
 FAMILIES = ("gaussian", "bump", "separated", "zero")
+
+
+def lattice_count(value: float, h: float) -> int | None:
+    """The whole number n of cells of width h > 0 that value spans, or None.
+
+    That is n with |value / h - n| <= 1e-9, which forgives the roundoff of a
+    step that is not a power of two; a quotient that is not finite is no
+    count, and a nonzero value never spans zero cells.
+    """
+    r = value / h
+    n = round(r) if np.isfinite(r) else None
+    if n is None or abs(r - n) > 1e-9 or (n == 0 and value != 0):
+        return None
+    return n
 
 
 @dataclass(frozen=True)
@@ -87,22 +102,20 @@ class Grid:
     def index_of(self, x: float) -> int:
         """Index of the node at coordinate x.
 
-        Raises ValueError when x is not a lattice node (to 1e-9 * h) or
+        Raises ValueError when x is not a lattice node (`lattice_count`) or
         falls outside [x_min, x_max].
         """
-        r = (x - self.x_min) / self.h
-        j = int(round(r))
-        if abs(r - j) > 1e-9:
+        j = lattice_count(x - self.x_min, self.h)
+        if j is None:
             raise ValueError(f"x = {x} is not a lattice node (h = {self.h})")
         if not 0 <= j < self.n_cells:
             raise ValueError(f"x = {x} lies outside [{self.x_min}, {self.x_max}]")
         return j
 
     def step_of(self, t: float) -> int:
-        """Step index of time t; t must be a multiple of h within the run."""
-        r = t / self.h
-        k = int(round(r))
-        if abs(r - k) > 1e-9:
+        """Step index (cell level) of time t; t must be a multiple of h within the run."""
+        k = lattice_count(t, self.h)
+        if k is None:
             raise ValueError(f"t = {t} is not a multiple of h = {self.h}")
         if not 0 <= k <= self.n_steps:
             raise ValueError(f"t = {t} outside the run horizon {self.t_final}")
@@ -112,15 +125,15 @@ class Grid:
     def from_domain(cls, x_min: float, x_max: float, h: float, t_final: float) -> "Grid":
         """Grid covering [x_min, x_max] for a run of length t_final.
 
-        (x_max - x_min) and t_final must be integer multiples of h.
+        (x_max - x_min) and t_final must be whole numbers of cells of h.
         """
-        n_span = (x_max - x_min) / h
-        if abs(n_span - round(n_span)) > 1e-9:
+        n_span = lattice_count(x_max - x_min, h)
+        if n_span is None:
             raise ValueError(f"x_max - x_min = {x_max - x_min} is not a multiple of h = {h}")
-        n_t = t_final / h
-        if abs(n_t - round(n_t)) > 1e-9:
+        n_t = lattice_count(t_final, h)
+        if n_t is None:
             raise ValueError(f"t_final = {t_final} is not a multiple of h = {h}")
-        return cls(x_min=x_min, h=h, n_cells=int(round(n_span)) + 1, n_steps=int(round(n_t)))
+        return cls(x_min=x_min, h=h, n_cells=n_span + 1, n_steps=n_t)
 
 
 @dataclass
@@ -157,11 +170,12 @@ def charge(fld: SpinorField) -> float:
 
     The sum runs over labels; it is the trapezoid rule on the whole line,
     where the field is zero off the domain's labels.  Raises on non-finite
-    samples (solver blow-up).
+    samples (solver blow-up); a charge past the float range is inf.
     """
     if not (np.all(np.isfinite(fld.u)) and np.all(np.isfinite(fld.v))):
         raise FloatingPointError("non-finite samples in spinor field: solver blow-up")
-    return float(fld.grid.h * (np.sum(np.abs(fld.u) ** 2) + np.sum(np.abs(fld.v) ** 2)))
+    with np.errstate(over="ignore"):
+        return float(fld.grid.h * (np.sum(np.abs(fld.u) ** 2) + np.sum(np.abs(fld.v) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -222,7 +236,9 @@ class InitialData:
     v0: np.ndarray
 
     def __post_init__(self):
-        self.c0  # the charge rejects samples that do not fit the grid or are not finite
+        # the charge rejects samples that do not fit the grid or are not finite
+        if self.c0 == np.inf:
+            raise ValueError(f"the charge of the {self.family} data overflows")
 
     @property
     def c0(self) -> float:
@@ -294,6 +310,10 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
 
     gaussian = family == "gaussian"
     for comp, c, w, amp in (("u", uc, uw, ua), ("v", vc, vw, va)):
+        far = max(c - grid.x_min, grid.x_max - c) / w
+        if not far * far < np.inf:  # the samplers square (x - center) / width
+            raise ValueError(f"{comp}_width = {w} with {comp}_center = {c}: ((x - center) / "
+                             f"width)^2 overflows on [{grid.x_min}, {grid.x_max}]")
         if amp == 0.0:
             continue
         if gaussian:
@@ -301,7 +321,8 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
             # reject when the clipped value is not negligible there.
             edge = min(c - grid.x_min, grid.x_max - c)
             too_wide = edge < 0 or abs(amp) * np.exp(-((edge / w) ** 2)) > 1e-12
-            r = w * np.sqrt(np.log(abs(amp) / UNDERFLOW_FLOOR))  # |samples| >= floor
+            # |samples| >= floor within r of c; r is 0 when |amp| is below the floor
+            r = w * float(np.sqrt(max(np.log(abs(amp)) - np.log(UNDERFLOW_FLOOR), 0.0)))
         else:
             too_wide, r = c - w < grid.x_min or c + w > grid.x_max, w
         if too_wide:

@@ -51,7 +51,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .fields import Grid, InitialData, ModelParams, SpinorField
+from .fields import Grid, InitialData, ModelParams, SpinorField, lattice_count
 # eval_N1 and eval_N2 are not called here; they stay importable because the
 # benchmark's tracer (perfbench/tracing.py) looks them up on this module
 from .nonlinearity import eval_N, eval_N1, eval_N2  # noqa: F401
@@ -95,35 +95,40 @@ class Scheme:
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots plus per-characteristic trace integrals.
+    """Recorded snapshots plus per-characteristic trace integrals, keyed by
+    cell level (time level * h) in increasing order.
 
-    `snapshots[t]` holds u and v by label, like the solver.
-    `trace_partials[t]` holds, in the same label frames
+    `snapshots[level]` holds u and v by label, like the solver.
+    `trace_partials[level]` holds, in the same label frames
     (y = x - t for the u side, y = x + t for the v side), the composite
     trapezoid integrals A1(y, t) = int_0^t N1 along (y + s, s) and
     A2(y, t) = int_0^t N2 along (y - s, s).  The final accumulators at
-    t = grid.t_final feed the scattering profiles.
+    t = grid.t_final feed the scattering profiles.  `snapshot_at(t)` and
+    `traces_at(t)` look a time up by its lattice count.
     """
 
     grid: Grid
     params: ModelParams
     data: InitialData
-    times: list[float] = field(default_factory=list)
-    snapshots: dict[float, SpinorField] = field(default_factory=dict)
-    trace_partials: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    snapshots: dict[int, SpinorField] = field(default_factory=dict)
+    trace_partials: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     max_fp_iterations: int = 0
 
+    @property
+    def times(self) -> list[float]:
+        return [level * self.grid.h for level in self.snapshots]
+
     def snapshot_at(self, t: float) -> SpinorField:
-        return self.snapshots[self._key(t, "snapshot")]
+        return self._at(self.snapshots, t)
 
     def traces_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.trace_partials[self._key(t, "trace partials")]
+        return self._at(self.trace_partials, t)
 
-    def _key(self, t: float, what: str) -> float:
-        for rt in self.times:
-            if abs(rt - t) <= 1e-9 * max(1.0, self.grid.h):
-                return rt
-        raise ValueError(f"no {what} recorded at t = {t}; recorded times: {self.times}")
+    def _at(self, recorded: dict, t: float):
+        level = lattice_count(t, self.grid.h)
+        if level not in recorded:
+            raise ValueError(f"nothing recorded at t = {t}; recorded times: {self.times}")
+        return recorded[level]
 
 
 class _Labels:
@@ -482,9 +487,8 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
 
     record_steps = {n_steps}
     for t in record_times:
-        r = t / dt
-        k = int(round(r))
-        if abs(r - k) > 1e-9 or not 0 <= k <= n_steps:
+        k = lattice_count(t, dt)
+        if k is None or not 0 <= k <= n_steps:
             raise ValueError(
                 f"record time {t} is not a multiple of the time step {dt} "
                 f"within [0, {grid.t_final}]")
@@ -504,11 +508,9 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
             for p in probes:
                 p.on_step(k, lab.level, *moduli)
             if k in record_steps:
-                t = k * dt
-                traj.times.append(t)
                 u, v, a1, a2 = (a.copy() for a in lab.domain(lab.u, lab.v, lab.a1, lab.a2))
-                traj.snapshots[t] = SpinorField(t, u, v, grid)
-                traj.trace_partials[t] = (a1, a2)
+                traj.snapshots[lab.level] = SpinorField(lab.level * grid.h, u, v, grid)
+                traj.trace_partials[lab.level] = (a1, a2)
     return traj
 
 
@@ -517,10 +519,9 @@ def restrict(arr: np.ndarray, fine_grid: Grid, coarse_grid: Grid) -> np.ndarray:
 
     The grids must share x_min and x_max and have an integer step ratio.
     """
-    ratio = coarse_grid.h / fine_grid.h
-    factor = int(round(ratio))
-    if (abs(ratio - factor) > 1e-9 or abs(fine_grid.x_min - coarse_grid.x_min) > 1e-9
-            or abs(fine_grid.x_max - coarse_grid.x_max) > 1e-9):
+    factor = lattice_count(coarse_grid.h, fine_grid.h)
+    if (factor is None or abs(fine_grid.x_min - coarse_grid.x_min) > 1e-9
+            or fine_grid.n_cells - 1 != factor * (coarse_grid.n_cells - 1)):
         raise ValueError("grids are not nested refinements of each other")
     return arr[::factor]
 

@@ -22,8 +22,9 @@ import pytest
 
 from dirac1d import (Grid, ModelParams, ModulusDrift, Scheme, TriangleRegion, TriangleSides,
                      check_pointwise_bound, compute_profile, make_initial_data,
-                     parse_config, residual, run, run_experiment, sup_tail_bound,
+                     residual, run, sup_tail_bound,
                      tail_bound, total_charge_drift, triangle_balance)
+from dirac1d.cli import parse_config, run_experiment
 from dirac1d.nonlinearity import (charge_flux_defect, eval_N1, eval_N2,
                                   first_variation, first_variation_fd,
                                   wirtinger_N1_fd, wirtinger_N2_fd)

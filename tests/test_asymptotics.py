@@ -74,6 +74,9 @@ class TestTailBound:
             tail_bound(gaussian_data(0.25), ModelParams.thirring(), -1.0, "u")
         with pytest.raises(ValueError):
             tail_bound(gaussian_data(0.25), ModelParams.thirring(), 1.0, "w")
+        # 2t is counted in cells by the lattice rule, not floored
+        with pytest.raises(ValueError, match="multiple of h"):
+            tail_bound(gaussian_data(0.25), ModelParams.thirring(), 0.3, "u")
 
 
 class TestSupTailBound:

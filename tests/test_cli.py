@@ -1,12 +1,20 @@
 """Config parsing, report files, exit codes and the command-line verbs."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dirac1d import ConfigError, parse_config, run_experiment
-from dirac1d.cli import _identity_sweep, _write_table, main, sweep
+import dirac1d
+from dirac1d import Grid
+from dirac1d.cli import (ALL_CHECKS, KNOWN_KEYS, ConfigError, ExperimentConfig, _identity_sweep,
+                         _is_number, _write_table, main, parse_config, run_experiment, sweep)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -115,6 +123,24 @@ class TestParseConfig:
         ({"model": "gross_neveu", "scheme": "phase_split"}, "scheme:", "beta = 0"),
         ({"model": "custom", "alpha": 1.0, "beta": -0.5, "scheme": "phase_split"},
          "scheme:", "beta = 0"),
+        # a quotient past the float range is no lattice count
+        ({"x_min": -1e308, "x_max": 1e308}, "x_max:", "multiple of h"),
+        ({"x_min": -1e308, "x_max": 1e308, "h": 1e308}, "x_max:", "multiple of h"),
+        ({"T": 1e308}, "T:", "multiple of h"),
+        ({"x_min": 5e-324, "x_max": 1e-323, "h": 5e-324}, "T:", "multiple of h"),
+        # ((x - center) / width)^2 would overflow on the domain
+        ({"u_width": 1e-300}, "u_width:", "overflows"),
+        ({"v_width": 1e-300}, "v_width:", "overflows"),
+        # a nonzero span or time is never zero cells
+        ({"family": "zero", "h": 1e308, "T": 4.0}, "x_max:", "multiple of h"),
+        ({"family": "zero", "h": 1e100, "T": 4.0}, "T:", "multiple of h"),
+        ({"record_times": [0.0, 1e-12, 1.0]}, "record_times[1]:", "multiple"),
+        # more nodes than an array holds, named by h and the domain
+        ({"h": 1e-300}, "h:", "[-10.0, 10.0]"),
+        # found by the fuzzer below: the tolerances scale with h^2, the charge with |amp|^2
+        ({"family": "zero", "x_min": 0.0, "x_max": 1e308, "h": 1e308, "T": 0.0,
+          "record_times": [0.0]}, "h:", "h^2"),
+        ({"u_amplitude": 1e200, "u_width": 0.125}, "family:", "charge"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                        overrides, prefix, fragment):
@@ -142,12 +168,119 @@ class TestParseConfig:
         for v, prefix in zip(exc.value.violations, expected):
             assert v.startswith(prefix), (v, prefix)
 
+    def test_support_message_stays_finite(self):
+        # the radius is formed as log|amp| - log(floor), finite for any finite amplitude
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({**SMALL, "u_amplitude": 1e200}))
+        [message] = exc.value.violations
+        assert message.startswith("family: u0 support [") and "inf" not in message
+
+    def test_amplitude_below_the_floor_is_accepted_quietly(self):
+        # every sample of u0 is below the underflow floor: no support, no warning
+        cfg = parse_config(json.dumps({**SMALL, "u_amplitude": 1e-320}))
+        assert cfg.shape_params == {"u_amplitude": 1e-320}
+
     def test_digest_stable_and_sensitive(self):
         a = parse_config(json.dumps(SMALL)).digest()
         b = parse_config(json.dumps(SMALL)).digest()
         c = parse_config(json.dumps({**SMALL, "seed": 7})).digest()
         assert a == b
         assert a != c
+
+
+# A valid config whose lattice (97 nodes, 8 steps) runs in a few milliseconds
+FUZZ_BASE = {"model": "gross_neveu", "x_min": -6.0, "x_max": 6.0, "h": 0.125, "T": 1.0,
+             "record_times": [0.0, 0.5, 1.0]}
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-12, 1e100,
+            1e200, 1e308, -1e308, NAN, INF, -INF, 10 ** 400, -10 ** 400]
+WRONG_TYPES = ["", "1.0", None, True, [], [1.0], {}]
+NUMBERS = (st.sampled_from(EXTREMES) | st.sampled_from([-6.0, -1.0, 0.125, 0.5, 1.0, 2.0, 4.0])
+           | st.integers(-3, 60) | st.floats(-20.0, 20.0))
+WORDS = {"model": ["thirring", "gross_neveu", "custom"],
+         "family": ["gaussian", "bump", "separated", "zero"],
+         "scheme": ["trapezoidal", "phase_split", "oracle4"], "output_dir": ["out"]}
+# check samples the data, so a drawn lattice between these cell counts is skipped;
+# past sys.maxsize cells check rejects h before it samples anything
+MAX_CHECKED_CELLS = 100_000
+MAX_RUN_NODE_STEPS = 20_000  # the fuzzer runs only lattices this small
+
+
+def _values(key):
+    """Values drawn for one key of the table: plausible, extreme and of the wrong type."""
+    wrong = st.sampled_from(WRONG_TYPES)
+    if key == "record_times":
+        return st.lists(NUMBERS, max_size=4) | wrong
+    if key == "checks":
+        return st.lists(st.sampled_from([*ALL_CHECKS, "bogus", 3]), max_size=4) | wrong
+    if key == "triangle_regions":
+        return st.lists(st.lists(NUMBERS, min_size=3, max_size=5), max_size=2) | wrong
+    default = getattr(ExperimentConfig, key, 0.0)  # the shape keys are floats
+    if isinstance(default, str):
+        return st.sampled_from([*WORDS.get(key, []), "bogus"]) | wrong
+    if isinstance(default, int):
+        return st.integers(-2, 60) | st.sampled_from([10 ** 400, 1.5, NAN]) | wrong
+    return NUMBERS | wrong
+
+
+PATCHES = st.lists(st.one_of([st.tuples(st.just(k), _values(k)) for k in sorted(KNOWN_KEYS)]),
+                   max_size=4).map(dict)
+
+
+def _cells(raw: dict) -> float:
+    """|x_max - x_min| / h from raw's finite numbers, the defaults standing in for the rest."""
+    def number(key):
+        v = raw.get(key)
+        return float(v) if _is_number(v) else getattr(ExperimentConfig, key)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return abs(np.float64(number("x_max") - number("x_min")) / number("h"))
+
+
+class TestConfigFuzzer:
+    """Every config is either rejected, each violation under a key, or checks and runs."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(patch=PATCHES, drop=st.lists(st.sampled_from(sorted(FUZZ_BASE)), max_size=2),
+           unknown=st.booleans())
+    # the inputs that crashed or misled check before the lattice rule
+    @example(patch={"x_min": -1e308, "x_max": 1e308}, drop=[], unknown=False)
+    @example(patch={"x_min": -1e308, "x_max": 1e308, "h": 1e308}, drop=[], unknown=False)
+    @example(patch={"T": 1e308}, drop=[], unknown=False)
+    @example(patch={"x_min": 5e-324, "x_max": 1e-323, "h": 5e-324}, drop=[], unknown=False)
+    @example(patch={"u_width": 1e-300}, drop=[], unknown=False)
+    @example(patch={"v_width": 1e-300}, drop=[], unknown=False)
+    @example(patch={"family": "zero", "x_min": -12.0, "x_max": 12.0, "h": 1e308, "T": 4.0},
+             drop=["record_times"], unknown=False)
+    @example(patch={"h": 1e-300}, drop=[], unknown=False)
+    @example(patch={"u_amplitude": 1e200}, drop=[], unknown=False)
+    @example(patch={"u_amplitude": 1e-320}, drop=[], unknown=False)
+    # and those it found: an h whose square overflows, a charge past the float range,
+    # and runs whose bound constants c_star^2, exp(24|beta| C0) or exp(8|beta| C0) overflow
+    @example(patch={"family": "zero", "x_min": 0.0, "x_max": 1e308, "h": 1e308, "T": 0.0,
+                    "record_times": [0.0]}, drop=[], unknown=False)
+    @example(patch={"u_amplitude": 1e200, "u_width": 0.125}, drop=[], unknown=False)
+    @example(patch={"model": "custom", "alpha": 1e200, "beta": 0, "family": "zero"},
+             drop=[], unknown=False)
+    @example(patch={"v_amplitude": 10.0, "v_phase": -1.0}, drop=[], unknown=False)
+    @example(patch={"u_amplitude": 20.0, "v_amplitude": 0.0}, drop=[], unknown=False)
+    def test_config_is_rejected_or_runs(self, tmp_path_factory, patch, drop, unknown):
+        raw = {k: v for k, v in FUZZ_BASE.items() if k not in drop} | patch
+        if unknown:
+            raw["warp_factor"] = 9
+        if MAX_CHECKED_CELLS < _cells(raw) < sys.maxsize:
+            return
+        try:
+            cfg = parse_config(json.dumps(raw))
+        except ConfigError as exc:
+            keys = "|".join(re.escape(k) for k in ["<root>", *KNOWN_KEYS, *raw])
+            for v in exc.violations:
+                assert re.match(rf"({keys})(\[\d+\])?: ", v), v
+            return
+        grid = Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, cfg.T)
+        if grid.n_cells * (grid.n_steps + 1) > MAX_RUN_NODE_STEPS:
+            return
+        cfg.output_dir = str(tmp_path_factory.mktemp("fuzz"))
+        assert run_experiment(cfg) in (0, 1, 2)
+        assert (Path(cfg.output_dir) / "summary.json").exists()
 
 
 class TestRunExperiment:
@@ -312,6 +445,15 @@ class TestMain:
         assert main(["run", str(path)]) == 0
         assert (tmp_path / "out" / "summary.json").exists()
         assert "status 0" in capsys.readouterr().out
+
+    def test_module_entry_point_warns_nothing(self, tmp_path):
+        # importing the package must not import cli, or runpy warns that it is loaded twice
+        src = Path(dirac1d.__file__).resolve().parents[1]
+        cmd = [sys.executable, "-W", "error", "-m", "dirac1d.cli", "check",
+               str(write_config(tmp_path))]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "configuration OK\n", "")
 
     def test_sweep_rejects_a_negative_count(self, tmp_path, capsys):
         path = write_config(tmp_path, output_dir=str(tmp_path / "out"))

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dirac1d import (Grid, InitialData, ModelParams, ModulusDrift, Scheme, SolverError,
-                     TriangleRegion, TriangleSides, make_initial_data, parse_config,
-                     run_experiment)
+                     TriangleRegion, TriangleSides, make_initial_data)
+from dirac1d.cli import parse_config, run_experiment
 from dirac1d.nonlinearity import eval_N
 from dirac1d.solver import (_KERNELS, MARGIN, QUIET_EXP, _loud_pairs, l2_diff, quiet_bound,
                             restrict, run)
@@ -734,6 +734,17 @@ class TestGuards:
         assert traj.times[-1] == pytest.approx(1.0)
         with pytest.raises(ValueError):
             traj.snapshot_at(0.5)
+
+    def test_states_keyed_by_cell_level(self):
+        # oracle4 records every other level; 3 * 0.1 is 0.30000000000000004
+        traj = gaussian_run(ModelParams.thirring(), 0.1, 0.4, scheme="oracle4", record=(0.0, 0.2))
+        assert list(traj.snapshots) == list(traj.trace_partials) == [0, 2, 4]
+        assert traj.times == [0.0, 2 * 0.1, 4 * 0.1]
+        assert traj.snapshot_at(0.2) is traj.snapshots[2]
+        assert traj.traces_at(0.1 + 0.1 + 0.1 + 0.1) is traj.trace_partials[4]
+        for t in (0.1, 0.2 + 1e-6):
+            with pytest.raises(ValueError, match="nothing recorded"):
+                traj.snapshot_at(t)
 
 
 class TestRestriction:
