@@ -30,12 +30,12 @@ print(f"truncation-tail certificates: {p_u.tail_certificate:.2e} (u), "
       f"{p_v.tail_certificate:.2e} (v)")
 
 j = np.argmax(np.abs(p_u.values))
-print(f"G1 peaks at y = {p_u.y_grid[j]:+.3f} with |G1| = {abs(p_u.values[j]):.4f}")
+print(f"G1 peaks at y = {grid.x()[j]:+.3f} with |G1| = {abs(p_u.values[j]):.4f}")
 
 print("\nresidual against the settled profiles:")
 print(f"  {'t':>4}  {'l2_u':>9}  {'sup_u':>9}  {'tail bound':>10}  {'sup bound':>9}")
 for t in (1.0, 2.0, 4.0):
-    r = residual(traj, t, p_u, p_v)
+    r = residual(traj, t)
     tb = tail_bound(data, m, t, "u")
     sb = sup_tail_bound(data, m, t, -5.0, "u")
     print(f"  {t:4.1f}  {r.l2_u:9.2e}  {r.sup_u:9.2e}  {np.sqrt(tb):10.2e}  {sb:9.2e}")

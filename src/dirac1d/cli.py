@@ -252,6 +252,9 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:  # a complaint about one shape key is listed under it
             key = next((k for k in _SHAPE_KEYS if str(exc).startswith(k)), "family")
             errors.append(f"{key}: {exc}")
+        except MemoryError:  # below numpy's size limit, yet too large to sample
+            errors.append(f"h: {cfg.h} cuts [{cfg.x_min}, {cfg.x_max}] into too many cells "
+                          f"({grid.n_cells - 1}) for memory")
         scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
         for i, (a, b, t0, tau) in enumerate(cfg.triangle_regions):
             try:
@@ -355,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     # sides is empty unless the triangle check is on
     tol = TRIANGLE_TOL_COEFF * cfg.h ** 2 * max(1.0, data.c0)
     reps = [conservation.triangle_balance(s) for s in sides]
-    _dump_json(out / "balance.json", [{**r.as_dict(), "tolerance": tol,
+    _dump_json(out / "balance.json", [{**asdict(r), "tolerance": tol,
                                        "pass": abs(r.defect) <= tol} for r in reps])
     if "triangle" in cfg.checks:
         worst = max((abs(r.defect) for r in reps), default=0.0)
@@ -373,12 +376,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                   None, finite,
                   {"l2_G1": p_u.l2_norm(cfg.h), "l2_G2": p_v.l2_norm(cfg.h)})
     _write_table(out / "profiles.csv", ["side", "y", "re", "im"],
-                 [(f"{side},", np.column_stack((prof.y_grid, prof.values.real,
-                                                prof.values.imag)))
+                 [(f"{side},", np.column_stack((x, prof.values.real, prof.values.imag)))
                   for side, prof in (("u", p_u), ("v", p_v))])
 
-    reports = [asymptotics.residual(traj, t, p_u, p_v)
-               for t in traj.times if t > 0]
+    reports = [asymptotics.residual(traj, t) for t in traj.times if t > 0]
     _write_table(out / "residuals.csv",
                  ["t", "l2_u", "sup_u", "l2_v", "sup_v", "bound_u", "bound_v"],
                  [("", np.reshape([(r.t, r.l2_u, r.sup_u, r.l2_v, r.sup_v, r.analytic_bound_u,

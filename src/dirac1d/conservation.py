@@ -20,12 +20,11 @@ initial value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid, InitialData, SpinorField, TriangleRegion, at_nodes, charge,
-                     triangle_nodes)
+from .fields import Grid, InitialData, TriangleRegion, at_nodes, charge, triangle_nodes
 from .solver import Scheme, Trajectory
 
 
@@ -40,9 +39,6 @@ class BalanceReport:
     left_flux: float
     initial_charge: float
     defect: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class TriangleSides:
@@ -78,10 +74,11 @@ class ModulusDrift:
 
 
 def total_charge_drift(traj: Trajectory) -> float:
-    """Max over recorded snapshots of |Q(t) - Q(0)| / max(Q(0), 1e-300)."""
+    """Max over recorded snapshots of |Q(t) - Q(0)| / max(Q(0), 1e-300),
+    with Q(0) the run's initial charge `traj.data.c0`."""
     if not traj.snapshots:
         raise ValueError("trajectory has no recorded snapshots")
-    q0 = charge(SpinorField(0.0, traj.data.u0, traj.data.v0, traj.grid))
+    q0 = traj.data.c0
     worst = 0.0
     for snap in traj.snapshots.values():
         q = charge(snap)
@@ -118,19 +115,17 @@ def triangle_balance(sides: TriangleSides) -> BalanceReport:
                          initial_charge=initial, defect=defect)
 
 
-def check_pointwise_bound(traj: Trajectory, c0: float | None = None) -> float:
+def check_pointwise_bound(traj: Trajectory) -> float:
     """Worst violation of the exponential pointwise envelope over all snapshots.
 
     Returns max over recorded snapshots and the whole line of
-    |u(x,t)|^2 - exp(8|beta| c0) |u0(x-t)|^2 and the mirrored v expression,
-    read label by label.  It is never below 0, the value wherever both sides
-    vanish; 0 means the bound holds everywhere.  c0 defaults to the exact
-    initial charge of the run.
+    |u(x,t)|^2 - exp(8|beta| C0) |u0(x-t)|^2 and the mirrored v expression,
+    read label by label, with C0 the run's exact initial charge
+    `traj.data.c0`.  It is never below 0, the value wherever both sides
+    vanish; 0 means the bound holds everywhere.
     """
-    if c0 is None:
-        c0 = traj.data.c0
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite factor times 0 bounds by 0
-        factor = float(np.exp(8.0 * abs(traj.params.beta) * c0))
+        factor = float(np.exp(8.0 * abs(traj.params.beta) * traj.data.c0))
         bu, bv = (np.nan_to_num(factor * np.abs(a) ** 2, nan=0.0, posinf=np.inf)
                   for a in (traj.data.u0, traj.data.v0))
     worst = 0.0

@@ -196,10 +196,6 @@ class TriangleRegion:
             raise ValueError(f"t0 must be >= 0, got {self.t0}")
 
     @property
-    def apex_x(self) -> float:
-        return 0.5 * (self.a + self.b)
-
-    @property
     def apex_t(self) -> float:
         return 0.5 * (self.b - self.a) + self.t0
 

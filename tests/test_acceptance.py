@@ -170,9 +170,7 @@ def test_criterion_05_pointwise_envelope(ref, thirring_exact):
 
 
 def _late_reports(traj):
-    p_u = compute_profile(traj, "u")
-    p_v = compute_profile(traj, "v")
-    return [residual(traj, t, p_u, p_v) for t in LATE]
+    return [residual(traj, t) for t in LATE]
 
 
 def test_criterion_06_l2_convergence(ref):

@@ -154,6 +154,22 @@ class TestParseConfig:
         assert main(["run", str(path)]) == 1
         assert f"  {prefix}" in capsys.readouterr().err
 
+    def test_lattice_too_large_to_sample(self, tmp_path, capsys, monkeypatch):
+        # 2^34 nodes are below numpy's size limit; a real allocation that size can be
+        # granted by overcommit and the process killed while filling it, so Grid.x
+        # raises the MemoryError numpy would
+        def no_memory(grid):
+            raise MemoryError(f"cannot allocate {grid.n_cells} nodes")
+
+        monkeypatch.setattr(Grid, "x", no_memory)
+        path = write_config(tmp_path, h=2.0 ** -30)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path.read_text())
+        assert exc.value.violations == [
+            f"h: {2.0 ** -30} cuts [-10.0, 10.0] into too many cells (21474836480) for memory"]
+        assert main(["check", str(path)]) == 1
+        assert "  h: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("raw,expected", [
         ({"scheme": "leapfrog", "fixed_point_tol": 0, "triangle_regions": [[1, 0, 0, 0]],
           "record_times": [0.3]},

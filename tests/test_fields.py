@@ -198,7 +198,6 @@ class TestSpinorField:
 class TestTriangleRegion:
     def test_apex(self):
         r = TriangleRegion(-2.0, 4.0, 1.0)
-        assert r.apex_x == pytest.approx(1.0)
         assert r.apex_t == pytest.approx(4.0)
 
     def test_validation(self):

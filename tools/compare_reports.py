@@ -1,0 +1,77 @@
+"""Compare the reports `dirac1d run` writes in this tree and in another checkout.
+
+    python3 tools/compare_reports.py PARENT_CHECKOUT
+
+Runs the three shipped configs (`configs/*.json`) and perfbench seeds 0, 3
+and 6 of each workload (`perfbench/workloads.py`), once with this tree's
+`src` and once with PARENT_CHECKOUT's.  Both trees run the same config,
+written from this tree, with PYTHONDONTWRITEBYTECODE=1 and their outputs
+under one temporary directory.  The five reports of each pair of runs are
+compared byte for byte.  Every file that differs, or that one run did not
+write, is listed; the exit status is 1 if any is, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS, make_config  # noqa: E402
+
+REPORTS = ("summary.json", "balance.json", "snapshots.csv", "profiles.csv", "residuals.csv")
+SEEDS = (0, 3, 6)
+
+
+def cases():
+    """(name, raw config) of every run compared."""
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        yield path.stem, json.loads(path.read_text())
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            yield f"{workload}_seed{seed}", make_config(workload, seed, ROOT)
+
+
+def run(tree: Path, raw: dict, out: Path) -> None:
+    """`dirac1d run` on `raw` with `tree`'s src, writing its reports into `out`."""
+    config = out.with_suffix(".json")
+    config.write_text(json.dumps({**raw, "output_dir": str(out)}))
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    subprocess.run([sys.executable, "-m", "dirac1d.cli", "run", str(config)], cwd=tree,
+                   env=env, stdout=subprocess.DEVNULL, check=False)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout whose src is the reference")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "src" / "dirac1d").is_dir():
+        parser.error(f"{parent} holds no src/dirac1d")
+
+    differ, total = [], 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in cases():
+            outs = [Path(tmp) / f"{name}.{tag}" for tag in ("this", "parent")]
+            for tree, out in zip((ROOT, parent), outs):
+                run(tree, raw, out)
+            for report in REPORTS:
+                total += 1
+                a, b = (out / report for out in outs)
+                if not (a.exists() and b.exists() and a.read_bytes() == b.read_bytes()):
+                    differ.append(f"{name}/{report}")
+                    print(f"DIFFERS {name}/{report}", flush=True)
+            print(f"{name}: compared", flush=True)
+    print(f"{len(differ)} of {total} report files differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
