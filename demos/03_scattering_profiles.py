@@ -22,8 +22,7 @@ data = make_initial_data("gaussian", SHAPE, grid)
 m = ModelParams.thirring()
 traj = run(data, grid, m, Scheme(), [0.0, 1.0, 2.0, 4.0, 8.0])
 
-p_u = compute_profile(traj, "u")
-p_v = compute_profile(traj, "v")
+p_u, p_v = compute_profile(traj)   # (G1, G2): both movers in one call
 print(f"profile norms:  |G1| = {p_u.l2_norm(grid.h):.6f}   "
       f"|G2| = {p_v.l2_norm(grid.h):.6f}")
 print(f"truncation-tail certificates: {p_u.tail_certificate:.2e} (u), "
@@ -36,8 +35,8 @@ print("\nresidual against the settled profiles:")
 print(f"  {'t':>4}  {'l2_u':>9}  {'sup_u':>9}  {'tail bound':>10}  {'sup bound':>9}")
 for t in (1.0, 2.0, 4.0):
     r = residual(traj, t)
-    tb = tail_bound(data, m, t, "u")
-    sb = sup_tail_bound(data, m, t, -5.0, "u")
+    tb, _ = tail_bound(data, m, t)  # (u side, v side); the table shows u
+    sb, _ = sup_tail_bound(data, m, t, -5.0)
     print(f"  {t:4.1f}  {r.l2_u:9.2e}  {r.sup_u:9.2e}  {np.sqrt(tb):10.2e}  {sb:9.2e}")
 print("the interaction dies off super-Gaussianly fast: by t = 4 the movers")
 print("have separated and only the frozen profiles remain")

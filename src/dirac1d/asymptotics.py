@@ -5,9 +5,11 @@ For large times the right-mover approaches u0(x - t) + G1(x - t) with
     G1(y) = -i * int_0^inf N1(u(y + s, s), v(y + s, s)) ds
 
 and the left-mover approaches v0(x + t) + G2(x + t) with the mirrored
-integral.  The solver records the trapezoid integrals A1(y, t), A2(y, t) of
-the sources along every lattice characteristic, so the truncated profile is
-just -i * A(y, t_max), and the remainder at a recorded time t,
+integral.  Each function here treats both movers in one call: profiles and
+bounds come back as a (u side, v side) pair.  The solver records the
+trapezoid integrals A1(y, t), A2(y, t) of the sources along every lattice
+characteristic, so the truncated profile is just -i * A(y, t_max), and the
+remainder at a recorded time t,
 
     u(x, t) - u0(x - t) - G1(x - t) = i * int_t^{t_max} N1(...) ds,
 
@@ -39,14 +41,6 @@ import numpy as np
 
 from .fields import InitialData, ModelParams, lattice_count
 from .solver import Trajectory
-
-SIDES = ("u", "v")
-
-
-def _check_side(side: str):
-    if side not in SIDES:
-        raise ValueError(f"side must be 'u' (right-mover) or 'v' (left-mover), got {side!r}")
-
 
 @dataclass
 class Profile:
@@ -92,8 +86,13 @@ def _prefix_trapz(w: np.ndarray, h: float) -> np.ndarray:
     return h * (np.cumsum(w) - 0.5 * w)
 
 
-def tail_bound(data: InitialData, m: ModelParams, t: float, side: str = "u") -> float:
-    """Explicit L2 tail bound on the remainder integral past time t.
+def _scaled(const: float, x: float) -> float:
+    """const * x, where an infinite const bounds a zero integral by 0."""
+    return const * x if x else 0.0
+
+
+def tail_bound(data: InitialData, m: ModelParams, t: float) -> tuple[float, float]:
+    """Explicit L2 tail bounds (u side, v side) on the remainder integrals past time t.
 
     For the u side:
         c_star^2 * (1/4) * exp(24|beta| C0)
@@ -102,7 +101,6 @@ def tail_bound(data: InitialData, m: ModelParams, t: float, side: str = "u") -> 
     the roles of u0 and v0 and integrates the prefix below y - 2t.  Monotone
     nonincreasing in t, which must be a multiple of h.
     """
-    _check_side(side)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     h = data.grid.h
@@ -112,21 +110,18 @@ def tail_bound(data: InitialData, m: ModelParams, t: float, side: str = "u") -> 
     mv0 = np.abs(data.v0) ** 2
     n = min(2 * k, len(mu0))
     # the inner integral starts 2t = n cells past the outer label (ends n before)
-    inner = np.zeros_like(mu0)
-    if side == "u":
-        inner[:len(inner) - n] = _suffix_trapz(mv0, h)[n:]
-        outer = h * float(np.sum(mu0 * inner ** 2))
-    else:
-        inner[n:] = _prefix_trapz(mu0, h)[:len(inner) - n]
-        outer = h * float(np.sum(mv0 * inner ** 2))
-    with np.errstate(over="ignore"):  # an infinite constant bounds a zero integral by 0
+    inner_u, inner_v = np.zeros_like(mu0), np.zeros_like(mv0)
+    inner_u[:len(mu0) - n] = _suffix_trapz(mv0, h)[n:]
+    inner_v[n:] = _prefix_trapz(mu0, h)[:len(mv0) - n]
+    with np.errstate(over="ignore"):
         const = m.c_star * m.c_star * 0.25 * float(np.exp(24.0 * abs(m.beta) * data.c0))
-    return const * outer if outer else 0.0
+    return (_scaled(const, h * float(np.sum(mu0 * inner_u ** 2))),
+            _scaled(const, h * float(np.sum(mv0 * inner_v ** 2))))
 
 
 def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
-                   split_point: float, side: str = "u") -> float:
-    """Two-piece sup-norm envelope for the residual at time t.
+                   split_point: float) -> tuple[float, float]:
+    """Two-piece sup-norm envelopes (u side, v side) for the residual at time t.
 
     For the u side, split the characteristic labels at M = split_point:
     labels y <= M contribute at most sup_{y<=M} |u0(y)| * ||v0||_{L2}^2, and
@@ -134,48 +129,44 @@ def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
     c_star * exp(12|beta| C0).  The v side is the mirror image: its split sits
     at -split_point with the far field toward +inf.
     """
-    _check_side(side)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     h = data.grid.h
     x = data.grid.x()
     mu0 = np.abs(data.u0) ** 2
     mv0 = np.abs(data.v0) ** 2
-    if side == "u":
-        near = x <= split_point
-        sup_near = float(np.sqrt(np.max(mu0[near]))) if np.any(near) else 0.0
-        mass = h * float(np.sum(mv0))
-        piece1 = sup_near * mass
-        # round the lower limit down a node: conservative (enlarges the bound)
-        start = int(np.searchsorted(x, split_point + 2.0 * t)) - 1
-        far_mass = float(_suffix_trapz(mv0, h)[start]) if start >= 0 else mass
-        piece2 = float(np.sqrt(np.max(mu0))) * 0.5 * far_mass
-    else:
-        near = x >= -split_point
-        sup_near = float(np.sqrt(np.max(mv0[near]))) if np.any(near) else 0.0
-        mass = h * float(np.sum(mu0))
-        piece1 = sup_near * mass
-        # round the upper limit up a node: conservative (enlarges the bound)
-        end = int(np.searchsorted(x, -split_point - 2.0 * t))
-        far_mass = float(_prefix_trapz(mu0, h)[end]) if end < len(x) else mass
-        piece2 = float(np.sqrt(np.max(mv0))) * 0.5 * far_mass
-    with np.errstate(over="ignore"):  # an infinite constant bounds a zero envelope by 0
+    with np.errstate(over="ignore"):
         const = m.c_star * float(np.exp(12.0 * abs(m.beta) * data.c0))
-    worst = max(piece1, piece2)
-    return const * worst if worst else 0.0
+
+    near = x <= split_point
+    sup_near = float(np.sqrt(np.max(mu0[near]))) if np.any(near) else 0.0
+    mass = h * float(np.sum(mv0))
+    # round the lower limit down a node: conservative (enlarges the bound)
+    start = int(np.searchsorted(x, split_point + 2.0 * t)) - 1
+    far_mass = float(_suffix_trapz(mv0, h)[start]) if start >= 0 else mass
+    bound_u = _scaled(const, max(sup_near * mass, float(np.sqrt(np.max(mu0))) * 0.5 * far_mass))
+
+    near = x >= -split_point
+    sup_near = float(np.sqrt(np.max(mv0[near]))) if np.any(near) else 0.0
+    mass = h * float(np.sum(mu0))
+    # round the upper limit up a node: conservative (enlarges the bound)
+    end = int(np.searchsorted(x, -split_point - 2.0 * t))
+    far_mass = float(_prefix_trapz(mu0, h)[end]) if end < len(x) else mass
+    bound_v = _scaled(const, max(sup_near * mass, float(np.sqrt(np.max(mv0))) * 0.5 * far_mass))
+    return bound_u, bound_v
 
 
-def compute_profile(traj: Trajectory, side: str = "u") -> Profile:
-    """Truncated scattering profile from the trajectory's characteristic traces.
+def compute_profile(traj: Trajectory) -> tuple[Profile, Profile]:
+    """Truncated scattering profiles (G1, G2) from the trajectory's characteristic traces.
 
     values = -i * (trapezoid of the traced source over [0, t_max]) per lattice
-    label, t_max = traj.grid.t_final; the truncation-tail certificate is
-    sqrt(tail_bound(t_max)), the root of the bound `residual` reports at t_max.
+    label, t_max = traj.grid.t_final; each side's truncation-tail certificate
+    is the root of its tail_bound(t_max), the bound `residual` reports at t_max.
     """
     t_max = traj.grid.t_final
-    cert = float(np.sqrt(tail_bound(traj.data, traj.params, t_max, side)))
-    a1, a2 = traj.traces_at(t_max)
-    return Profile(values=-1j * (a1 if side == "u" else a2), tail_certificate=cert)
+    bounds = tail_bound(traj.data, traj.params, t_max)
+    return tuple(Profile(values=-1j * a, tail_certificate=float(np.sqrt(b)))
+                 for a, b in zip(traj.traces_at(t_max), bounds))
 
 
 def residual(traj: Trajectory, t: float) -> ResidualReport:
@@ -193,23 +184,26 @@ def residual(traj: Trajectory, t: float) -> ResidualReport:
     h = traj.grid.h
     r_u = 1j * (a1_T - a1_t)
     r_v = 1j * (a2_T - a2_t)
+    bound_u, bound_v = tail_bound(traj.data, traj.params, t)
     return ResidualReport(
         t=t,
         l2_u=float(np.sqrt(h * np.sum(np.abs(r_u) ** 2))),
         sup_u=float(np.max(np.abs(r_u))),
         l2_v=float(np.sqrt(h * np.sum(np.abs(r_v) ** 2))),
         sup_v=float(np.max(np.abs(r_v))),
-        analytic_bound_u=tail_bound(traj.data, traj.params, t, "u"),
-        analytic_bound_v=tail_bound(traj.data, traj.params, t, "v"),
+        analytic_bound_u=bound_u,
+        analytic_bound_v=bound_v,
     )
 
 
-def field_residual(traj: Trajectory, t: float, p_u: Profile, p_v: Profile
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def field_residual(traj: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Direct field-difference residuals (u - u0 - G1, v - v0 - G2) per label.
 
-    Agrees with the trace route up to the scheme's fixed-point tolerance and
-    accumulated roundoff; kept for cross-checking.
+    G1 = -i * A1(t_max) from the final traces, so the u side is
+    u - u0 + i * A1(t_max), and likewise for v.  Agrees with the trace route
+    up to the scheme's fixed-point tolerance and accumulated roundoff; kept
+    for cross-checking.
     """
     snap = traj.snapshot_at(t)
-    return snap.u - traj.data.u0 - p_u.values, snap.v - traj.data.v0 - p_v.values
+    a1, a2 = traj.traces_at(traj.grid.t_final)
+    return snap.u - traj.data.u0 + 1j * a1, snap.v - traj.data.v0 + 1j * a2

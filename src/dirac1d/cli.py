@@ -368,8 +368,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         violation = conservation.check_pointwise_bound(traj)
         add_check("pointwise", violation, POINTWISE_TOL, violation <= POINTWISE_TOL)
 
-    p_u = asymptotics.compute_profile(traj, "u")
-    p_v = asymptotics.compute_profile(traj, "v")
+    p_u, p_v = asymptotics.compute_profile(traj)
     if "profile" in cfg.checks:
         finite = bool(np.all(np.isfinite(p_u.values)) and np.all(np.isfinite(p_v.values)))
         add_check("profile", max(p_u.tail_certificate, p_v.tail_certificate),
@@ -398,8 +397,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     if "tails" in cfg.checks:
         ts = traj.times
-        bounds_u = [asymptotics.tail_bound(data, m, t, "u") for t in ts]
-        bounds_v = [asymptotics.tail_bound(data, m, t, "v") for t in ts]
+        bounds = [asymptotics.tail_bound(data, m, t) for t in ts]
+        bounds_u, bounds_v = ([b[i] for b in bounds] for i in (0, 1))
         rise = 0.0
         for seq in (bounds_u, bounds_v):
             rise = max(rise, max((b - a for a, b in zip(seq, seq[1:])), default=0.0))

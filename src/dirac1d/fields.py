@@ -204,15 +204,17 @@ def triangle_nodes(region: TriangleRegion, tau: float, grid: Grid, scheme) -> tu
     """Steps (k0, k_tau) of t0 and tau and node indices (ja, jb) of a and b.
 
     Raises ValueError unless the run's `solver.Scheme` steps one cell at a
-    time, t0 <= tau <= min(apex time, t_final), and a, b, t0, tau lie on nodes
-    of the domain.
+    time, a, b, t0, tau lie on nodes of the domain, and t0 <= tau <= min(apex
+    time, t_final), compared in cells.
     """
     if scheme.cells != 1:
         raise ValueError(f"triangle balance expects a unit-step scheme, not {scheme.kind}")
-    if not region.t0 - 1e-12 <= tau <= region.apex_t + 1e-12:
+    k0, k_tau = grid.step_of(region.t0), grid.step_of(tau)
+    ja, jb = grid.index_of(region.a), grid.index_of(region.b)
+    # in whole cells, so a cut exactly at the apex passes on any domain
+    if not (k0 <= k_tau and 2 * (k_tau - k0) <= jb - ja):
         raise ValueError(f"tau = {tau} outside [t0, apex] = [{region.t0}, {region.apex_t}]")
-    return (grid.step_of(region.t0), grid.step_of(tau),
-            grid.index_of(region.a), grid.index_of(region.b))
+    return k0, k_tau, ja, jb
 
 
 @dataclass
@@ -225,8 +227,6 @@ class InitialData:
     the grid and are finite.
     """
 
-    family: str
-    params: dict
     grid: Grid
     u0: np.ndarray
     v0: np.ndarray
@@ -234,7 +234,7 @@ class InitialData:
     def __post_init__(self):
         # the charge rejects samples that do not fit the grid or are not finite
         if self.c0 == np.inf:
-            raise ValueError(f"the charge of the {self.family} data overflows")
+            raise ValueError("the charge of the data overflows")
 
     @property
     def c0(self) -> float:
@@ -293,14 +293,13 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     x = grid.x()
-    params = dict(shape_params)
 
     if family == "zero":
         z = np.zeros(grid.n_cells, dtype=complex)
-        return InitialData(family, params, grid, z, z.copy())
+        return InitialData(grid, z, z.copy())
 
-    uc, uw, ua, up = _component_params(params, "u")
-    vc, vw, va, vp = _component_params(params, "v")
+    uc, uw, ua, up = _component_params(shape_params, "u")
+    vc, vw, va, vp = _component_params(shape_params, "v")
     _check_shape("u", uc, uw, ua, up)
     _check_shape("v", vc, vw, va, vp)
 
@@ -338,4 +337,4 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
                 f"v support [{vc - vw}, {vc + vw}]"
             )
 
-    return InitialData(family, params, grid, u0, v0)
+    return InitialData(grid, u0, v0)

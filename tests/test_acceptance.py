@@ -209,11 +209,9 @@ def test_criterion_07_sup_convergence(ref):
         reps = _late_reports(traj)
         sups = [max(r.sup_u, r.sup_v) for r in reps]
         decreasing = all(b < a for a, b in zip(sups, sups[1:]))
-        bounded = all(
-            r.sup_u <= sup_tail_bound(traj.data, traj.params, r.t, -5.0, "u")
-            + SUP_K * h ** 2
-            and r.sup_v <= sup_tail_bound(traj.data, traj.params, r.t, -5.0, "v")
-            + SUP_K * h ** 2 for r in reps)
+        bounds = [sup_tail_bound(traj.data, traj.params, r.t, -5.0) for r in reps]
+        bounded = all(r.sup_u <= b_u + SUP_K * h ** 2 and r.sup_v <= b_v + SUP_K * h ** 2
+                      for r, (b_u, b_v) in zip(reps, bounds))
         ok &= decreasing and bounded
         details.append(f"{model}: sup at t=5,10,20 = "
                        + ",".join(f"{x:.1e}" for x in sups))
@@ -225,11 +223,11 @@ def test_criterion_08_tail_decay(ref):
     ok, details = True, []
     for model in ("thirring", "gross_neveu"):
         traj = ref[(model, 1.0 / 128.0)]
-        for side in ("u", "v"):
-            vals = [tail_bound(traj.data, traj.params, t, side) for t in RECORD]
+        sides = zip(*(tail_bound(traj.data, traj.params, t) for t in RECORD))
+        for name, vals in zip(("u", "v"), sides):
             ok &= all(b <= a for a, b in zip(vals, vals[1:]))
             ok &= vals[-1] <= 1e-6 * vals[0]
-        details.append(f"{model}: u-side {vals[0]:.2e} -> {vals[-1]:.2e}")
+            details.append(f"{model}: {name}-side {vals[0]:.2e} -> {vals[-1]:.2e}")
     report(8, "tail bound nonincreasing with super-Gaussian decay", ok,
            "; ".join(details))
 
@@ -239,9 +237,7 @@ def test_criterion_09_oracle_equivalence(oracle_pair):
     sol_diff = l2_diff(trap.snapshot_at(10.0), oracle.snapshot_at(10.0))
     h = trap.grid.h
     worst_prof = 0.0
-    for side in ("u", "v"):
-        p = compute_profile(trap, side)
-        po = compute_profile(oracle, side)
+    for p, po in zip(compute_profile(trap), compute_profile(oracle)):
         d = p.values - restrict(po.values, oracle.grid, trap.grid)
         worst_prof = max(worst_prof, float(np.sqrt(h * np.sum(np.abs(d) ** 2))))
     ok = sol_diff <= 1e-4 and worst_prof <= 1e-5

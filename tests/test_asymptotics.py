@@ -33,21 +33,19 @@ class TestTailBound:
     def test_matches_quadrature_oracle(self, beta, t, rtol):
         data = gaussian_data(1.0 / 128.0)
         m = ModelParams(alpha=1.0 - 4.0 * beta, beta=beta)
-        assert tail_bound(data, m, t, "u") == pytest.approx(TAIL_ORACLE[(beta, t)],
-                                                            rel=rtol)
+        assert tail_bound(data, m, t)[0] == pytest.approx(TAIL_ORACLE[(beta, t)], rel=rtol)
 
     def test_second_order_approach_to_oracle(self):
         m = ModelParams.thirring()
         exact = TAIL_ORACLE[(0.0, 0.0)]
-        errs = [abs(tail_bound(gaussian_data(h), m, 0.0, "u") - exact)
+        errs = [abs(tail_bound(gaussian_data(h), m, 0.0)[0] - exact)
                 for h in (1.0 / 128.0, 1.0 / 256.0)]
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_monotone_nonincreasing(self):
         data = gaussian_data(1.0 / 64.0)
         m = ModelParams.gross_neveu()
-        for side in ("u", "v"):
-            vals = [tail_bound(data, m, t, side) for t in (0.0, 1.0, 2.5, 5.0, 10.0)]
+        for vals in zip(*(tail_bound(data, m, t) for t in (0.0, 1.0, 2.5, 5.0, 10.0))):
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_mirror_symmetry(self):
@@ -60,30 +58,28 @@ class TestTailBound:
                          "v_center": 0.0, "v_width": 1.0}, grid)
         m = ModelParams.gross_neveu()
         for t in (0.0, 1.5):
-            assert tail_bound(data, m, t, "u") == pytest.approx(
-                tail_bound(swapped, m, t, "v"), rel=1e-9)
+            assert tail_bound(data, m, t)[0] == pytest.approx(
+                tail_bound(swapped, m, t)[1], rel=1e-9)
 
     def test_scaling_in_c_star(self):
         data = gaussian_data(1.0 / 64.0)
-        one = tail_bound(data, ModelParams(1.0, 0.0), 1.0, "u")
-        three = tail_bound(data, ModelParams(3.0, 0.0), 1.0, "u")
+        one = tail_bound(data, ModelParams(1.0, 0.0), 1.0)[0]
+        three = tail_bound(data, ModelParams(3.0, 0.0), 1.0)[0]
         assert three == pytest.approx(9.0 * one, rel=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            tail_bound(gaussian_data(0.25), ModelParams.thirring(), -1.0, "u")
-        with pytest.raises(ValueError):
-            tail_bound(gaussian_data(0.25), ModelParams.thirring(), 1.0, "w")
+            tail_bound(gaussian_data(0.25), ModelParams.thirring(), -1.0)
         # 2t is counted in cells by the lattice rule, not floored
         with pytest.raises(ValueError, match="multiple of h"):
-            tail_bound(gaussian_data(0.25), ModelParams.thirring(), 0.3, "u")
+            tail_bound(gaussian_data(0.25), ModelParams.thirring(), 0.3)
 
 
 class TestSupTailBound:
     def test_nonincreasing_in_time(self):
         data = gaussian_data(1.0 / 64.0)
         m = ModelParams.gross_neveu()
-        vals = [sup_tail_bound(data, m, t, -5.0, "u") for t in (0.0, 1.0, 2.5, 5.0)]
+        vals = [sup_tail_bound(data, m, t, -5.0)[0] for t in (0.0, 1.0, 2.5, 5.0)]
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
         assert vals[0] > 0.0
 
@@ -91,8 +87,8 @@ class TestSupTailBound:
         # moving the split deep into the left tail shrinks the near-field piece
         data = gaussian_data(1.0 / 64.0)
         m = ModelParams.thirring()
-        far_left = sup_tail_bound(data, m, 5.0, -8.0, "u")
-        middle = sup_tail_bound(data, m, 5.0, 0.0, "u")
+        far_left = sup_tail_bound(data, m, 5.0, -8.0)[0]
+        middle = sup_tail_bound(data, m, 5.0, 0.0)[0]
         assert far_left < middle
 
     def test_sides_mirror(self):
@@ -104,8 +100,8 @@ class TestSupTailBound:
         m = ModelParams.gross_neveu()
         # the two sides round their truncation node in opposite (conservative)
         # directions, so they mirror only up to one lattice cell of mass
-        assert sup_tail_bound(data, m, 2.0, -5.0, "u") == pytest.approx(
-            sup_tail_bound(swapped, m, 2.0, -5.0, "v"), rel=1e-3)
+        assert sup_tail_bound(data, m, 2.0, -5.0)[0] == pytest.approx(
+            sup_tail_bound(swapped, m, 2.0, -5.0)[1], rel=1e-3)
 
     def test_overflowing_constant(self):
         # C0 = 250.7 here, so exp(12|beta| C0) overflows: the bound is inf over a
@@ -116,10 +112,9 @@ class TestSupTailBound:
                                               "v_amplitude": 10.0}, grid)
         lone = make_initial_data("gaussian", {**GAUSSIAN_PAIR, "u_amplitude": 10.0,
                                               "v_amplitude": 0.0}, grid)
-        for side in ("u", "v"):
-            assert sup_tail_bound(loud, m, 1.0, -5.0, side) == np.inf
-            assert sup_tail_bound(lone, m, 1.0, -5.0, side) == 0.0
-            assert tail_bound(lone, m, 1.0, side) == 0.0
+        assert sup_tail_bound(loud, m, 1.0, -5.0) == (np.inf, np.inf)
+        assert sup_tail_bound(lone, m, 1.0, -5.0) == (0.0, 0.0)
+        assert tail_bound(lone, m, 1.0) == (0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -130,14 +125,9 @@ def gn_traj():
                [0.0, 1.0, 2.0, 4.0])
 
 
-@pytest.fixture(scope="module")
-def gn_profiles(gn_traj):
-    return compute_profile(gn_traj, "u"), compute_profile(gn_traj, "v")
-
-
 class TestProfiles:
     def test_profile_from_traces(self, gn_traj):
-        p = compute_profile(gn_traj, "u")
+        p, _ = compute_profile(gn_traj)
         a1, _ = gn_traj.traces_at(4.0)
         np.testing.assert_allclose(p.values, -1j * a1)
         assert p.l2_norm(gn_traj.grid.h) > 0.1
@@ -150,8 +140,8 @@ class TestProfiles:
         grid4 = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 4.0)
         data4 = make_initial_data("gaussian", GAUSSIAN_PAIR, grid4)
         long = run(data4, grid4, ModelParams.gross_neveu(), Scheme(), [4.0])
-        assert compute_profile(long, "u").tail_certificate < \
-            compute_profile(short, "u").tail_certificate
+        assert compute_profile(long)[0].tail_certificate < \
+            compute_profile(short)[0].tail_certificate
 
     @pytest.mark.parametrize("alpha,beta", [(0.25, 0.0), (0.5, 0.0), (2.0, 0.0), (0.0, 0.1)])
     def test_certificate_bounds_the_discarded_tail(self, alpha, beta):
@@ -162,7 +152,7 @@ class TestProfiles:
         def profiles(T):
             grid = Grid.from_domain(-20.0, 20.0, h, T)
             traj = run(make_initial_data("gaussian", GAUSSIAN_PAIR, grid), grid, m, Scheme(), [T])
-            return compute_profile(traj, "u"), compute_profile(traj, "v")
+            return compute_profile(traj)
 
         for short, long in zip(profiles(0.25), profiles(6.0)):
             tail = long.values - short.values
@@ -174,15 +164,16 @@ class TestProfiles:
                                  {"u_center": 3.0, "u_width": 2.0,
                                   "v_center": -3.0, "v_width": 2.0}, grid)
         traj = run(data, grid, ModelParams.thirring(), Scheme(), [2.0])
-        assert compute_profile(traj, "u").l2_norm(grid.h) == 0.0
-        assert compute_profile(traj, "v").l2_norm(grid.h) == 0.0
+        p_u, p_v = compute_profile(traj)
+        assert p_u.l2_norm(grid.h) == 0.0
+        assert p_v.l2_norm(grid.h) == 0.0
 
 
 class TestResiduals:
-    def test_routes_agree_while_above_roundoff(self, gn_traj, gn_profiles):
-        traj, (p_u, p_v) = gn_traj, gn_profiles
+    def test_routes_agree_while_above_roundoff(self, gn_traj):
+        traj = gn_traj
         rep = residual(traj, 1.0)
-        ru, rv = field_residual(traj, 1.0, p_u, p_v)
+        ru, rv = field_residual(traj, 1.0)
         h = traj.grid.h
         assert np.sqrt(h * np.sum(np.abs(ru) ** 2)) == pytest.approx(rep.l2_u, abs=1e-10)
         assert np.sqrt(h * np.sum(np.abs(rv) ** 2)) == pytest.approx(rep.l2_v, abs=1e-10)
@@ -196,5 +187,5 @@ class TestResiduals:
     def test_report_fields(self, gn_traj):
         rep = residual(gn_traj, 2.0)
         assert rep.t == 2.0
-        assert rep.analytic_bound_u == pytest.approx(
-            tail_bound(gn_traj.data, gn_traj.params, 2.0, "u"))
+        assert (rep.analytic_bound_u, rep.analytic_bound_v) == \
+            tail_bound(gn_traj.data, gn_traj.params, 2.0)

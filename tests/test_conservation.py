@@ -170,6 +170,19 @@ class TestTriangleBalance:
             moduli_run(ModelParams.gross_neveu(), 1.0 / 32.0,
                        triangles=[(TriangleRegion(-1.0, 1.0, 0.0), 1.5)])
 
+    def test_cut_at_apex_on_a_large_domain(self):
+        # the apex time (b - a) / 2 rounds below tau here, so the cut is compared
+        # in cells; building the grid and the probe samples no array
+        h = 0.3
+        grid = Grid.from_domain(-150000.0, 150000.0, h, 45000.0)
+        a, b, tau = grid.x_min + 141987 * h, grid.x_min + 409523 * h, 133768 * h
+        region = TriangleRegion(a, b, 0.0)
+        assert tau > region.apex_t
+        sides = TriangleSides(region, tau, grid, Scheme())
+        assert (sides.k0, sides.kt, sides.ja, sides.jb) == (0, 133768, 141987, 409523)
+        with pytest.raises(ValueError, match="apex"):
+            TriangleSides(region, tau + h, grid, Scheme())
+
 
 class TestPointwiseBound:
     def test_holds_for_quartic_coupling(self, gn_small):

@@ -87,9 +87,9 @@ class TestInitialData:
         g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)
         z = np.zeros(g.n_cells, dtype=complex)
         with pytest.raises(ValueError):
-            InitialData("custom", {}, g, z[:-1], z)
+            InitialData(g, z[:-1], z)
         with pytest.raises(FloatingPointError):
-            InitialData("custom", {}, g, np.full(g.n_cells, np.nan + 0j), z)
+            InitialData(g, np.full(g.n_cells, np.nan + 0j), z)
 
     def test_zero_family(self):
         g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)

@@ -294,7 +294,7 @@ class TestWindowedSolver:
         grid = Grid(x_min=-0.25, h=1.0 / 32.0, n_cells=17, n_steps=4)
         u0, v0 = np.zeros(17, complex), np.zeros(17, complex)
         u0[6], v0[8] = 0.9 + 0.2j, 0.8 - 0.3j
-        data = InitialData("custom", {}, grid, u0, v0)
+        data = InitialData(grid, u0, v0)
         m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
         traj = run(data, grid, m, Scheme("oracle4"), [0.0625, 0.125])
         assert_matches_reference(traj, data, grid, m, "oracle4")
@@ -314,7 +314,7 @@ class TestWindowedSolver:
             f = a.view(float)
             f[[k for k in rng.choice(48, 8, replace=False) if f[k] == 0]] = -0.0
             fields.append(a)
-        data = InitialData("custom", {}, grid, *fields)
+        data = InitialData(grid, *fields)
         f = data.u0.view(float)
         assert np.signbit(f[f == 0]).any()  # the data hold -0s
         m = ModelParams(0.5, 0.0 if kind == "phase_split" else -0.3)
@@ -322,7 +322,7 @@ class TestWindowedSolver:
         windows = check_every_window(monkeypatch)
         traj = run(data, grid, m, Scheme(kind), [k * grid.h for k in range(0, 5, cells)])
         assert bool(windows) == (kind != "phase_split")  # the rule ran where it trims
-        loaded = InitialData("custom", {}, grid, data.u0 + 0.0, data.v0 + 0.0)
+        loaded = InitialData(grid, data.u0 + 0.0, data.v0 + 0.0)
         assert_matches_reference(traj, loaded, grid, m, kind)
 
     @given(st.sampled_from(["trapezoidal", "oracle4"]), st.floats(-1.0, 1.0),
@@ -345,7 +345,7 @@ class TestWindowedSolver:
             f = a.view(float)
             f[[k for k in draw(st.lists(st.integers(0, 2 * n - 1))) if f[k] == 0]] = -0.0
             fields.append(a)
-        init = InitialData("custom", {}, grid, *fields)
+        init = InitialData(grid, *fields)
         with pytest.MonkeyPatch.context() as mp:
             check_every_window(mp)
             traj = run(init, grid, ModelParams(alpha, beta), Scheme(kind),
@@ -390,7 +390,7 @@ class TestWindowedSolver:
         cells = 2 if kind == "oracle4" else 1
         grid = Grid(x_min=-1.0, h=0.125, n_cells=17, n_steps=cells)
         x = grid.x()
-        data = InitialData("custom", {}, grid, 0.8 * np.exp(-x ** 2) * np.exp(1j * x),
+        data = InitialData(grid, 0.8 * np.exp(-x ** 2) * np.exp(1j * x),
                            0.6 * np.exp(-(x - 0.3) ** 2) + 0.2j)
         m = ModelParams.thirring()
         got = run(data, grid, m, Scheme(kind), []).snapshot_at(grid.t_final)
