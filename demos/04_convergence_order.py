@@ -14,11 +14,11 @@ SHAPE = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 T = 2.0
 
 
-def final_state(m, h, scheme):
+def trajectory(m, h, scheme):
     grid = Grid.from_domain(-10.0, 10.0, h, T)
     data = make_initial_data("gaussian", SHAPE, grid)
     tol = 1e-14 if scheme == "oracle4" else 1e-12
-    return run(data, grid, m, Scheme(scheme, fixed_point_tol=tol), [T]).snapshot_at(T)
+    return run(data, grid, m, Scheme(scheme, fixed_point_tol=tol), [T])
 
 
 for scheme, model, steps in (
@@ -26,8 +26,8 @@ for scheme, model, steps in (
     ("phase_split", ModelParams.thirring(), (1 / 32, 1 / 64, 1 / 128, 1 / 256)),
     ("oracle4", ModelParams.gross_neveu(), (1 / 32, 1 / 64, 1 / 128)),
 ):
-    finals = {h: final_state(model, h, scheme) for h in steps}
-    diffs = [l2_diff(finals[a], finals[b]) for a, b in zip(steps, steps[1:])]
+    runs = {h: trajectory(model, h, scheme) for h in steps}
+    diffs = [l2_diff(runs[a], runs[b], T) for a, b in zip(steps, steps[1:])]
     print(f"{scheme}:")
     for (h, d) in zip(steps, diffs):
         print(f"  |u_h - u_h/2| at h = 1/{round(1 / h):3d}:  {d:.3e}")

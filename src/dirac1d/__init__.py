@@ -17,7 +17,6 @@ from .fields import (
     Grid,
     InitialData,
     ModelParams,
-    SpinorField,
     TriangleRegion,
     charge,
     make_initial_data,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceReport", "Grid", "InitialData", "ModelParams", "ModulusDrift", "Profile",
-    "ResidualReport", "Scheme", "SolverError", "SpinorField", "Trajectory", "TriangleRegion",
+    "ResidualReport", "Scheme", "SolverError", "Trajectory", "TriangleRegion",
     "TriangleSides", "charge", "charge_flux_defect", "check_pointwise_bound", "compute_profile",
     "eval_N", "eval_N1", "eval_N2", "eval_W", "field_residual", "l2_diff", "make_initial_data",
     "pair_overlap", "residual", "restrict", "run", "sup_tail_bound", "tail_bound",

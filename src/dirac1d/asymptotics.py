@@ -129,8 +129,10 @@ def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
     c_star * exp(12|beta| C0).  The v side is the mirror image: its split sits
     at -split_point with the far field toward +inf.
     """
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError(f"t must be >= 0, got {t}")
+    if np.isnan(split_point):  # every comparison with it is False
+        raise ValueError("split_point must not be NaN")
     h = data.grid.h
     x = data.grid.x()
     mu0 = np.abs(data.u0) ** 2
@@ -204,6 +206,6 @@ def field_residual(traj: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
     up to the scheme's fixed-point tolerance and accumulated roundoff; kept
     for cross-checking.
     """
-    snap = traj.snapshot_at(t)
+    u, v = traj.snapshot_at(t)
     a1, a2 = traj.traces_at(traj.grid.t_final)
-    return snap.u - traj.data.u0 + 1j * a1, snap.v - traj.data.v0 + 1j * a2
+    return u - traj.data.u0 + 1j * a1, v - traj.data.v0 + 1j * a2

@@ -346,8 +346,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     x = grid.x()
     blocks = []
     for level, snap in traj.snapshots.items():
-        u, v = at_nodes(snap.u, snap.v, 0, grid.n_cells - 1, level)
-        blocks.append(("", np.column_stack((np.full(len(x), snap.t), x, u.real, u.imag,
+        u, v = at_nodes(*snap, 0, grid.n_cells - 1, level)
+        blocks.append(("", np.column_stack((np.full(len(x), level * grid.h), x, u.real, u.imag,
                                              v.real, v.imag))))
     _write_table(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"], blocks)
 
@@ -427,7 +427,7 @@ def sweep(cfg: ExperimentConfig, halvings: int) -> list[dict]:
     """
     m = cfg.model_params()
     scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
-    rows, finals = [], []
+    rows, coarse = [], None  # only the previous level's run is kept
     for j in range(halvings + 1):
         h = cfg.h / 2 ** j
         grid = Grid.from_domain(cfg.x_min, cfg.x_max, h, cfg.T)
@@ -436,10 +436,10 @@ def sweep(cfg: ExperimentConfig, halvings: int) -> list[dict]:
             traj = solver.run(data, grid, m, scheme, [0.0, cfg.T])
         except SolverError as exc:
             raise SolverError(f"level h = {h!r}: {exc}") from exc
+        if coarse is not None:
+            rows[-1]["l2_diff_to_next"] = solver.l2_diff(coarse, traj, cfg.T)
         rows.append({"h": h, "charge_drift": conservation.total_charge_drift(traj)})
-        finals.append(traj.snapshot_at(cfg.T))
-    for row, coarse, fine in zip(rows, finals, finals[1:]):
-        row["l2_diff_to_next"] = solver.l2_diff(coarse, fine)
+        coarse = traj
     for prev, cur in zip(rows, rows[1:]):
         if "l2_diff_to_next" in prev and "l2_diff_to_next" in cur and cur["l2_diff_to_next"] > 0:
             cur["order_estimate"] = math.log2(prev["l2_diff_to_next"] / cur["l2_diff_to_next"])

@@ -80,9 +80,8 @@ def total_charge_drift(traj: Trajectory) -> float:
         raise ValueError("trajectory has no recorded snapshots")
     q0 = traj.data.c0
     worst = 0.0
-    for snap in traj.snapshots.values():
-        q = charge(snap)
-        worst = max(worst, abs(q - q0))
+    for u, v in traj.snapshots.values():
+        worst = max(worst, abs(charge(u, v, traj.grid.h) - q0))
     return worst / max(q0, 1e-300)
 
 
@@ -129,7 +128,7 @@ def check_pointwise_bound(traj: Trajectory) -> float:
         bu, bv = (np.nan_to_num(factor * np.abs(a) ** 2, nan=0.0, posinf=np.inf)
                   for a in (traj.data.u0, traj.data.v0))
     worst = 0.0
-    for snap in traj.snapshots.values():
-        worst = max(worst, float(np.max(np.abs(snap.u) ** 2 - bu)),
-                    float(np.max(np.abs(snap.v) ** 2 - bv)))
+    for u, v in traj.snapshots.values():
+        worst = max(worst, float(np.max(np.abs(u) ** 2 - bu)),
+                    float(np.max(np.abs(v) ** 2 - bv)))
     return worst

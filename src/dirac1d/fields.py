@@ -1,13 +1,13 @@
-"""Grids, spinor states, model parameters and the built-in initial-data families.
+"""Grids, model parameters, the charge and the built-in initial-data families.
 
 The spatial lattice is uniform with unit CFL (the time step equals the space
 step), so both characteristic families x - t = const and x + t = const pass
-exactly through lattice nodes.  Every array holds the n_cells labels of the
-domain [x_min, x_max]: u by its label y = x - t and v by z = x + t, which at
-t = 0 are the nodes.  Data start inside the domain and each label keeps its
-support, so the whole-line problem needs no boundary modeling at all; a
-node whose label lies off the domain reads zero.  Times, coordinates and
-spans are whole numbers of cells: `lattice_count` is the one rule for that.
+exactly through lattice nodes.  A state is the pair (u, v) of arrays over
+the n_cells labels of the domain [x_min, x_max]: u by its label y = x - t and
+v by z = x + t, which at t = 0 are the nodes.  Data start inside the domain
+and each label keeps its support, so the whole-line problem needs no boundary
+modeling at all; a node whose label lies off the domain reads zero.  Times,
+coordinates and spans are whole numbers of cells, by one rule: `lattice_count`.
 """
 
 from __future__ import annotations
@@ -136,20 +136,6 @@ class Grid:
         return cls(x_min=x_min, h=h, n_cells=n_span + 1, n_steps=n_t)
 
 
-@dataclass
-class SpinorField:
-    """The pair (u, v) at time t: u on labels x - t, v on labels x + t."""
-
-    t: float
-    u: np.ndarray
-    v: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        if self.u.shape != (self.grid.n_cells,) or self.v.shape != (self.grid.n_cells,):
-            raise ValueError(f"u and v must have length n_cells = {self.grid.n_cells}")
-
-
 def at_nodes(a: np.ndarray, b: np.ndarray, lo: int, hi: int, s: int) -> tuple:
     """a (on labels x - t) and b (on labels x + t) at nodes lo..hi of cell level s.
 
@@ -165,17 +151,17 @@ def at_nodes(a: np.ndarray, b: np.ndarray, lo: int, hi: int, s: int) -> tuple:
     return tuple(out)
 
 
-def charge(fld: SpinorField) -> float:
-    """Total charge Q = h * sum(|u|^2 + |v|^2).
+def charge(u: np.ndarray, v: np.ndarray, h: float) -> float:
+    """Total charge Q = h * sum(|u|^2 + |v|^2) of u and v sampled with step h.
 
     The sum runs over labels; it is the trapezoid rule on the whole line,
     where the field is zero off the domain's labels.  Raises on non-finite
     samples (solver blow-up); a charge past the float range is inf.
     """
-    if not (np.all(np.isfinite(fld.u)) and np.all(np.isfinite(fld.v))):
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise FloatingPointError("non-finite samples in spinor field: solver blow-up")
     with np.errstate(over="ignore"):
-        return float(fld.grid.h * (np.sum(np.abs(fld.u) ** 2) + np.sum(np.abs(fld.v) ** 2)))
+        return float(h * (np.sum(np.abs(u) ** 2) + np.sum(np.abs(v) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -232,13 +218,15 @@ class InitialData:
     v0: np.ndarray
 
     def __post_init__(self):
-        # the charge rejects samples that do not fit the grid or are not finite
+        if self.u0.shape != (self.grid.n_cells,) or self.v0.shape != (self.grid.n_cells,):
+            raise ValueError(f"u0 and v0 must have length n_cells = {self.grid.n_cells}")
+        # the charge rejects samples that are not finite
         if self.c0 == np.inf:
             raise ValueError("the charge of the data overflows")
 
     @property
     def c0(self) -> float:
-        return charge(SpinorField(0.0, self.u0, self.v0, self.grid))
+        return charge(self.u0, self.v0, self.grid.h)
 
 
 def _component_params(shape_params: Mapping, comp: str) -> tuple[float, float, float, float]:

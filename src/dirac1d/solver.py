@@ -51,7 +51,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .fields import Grid, InitialData, ModelParams, SpinorField, lattice_count
+from .fields import Grid, InitialData, ModelParams, charge, lattice_count
 # eval_N1 and eval_N2 are not called here; they stay importable because the
 # benchmark's tracer (perfbench/tracing.py) looks them up on this module
 from .nonlinearity import eval_N, eval_N1, eval_N2  # noqa: F401
@@ -84,8 +84,9 @@ class Scheme:
             raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
         if not self.fixed_point_tol > 0:
             raise ValueError(f"fixed_point_tol must be > 0, got {self.fixed_point_tol}")
-        if self.fixed_point_max_iter < 1:
-            raise ValueError(f"fixed_point_max_iter must be >= 1, got {self.fixed_point_max_iter}")
+        # _fixed_point counts its sweeps with range(), which takes only integers
+        if not (hasattr(type(n := self.fixed_point_max_iter), "__index__") and n >= 1):
+            raise ValueError(f"fixed_point_max_iter must be an integer >= 1, got {n!r}")
 
     @property
     def cells(self) -> int:
@@ -98,19 +99,19 @@ class Trajectory:
     """Recorded snapshots plus per-characteristic trace integrals, keyed by
     cell level (time level * h) in increasing order.
 
-    `snapshots[level]` holds u and v by label, like the solver.
-    `trace_partials[level]` holds, in the same label frames
+    `snapshots[level]` holds the pair (u, v) by label, like the solver.
+    `trace_partials[level]` holds the pair (A1, A2) in the same label frames
     (y = x - t for the u side, y = x + t for the v side), the composite
     trapezoid integrals A1(y, t) = int_0^t N1 along (y + s, s) and
     A2(y, t) = int_0^t N2 along (y - s, s).  The final accumulators at
     t = grid.t_final feed the scattering profiles.  `snapshot_at(t)` and
-    `traces_at(t)` look a time up by its lattice count.
+    `traces_at(t)` return the pair recorded at t, found by its lattice count.
     """
 
     grid: Grid
     params: ModelParams
     data: InitialData
-    snapshots: dict[int, SpinorField] = field(default_factory=dict)
+    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     trace_partials: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     max_fp_iterations: int = 0
 
@@ -118,7 +119,7 @@ class Trajectory:
     def times(self) -> list[float]:
         return [level * self.grid.h for level in self.snapshots]
 
-    def snapshot_at(self, t: float) -> SpinorField:
+    def snapshot_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         return self._at(self.snapshots, t)
 
     def traces_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -509,7 +510,7 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
                 p.on_step(k, lab.level, *moduli)
             if k in record_steps:
                 u, v, a1, a2 = (a.copy() for a in lab.domain(lab.u, lab.v, lab.a1, lab.a2))
-                traj.snapshots[lab.level] = SpinorField(lab.level * grid.h, u, v, grid)
+                traj.snapshots[lab.level] = (u, v)
                 traj.trace_partials[lab.level] = (a1, a2)
     return traj
 
@@ -520,14 +521,15 @@ def restrict(arr: np.ndarray, fine_grid: Grid, coarse_grid: Grid) -> np.ndarray:
     The grids must share x_min and x_max and have an integer step ratio.
     """
     factor = lattice_count(coarse_grid.h, fine_grid.h)
-    if (factor is None or abs(fine_grid.x_min - coarse_grid.x_min) > 1e-9
+    if (factor is None or fine_grid.x_min != coarse_grid.x_min
             or fine_grid.n_cells - 1 != factor * (coarse_grid.n_cells - 1)):
         raise ValueError("grids are not nested refinements of each other")
     return arr[::factor]
 
 
-def l2_diff(coarse: SpinorField, fine: SpinorField) -> float:
-    """L2 distance between solutions on a grid and a nested refinement of it."""
-    du = coarse.u - restrict(fine.u, fine.grid, coarse.grid)
-    dv = coarse.v - restrict(fine.v, fine.grid, coarse.grid)
-    return float(np.sqrt(coarse.grid.h * (np.sum(np.abs(du) ** 2) + np.sum(np.abs(dv) ** 2))))
+def l2_diff(coarse: Trajectory, fine: Trajectory, t: float) -> float:
+    """L2 distance at time t between runs on a grid and a nested refinement of it:
+    the root of the charge of their difference on the coarse labels."""
+    du, dv = (a - restrict(b, fine.grid, coarse.grid)
+              for a, b in zip(coarse.snapshot_at(t), fine.snapshot_at(t)))
+    return math.sqrt(charge(du, dv, coarse.grid.h))

@@ -234,7 +234,7 @@ def test_criterion_08_tail_decay(ref):
 
 def test_criterion_09_oracle_equivalence(oracle_pair):
     trap, oracle = oracle_pair
-    sol_diff = l2_diff(trap.snapshot_at(10.0), oracle.snapshot_at(10.0))
+    sol_diff = l2_diff(trap, oracle, 10.0)
     h = trap.grid.h
     worst_prof = 0.0
     for p, po in zip(compute_profile(trap), compute_profile(oracle)):

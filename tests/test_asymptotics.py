@@ -116,6 +116,16 @@ class TestSupTailBound:
         assert sup_tail_bound(lone, m, 1.0, -5.0) == (0.0, 0.0)
         assert tail_bound(lone, m, 1.0) == (0.0, 0.0)
 
+    def test_nan_arguments_rejected(self):
+        # a NaN split put no label near, so the u side read 1e-69 where split 0
+        # gives 2311; a NaN t returned the t = 0 value
+        data = gaussian_data(1.0 / 16.0, span=10.0)
+        m = ModelParams.gross_neveu()
+        with pytest.raises(ValueError, match="split_point"):
+            sup_tail_bound(data, m, 0.0, np.nan)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            sup_tail_bound(data, m, np.nan, 0.0)
+
 
 @pytest.fixture(scope="module")
 def gn_traj():

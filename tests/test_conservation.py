@@ -79,9 +79,9 @@ class TestTriangleBalance:
         traj = run(data, grid, ModelParams.gross_neveu(), Scheme(), every_step, sides)
         # the snapshots hold labels: move step k's u right and v left by k nodes
         pad = grid.n_steps + 8
-        moduli = [(np.roll(np.pad(np.abs(snap.u) ** 2, pad), k),
-                   np.roll(np.pad(np.abs(snap.v) ** 2, pad), -k))
-                  for k, snap in traj.snapshots.items()]
+        moduli = [(np.roll(np.pad(np.abs(u) ** 2, pad), k),
+                   np.roll(np.pad(np.abs(v) ** 2, pad), -k))
+                  for k, (u, v) in traj.snapshots.items()]
         assert len(moduli) == grid.n_steps + 1
         for (region, tau), s in zip(triangles, sides):
             rep = triangle_balance(s)

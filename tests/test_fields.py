@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from dirac1d import (Grid, InitialData, ModelParams, SpinorField, TriangleRegion, charge,
-                     make_initial_data)
+from dirac1d import Grid, InitialData, ModelParams, TriangleRegion, charge, make_initial_data
 from dirac1d.fields import at_nodes
 
 # Exact charge of the reference pair u0 = exp(-x^2), v0 = exp(-(x-1)^2):
@@ -91,6 +90,17 @@ class TestInitialData:
         with pytest.raises(FloatingPointError):
             InitialData(g, np.full(g.n_cells, np.nan + 0j), z)
 
+    def test_shape_validation(self):
+        g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)
+        z = np.zeros(g.n_cells, dtype=complex)
+        InitialData(g, z, z.copy())
+        for u0, v0 in ((z[:-1], z), (z, z[:-1]), (z, np.zeros(g.n_cells + 1, complex)),
+                       (z, z.reshape(1, -1))):
+            with pytest.raises(ValueError, match="n_cells = 5"):
+                InitialData(g, u0, v0)
+        with pytest.raises(FloatingPointError):
+            InitialData(g, np.full(g.n_cells, np.nan + 0j), z)
+
     def test_zero_family(self):
         g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)
         data = make_initial_data("zero", {}, g)
@@ -167,13 +177,8 @@ class TestInitialData:
             make_initial_data("plane_wave", {}, g)
 
 
-class TestSpinorField:
-    def test_shape_validation(self):
-        g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)
-        z = np.zeros(g.n_cells, dtype=complex)
-        SpinorField(0.0, z, z.copy(), g)
-        with pytest.raises(ValueError):
-            SpinorField(0.0, z[:-1], z, g)
+class TestState:
+    """A state is the pair (u, v) of arrays over the domain's labels."""
 
     def test_at_nodes_reads_labels(self):
         # u's label i sits at node i + s, v's at node i - s; off the domain: 0
@@ -189,10 +194,13 @@ class TestSpinorField:
     def test_charge_rejects_nonfinite(self):
         g = Grid.from_domain(-20.0, 20.0, 0.25, 1.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, g)
-        state = SpinorField(0.0, data.u0.copy(), data.v0.copy(), g)
-        state.u[0] = np.nan
+        u, v = data.u0.copy(), data.v0.copy()
+        assert charge(u, v, g.h) == data.c0
+        u[0] = np.nan
         with pytest.raises(FloatingPointError):
-            charge(state)
+            charge(u, v, g.h)
+        with pytest.raises(FloatingPointError):
+            charge(v, np.full_like(v, np.inf), g.h)
 
 
 class TestTriangleRegion:

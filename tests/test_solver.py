@@ -234,8 +234,8 @@ def assert_matches_reference(traj, data, grid, m, kind):
         max_its = max(max_its, its)
         t = k * cells * grid.h
         if any(abs(t - rt) < 1e-12 for rt in traj.times):
-            snap, (b1, b2) = traj.snapshot_at(t), traj.traces_at(t)
-            for got, want in ((snap.u, u), (snap.v, v), (b1, a1), (b2, a2)):
+            (su, sv), (b1, b2) = traj.snapshot_at(t), traj.traces_at(t)
+            for got, want in ((su, u), (sv, v), (b1, a1), (b2, a2)):
                 np.testing.assert_array_equal(bits(got), bits(want))
     assert traj.max_fp_iterations == max_its
 
@@ -298,7 +298,7 @@ class TestWindowedSolver:
         m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
         traj = run(data, grid, m, Scheme("oracle4"), [0.0625, 0.125])
         assert_matches_reference(traj, data, grid, m, "oracle4")
-        assert traj.snapshot_at(0.0625).u[6] != u0[6]
+        assert traj.snapshot_at(0.0625)[0][6] != u0[6]
 
     @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
     @pytest.mark.parametrize("seed", range(6))
@@ -351,7 +351,7 @@ class TestWindowedSolver:
             traj = run(init, grid, ModelParams(alpha, beta), Scheme(kind),
                        [k * grid.h for k in range(0, 9, Scheme(kind).cells)])
         for t in traj.times:
-            for a in (traj.snapshot_at(t).u, traj.snapshot_at(t).v):
+            for a in traj.snapshot_at(t):
                 f = a.view(float)
                 assert not np.signbit(f[f == 0]).any(), (t, a)
 
@@ -393,11 +393,12 @@ class TestWindowedSolver:
         data = InitialData(grid, 0.8 * np.exp(-x ** 2) * np.exp(1j * x),
                            0.6 * np.exp(-(x - 0.3) ** 2) + 0.2j)
         m = ModelParams.thirring()
-        got = run(data, grid, m, Scheme(kind), []).snapshot_at(grid.t_final)
+        traj = run(data, grid, m, Scheme(kind), [])
         u, v, _, _, _ = next(reference_labels(data, grid, m, kind))
-        assert got.t == pytest.approx(cells * grid.h)
-        np.testing.assert_array_equal(got.u, u)
-        np.testing.assert_array_equal(got.v, v)
+        assert list(traj.snapshots) == [cells]  # keyed by cell level
+        got_u, got_v = traj.snapshot_at(grid.t_final)
+        np.testing.assert_array_equal(got_u, u)
+        np.testing.assert_array_equal(got_v, v)
 
     @pytest.mark.parametrize("kind", ["trapezoidal", "phase_split", "oracle4"])
     def test_separated_data_needs_no_evaluations(self, kind, monkeypatch):
@@ -410,8 +411,9 @@ class TestWindowedSolver:
         assert counter.nodes == 0
         assert traj.max_fp_iterations == 0
         # free transport leaves every label's value untouched
-        np.testing.assert_array_equal(traj.snapshot_at(2.0).u, data.u0)
-        np.testing.assert_array_equal(traj.snapshot_at(2.0).v, data.v0)
+        u, v = traj.snapshot_at(2.0)
+        np.testing.assert_array_equal(u, data.u0)
+        np.testing.assert_array_equal(v, data.v0)
 
     @pytest.mark.parametrize("kind", ["trapezoidal", "oracle4"])
     def test_evaluations_stop_once_supports_part(self, kind, monkeypatch):
@@ -437,7 +439,7 @@ class TestWindowedSolver:
             probes.append(TriangleSides(TriangleRegion(-1.0, 1.0, 0.0), 1.0, grid, Scheme(kind)))
         traj = run(data, grid, ModelParams.thirring(), Scheme(kind), [0.0, 1.0], probes)
         assert counter.nodes == 0
-        assert not traj.snapshot_at(1.0).u.any() and not traj.snapshot_at(1.0).v.any()
+        assert not any(a.any() for a in traj.snapshot_at(1.0))
         assert not any(a.any() for a in traj.traces_at(1.0))
         assert drift.value == 0.0
 
@@ -500,6 +502,11 @@ class TestScheme:
             Scheme("trapezoidal", fixed_point_tol=0.0)
         with pytest.raises(ValueError):
             Scheme("trapezoidal", fixed_point_max_iter=0)
+        # _fixed_point's range() would raise TypeError at the first implicit step
+        for max_iter in (2.5, 3.0, "3", None, np.float64(4.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                Scheme(fixed_point_max_iter=max_iter)
+        assert Scheme(fixed_point_max_iter=np.int64(3)).fixed_point_max_iter == 3
 
 
 class TestExactCases:
@@ -507,8 +514,7 @@ class TestExactCases:
         grid = Grid.from_domain(-2.0, 2.0, 0.25, 1.0)
         data = make_initial_data("zero", {}, grid)
         traj = run(data, grid, ModelParams.thirring(), Scheme(), [0.0, 1.0])
-        assert not traj.snapshot_at(1.0).u.any()
-        assert not traj.snapshot_at(1.0).v.any()
+        assert not any(a.any() for a in traj.snapshot_at(1.0))
         assert traj.max_fp_iterations <= 1
 
     @pytest.mark.parametrize("scheme", ["trapezoidal", "phase_split", "oracle4"])
@@ -520,16 +526,16 @@ class TestExactCases:
                                   "v_center": -3.0, "v_width": 2.0}, grid)
         m = ModelParams.thirring()
         traj = run(data, grid, m, Scheme(scheme), [2.0])
-        snap = traj.snapshot_at(2.0)
-        np.testing.assert_allclose(snap.u, data.u0, atol=1e-14)
-        np.testing.assert_allclose(snap.v, data.v0, atol=1e-14)
+        u, v = traj.snapshot_at(2.0)
+        np.testing.assert_allclose(u, data.u0, atol=1e-14)
+        np.testing.assert_allclose(v, data.v0, atol=1e-14)
 
     def test_phase_split_exact_moduli(self):
         m = ModelParams.thirring()
         traj = gaussian_run(m, 1.0 / 32.0, 2.0, scheme="phase_split")
-        snap = traj.snapshot_at(2.0)
-        np.testing.assert_allclose(np.abs(snap.u), np.abs(traj.data.u0), atol=1e-13)
-        np.testing.assert_allclose(np.abs(snap.v), np.abs(traj.data.v0), atol=1e-13)
+        u, v = traj.snapshot_at(2.0)
+        np.testing.assert_allclose(np.abs(u), np.abs(traj.data.u0), atol=1e-13)
+        np.testing.assert_allclose(np.abs(v), np.abs(traj.data.v0), atol=1e-13)
 
     @pytest.mark.parametrize("alpha,h", [(1.0, 1.0 / 128.0), (1.0, 1.0 / 32.0), (-1.0, 0.25),
                                          (0.3, 1.0 / 1024.0), (0.0, 1.0 / 128.0)])
@@ -585,9 +591,9 @@ class TestProbes:
             (k, k * cells) for k in range(grid.n_steps // cells + 1)]
         # the views are |u| and |v| by label over the domain at that step
         for (_, _, au, av), t in zip(log.calls, traj.times):
-            snap = traj.snapshot_at(t)
-            np.testing.assert_array_equal(au, np.abs(snap.u))
-            np.testing.assert_array_equal(av, np.abs(snap.v))
+            u, v = traj.snapshot_at(t)
+            np.testing.assert_array_equal(au, np.abs(u))
+            np.testing.assert_array_equal(av, np.abs(v))
 
     @pytest.mark.parametrize("kind,model", [("phase_split", ModelParams.thirring()),
                                             ("trapezoidal", ModelParams.gross_neveu())])
@@ -599,9 +605,9 @@ class TestProbes:
         traj = run(data, grid, model, Scheme(kind), every, [drift])
         want = 0.0
         for t in traj.times:
-            snap = traj.snapshot_at(t)
-            want = max(want, np.max(np.abs(np.abs(snap.u) - np.abs(data.u0))),
-                       np.max(np.abs(np.abs(snap.v) - np.abs(data.v0))))
+            u, v = traj.snapshot_at(t)
+            want = max(want, np.max(np.abs(np.abs(u) - np.abs(data.u0))),
+                       np.max(np.abs(np.abs(v) - np.abs(data.v0))))
         assert drift.value == want
         assert (want > 1e-6) == (kind == "trapezoidal")
 
@@ -617,9 +623,9 @@ class TestTraceIdentity:
         m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
         traj = gaussian_run(m, 1.0 / 64.0, 1.0, scheme=scheme)
         a1, a2 = traj.traces_at(1.0)
-        snap = traj.snapshot_at(1.0)
-        ru = snap.u - traj.data.u0 + 1j * a1
-        rv = snap.v - traj.data.v0 + 1j * a2
+        u, v = traj.snapshot_at(1.0)
+        ru = u - traj.data.u0 + 1j * a1
+        rv = v - traj.data.v0 + 1j * a2
         assert np.max(np.abs(ru)) <= tol
         assert np.max(np.abs(rv)) <= tol
 
@@ -627,35 +633,32 @@ class TestTraceIdentity:
 class TestConvergence:
     def test_trapezoidal_is_second_order(self):
         m = ModelParams.thirring()
-        finals = {h: gaussian_run(m, h, 1.0).snapshot_at(1.0)
-                  for h in (1 / 32, 1 / 64, 1 / 128)}
-        d12 = l2_diff(finals[1 / 32], finals[1 / 64])
-        d23 = l2_diff(finals[1 / 64], finals[1 / 128])
+        runs = {h: gaussian_run(m, h, 1.0) for h in (1 / 32, 1 / 64, 1 / 128)}
+        d12 = l2_diff(runs[1 / 32], runs[1 / 64], 1.0)
+        d23 = l2_diff(runs[1 / 64], runs[1 / 128], 1.0)
         assert 3.0 <= d12 / d23 <= 5.0
 
     def test_phase_split_is_second_order(self):
         m = ModelParams.thirring()
-        finals = {h: gaussian_run(m, h, 1.0, scheme="phase_split").snapshot_at(1.0)
-                  for h in (1 / 32, 1 / 64, 1 / 128)}
-        d12 = l2_diff(finals[1 / 32], finals[1 / 64])
-        d23 = l2_diff(finals[1 / 64], finals[1 / 128])
+        runs = {h: gaussian_run(m, h, 1.0, scheme="phase_split")
+                for h in (1 / 32, 1 / 64, 1 / 128)}
+        d12 = l2_diff(runs[1 / 32], runs[1 / 64], 1.0)
+        d23 = l2_diff(runs[1 / 64], runs[1 / 128], 1.0)
         assert 3.0 <= d12 / d23 <= 5.0
 
     def test_reference_scheme_is_fourth_order(self):
         m = ModelParams.gross_neveu()
-        finals = {h: gaussian_run(m, h, 1.0, scheme="oracle4",
-                                  fixed_point_tol=1e-14).snapshot_at(1.0)
-                  for h in (1 / 32, 1 / 64, 1 / 128)}
-        e1 = l2_diff(finals[1 / 32], finals[1 / 64])
-        e2 = l2_diff(finals[1 / 64], finals[1 / 128])
+        runs = {h: gaussian_run(m, h, 1.0, scheme="oracle4", fixed_point_tol=1e-14)
+                for h in (1 / 32, 1 / 64, 1 / 128)}
+        e1 = l2_diff(runs[1 / 32], runs[1 / 64], 1.0)
+        e2 = l2_diff(runs[1 / 64], runs[1 / 128], 1.0)
         assert 12.0 <= e1 / e2 <= 20.0
 
     def test_production_matches_reference(self):
         m = ModelParams.gross_neveu()
-        trap = gaussian_run(m, 1 / 64, 1.0).snapshot_at(1.0)
-        orc = gaussian_run(m, 1 / 256, 1.0, scheme="oracle4",
-                           fixed_point_tol=1e-14).snapshot_at(1.0)
-        assert l2_diff(trap, orc) <= 2e-4
+        trap = gaussian_run(m, 1 / 64, 1.0)
+        orc = gaussian_run(m, 1 / 256, 1.0, scheme="oracle4", fixed_point_tol=1e-14)
+        assert l2_diff(trap, orc, 1.0) <= 2e-4
 
 
 class TestInvariances:
@@ -669,8 +672,8 @@ class TestInvariances:
         rotated.u0 = z * rotated.u0
         rotated.v0 = z * rotated.v0
         rot = run(rotated, grid, m, Scheme(), [1.0]).snapshot_at(1.0)
-        np.testing.assert_allclose(rot.u, z * base.u, atol=1e-12)
-        np.testing.assert_allclose(rot.v, z * base.v, atol=1e-12)
+        for a, b in zip(rot, base):
+            np.testing.assert_allclose(a, z * b, atol=1e-12)
 
     def test_fixed_point_converges_quickly(self):
         traj = gaussian_run(ModelParams.gross_neveu(), 1 / 64, 1.0)
@@ -761,6 +764,9 @@ class TestRestriction:
                     Grid.from_domain(-2.0, 2.0, 0.3 * 4 / 3, 0.4)):
             with pytest.raises(ValueError):
                 restrict(np.zeros(bad.n_cells), bad, gc)
+        # x_min 500 fine cells apart: the grids share no node
+        with pytest.raises(ValueError):
+            restrict(np.zeros(2001), Grid(0.0, 1e-12, 2001, 0), Grid(5e-10, 2e-12, 1001, 0))
 
 
 FILLING_BUMPS = {"u_width": 2.0, "v_width": 2.0, "v_center": 0.0, "v_phase": 1.0}

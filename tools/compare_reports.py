@@ -3,11 +3,12 @@
     python3 tools/compare_reports.py PARENT_CHECKOUT
 
 Runs the three shipped configs (`configs/*.json`) and perfbench seeds 0, 3
-and 6 of each workload (`perfbench/workloads.py`), once with this tree's
+and 6 of each workload (`perfbench/workloads.py`), and the refinement sweep
+`dirac1d sweep configs/triangle_balance.json -k 2`, once with this tree's
 `src` and once with PARENT_CHECKOUT's.  Both trees run the same config,
 written from this tree, with PYTHONDONTWRITEBYTECODE=1 and their outputs
-under one temporary directory.  The five reports of each pair of runs are
-compared byte for byte.  Every file that differs, or that one run did not
+under one temporary directory.  The five reports of each pair of runs, and
+the sweep's sweep.csv, are compared byte for byte.  Every file that differs, or that one run did not
 write, is listed; the exit status is 1 if any is, else 0.
 """
 
@@ -28,23 +29,27 @@ from workloads import WORKLOADS, make_config  # noqa: E402
 
 REPORTS = ("summary.json", "balance.json", "snapshots.csv", "profiles.csv", "residuals.csv")
 SEEDS = (0, 3, 6)
+SWEEP = ("sweep", "-k", "2")
 
 
 def cases():
-    """(name, raw config) of every run compared."""
-    for path in sorted((ROOT / "configs").glob("*.json")):
-        yield path.stem, json.loads(path.read_text())
+    """(name, raw config, dirac1d verb and options, reports) of every run compared."""
+    configs = {path.stem: json.loads(path.read_text())
+               for path in sorted((ROOT / "configs").glob("*.json"))}
+    for name, raw in configs.items():
+        yield name, raw, ("run",), REPORTS
     for workload in WORKLOADS:
         for seed in SEEDS:
-            yield f"{workload}_seed{seed}", make_config(workload, seed, ROOT)
+            yield f"{workload}_seed{seed}", make_config(workload, seed, ROOT), ("run",), REPORTS
+    yield "triangle_balance_sweep", configs["triangle_balance"], SWEEP, ("sweep.csv",)
 
 
-def run(tree: Path, raw: dict, out: Path) -> None:
-    """`dirac1d run` on `raw` with `tree`'s src, writing its reports into `out`."""
+def run(tree: Path, raw: dict, verb: tuple, out: Path) -> None:
+    """`dirac1d <verb> <config>` on `raw` with `tree`'s src, writing its reports into `out`."""
     config = out.with_suffix(".json")
     config.write_text(json.dumps({**raw, "output_dir": str(out)}))
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    subprocess.run([sys.executable, "-m", "dirac1d.cli", "run", str(config)], cwd=tree,
+    subprocess.run([sys.executable, "-m", "dirac1d.cli", *verb, str(config)], cwd=tree,
                    env=env, stdout=subprocess.DEVNULL, check=False)
 
 
@@ -58,11 +63,11 @@ def main(argv=None) -> int:
 
     differ, total = [], 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, raw in cases():
+        for name, raw, verb, reports in cases():
             outs = [Path(tmp) / f"{name}.{tag}" for tag in ("this", "parent")]
             for tree, out in zip((ROOT, parent), outs):
-                run(tree, raw, out)
-            for report in REPORTS:
+                run(tree, raw, verb, out)
+            for report in reports:
                 total += 1
                 a, b = (out / report for out in outs)
                 if not (a.exists() and b.exists() and a.read_bytes() == b.read_bytes()):
