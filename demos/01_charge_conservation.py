@@ -16,7 +16,7 @@ SHAPE = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 def drift_at(model, h, scheme="trapezoidal"):
     grid = Grid.from_domain(-12.0, 12.0, h, 4.0)
     data = make_initial_data("gaussian", SHAPE, grid)
-    traj = run(data, grid, model, Scheme(scheme), [0.0, 1.0, 2.0, 4.0])
+    traj = run(data, model, Scheme(scheme), [0.0, 1.0, 2.0, 4.0])
     return traj, total_charge_drift(traj)
 
 

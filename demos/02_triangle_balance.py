@@ -28,7 +28,7 @@ CONE = TriangleRegion(0.5 - 2.0, 0.5 + 2.0, 0.0)  # apex (0.5, 2.0)
 grid = Grid.from_domain(-12.0, 12.0, 1 / 128, 4.0)
 data = make_initial_data("gaussian", SHAPE, grid)
 sides = [TriangleSides(region, 2.0, grid, Scheme()) for region in (*REGIONS, CONE)]
-run(data, grid, ModelParams.gross_neveu(), Scheme(), [4.0], sides)
+run(data, ModelParams.gross_neveu(), Scheme(), [4.0], sides)
 
 print("triangle balance at tau = 2 (h = 1/128):")
 for region, s in zip(REGIONS, sides):

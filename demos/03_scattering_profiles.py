@@ -20,7 +20,7 @@ SHAPE = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 grid = Grid.from_domain(-12.0, 12.0, 1 / 128, 8.0)
 data = make_initial_data("gaussian", SHAPE, grid)
 m = ModelParams.thirring()
-traj = run(data, grid, m, Scheme(), [0.0, 1.0, 2.0, 4.0, 8.0])
+traj = run(data, m, Scheme(), [0.0, 1.0, 2.0, 4.0, 8.0])
 
 p_u, p_v = compute_profile(traj)   # (G1, G2): both movers in one call
 print(f"profile norms:  |G1| = {p_u.l2_norm(grid.h):.6f}   "

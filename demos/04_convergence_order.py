@@ -18,7 +18,7 @@ def trajectory(m, h, scheme):
     grid = Grid.from_domain(-10.0, 10.0, h, T)
     data = make_initial_data("gaussian", SHAPE, grid)
     tol = 1e-14 if scheme == "oracle4" else 1e-12
-    return run(data, grid, m, Scheme(scheme, fixed_point_tol=tol), [T])
+    return run(data, m, Scheme(scheme, fixed_point_tol=tol), [T])
 
 
 for scheme, model, steps in (

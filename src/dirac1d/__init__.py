@@ -24,10 +24,6 @@ from .fields import (
 from .nonlinearity import (
     charge_flux_defect,
     eval_N,
-    eval_N1,
-    eval_N2,
-    eval_W,
-    pair_overlap,
 )
 from .solver import (
     Scheme,
@@ -49,7 +45,6 @@ from .asymptotics import (
     Profile,
     ResidualReport,
     compute_profile,
-    field_residual,
     residual,
     sup_tail_bound,
     tail_bound,
@@ -61,7 +56,6 @@ __all__ = [
     "BalanceReport", "Grid", "InitialData", "ModelParams", "ModulusDrift", "Profile",
     "ResidualReport", "Scheme", "SolverError", "Trajectory", "TriangleRegion",
     "TriangleSides", "charge", "charge_flux_defect", "check_pointwise_bound", "compute_profile",
-    "eval_N", "eval_N1", "eval_N2", "eval_W", "field_residual", "l2_diff", "make_initial_data",
-    "pair_overlap", "residual", "restrict", "run", "sup_tail_bound", "tail_bound",
-    "total_charge_drift", "triangle_balance",
+    "eval_N", "l2_diff", "make_initial_data", "residual", "restrict", "run", "sup_tail_bound",
+    "tail_bound", "total_charge_drift", "triangle_balance",
 ]

@@ -178,8 +178,7 @@ def residual(traj: Trajectory, t: float) -> ResidualReport:
     i * (A(t_max) - A(t)) where A is the trace integral, which is free of the
     cancellation that the direct field difference suffers once the remainder
     decays below machine epsilon relative to the fields.  It reads the traces
-    alone, not the profiles -i * A(t_max); see field_residual for the direct
-    route.
+    alone, not the profiles -i * A(t_max).
     """
     a1_t, a2_t = traj.traces_at(t)
     a1_T, a2_T = traj.traces_at(traj.grid.t_final)
@@ -196,16 +195,3 @@ def residual(traj: Trajectory, t: float) -> ResidualReport:
         analytic_bound_u=bound_u,
         analytic_bound_v=bound_v,
     )
-
-
-def field_residual(traj: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Direct field-difference residuals (u - u0 - G1, v - v0 - G2) per label.
-
-    G1 = -i * A1(t_max) from the final traces, so the u side is
-    u - u0 + i * A1(t_max), and likewise for v.  Agrees with the trace route
-    up to the scheme's fixed-point tolerance and accumulated roundoff; kept
-    for cross-checking.
-    """
-    u, v = traj.snapshot_at(t)
-    a1, a2 = traj.traces_at(traj.grid.t_final)
-    return u - traj.data.u0 + 1j * a1, v - traj.data.v0 + 1j * a2

@@ -333,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     sides = ([conservation.TriangleSides(TriangleRegion(a, b, t0), tau, grid, scheme)
               for a, b, t0, tau in cfg.triangle_regions] if "triangle" in cfg.checks else [])
     try:
-        traj = solver.run(data, grid, m, scheme, cfg.record_times, sides)
+        traj = solver.run(data, m, scheme, cfg.record_times, sides)
     except SolverError as exc:  # a rerun into the directory must not leave stale reports
         for name in ("snapshots.csv", "balance.json", "profiles.csv", "residuals.csv"):
             (out / name).unlink(missing_ok=True)
@@ -433,7 +433,7 @@ def sweep(cfg: ExperimentConfig, halvings: int) -> list[dict]:
         grid = Grid.from_domain(cfg.x_min, cfg.x_max, h, cfg.T)
         data = make_initial_data(cfg.family, cfg.shape_params, grid)
         try:
-            traj = solver.run(data, grid, m, scheme, [0.0, cfg.T])
+            traj = solver.run(data, m, scheme, [0.0, cfg.T])
         except SolverError as exc:
             raise SolverError(f"level h = {h!r}: {exc}") from exc
         if coarse is not None:

@@ -38,6 +38,11 @@ def lattice_count(value: float, h: float) -> int | None:
     return n
 
 
+def is_integer(n) -> bool:
+    """Whether range() takes n: its type has __index__, which 3.0's lacks."""
+    return hasattr(type(n), "__index__")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coupling constants of the nonlinearity W = alpha|u|^2|v|^2 + beta(ub*v + u*vb)^2."""
@@ -68,10 +73,10 @@ class Grid:
 
     Attributes
     ----------
-    x_min : left edge of the domain
-    h : space step; also the time step
-    n_cells : number of nodes in [x_min, x_max]
-    n_steps : number of time steps of the run
+    x_min : left edge of the domain, finite
+    h : space step, also the time step; positive and finite
+    n_cells : number of nodes in [x_min, x_max], an integer >= 1
+    n_steps : number of time steps of the run, an integer >= 0
     """
 
     x_min: float
@@ -80,12 +85,13 @@ class Grid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.h > 0:  # NaN too
-            raise ValueError(f"h must be positive, got {self.h}")
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
+        if not np.isfinite(self.x_min):
+            raise ValueError(f"x_min must be finite, got {self.x_min}")
+        if not 0 < self.h < np.inf:  # NaN too
+            raise ValueError(f"h must be positive and finite, got {self.h}")
+        for name, n, least in (("n_cells", self.n_cells, 1), ("n_steps", self.n_steps, 0)):
+            if not (is_integer(n) and n >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
 
     @property
     def x_max(self) -> float:
@@ -178,7 +184,7 @@ class TriangleRegion:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
-        if self.t0 < 0:
+        if not self.t0 >= 0:  # NaN too
             raise ValueError(f"t0 must be >= 0, got {self.t0}")
 
     @property
@@ -210,7 +216,7 @@ class InitialData:
     c0 is the trapezoid-rule charge of the current samples, so it follows a
     reassigned u0 or v0; it is the sharpest admissible constant for every
     exponential bound downstream.  Construction checks that the samples fit
-    the grid and are finite.
+    the grid, are finite and have a finite charge.
     """
 
     grid: Grid
@@ -220,7 +226,8 @@ class InitialData:
     def __post_init__(self):
         if self.u0.shape != (self.grid.n_cells,) or self.v0.shape != (self.grid.n_cells,):
             raise ValueError(f"u0 and v0 must have length n_cells = {self.grid.n_cells}")
-        # the charge rejects samples that are not finite
+        if not (np.all(np.isfinite(self.u0)) and np.all(np.isfinite(self.v0))):
+            raise ValueError("u0 and v0 must be finite")
         if self.c0 == np.inf:
             raise ValueError("the charge of the data overflows")
 

@@ -51,9 +51,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .fields import Grid, InitialData, ModelParams, charge, lattice_count
-# eval_N1 and eval_N2 are not called here; they stay importable because the
-# benchmark's tracer (perfbench/tracing.py) looks them up on this module
+from .fields import Grid, InitialData, ModelParams, charge, is_integer, lattice_count
+# eval_N1 and eval_N2 are not called: the benchmark's tracer looks them up here
 from .nonlinearity import eval_N, eval_N1, eval_N2  # noqa: F401
 
 BLOWUP_LIMIT = 1e6
@@ -82,10 +81,11 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if not self.fixed_point_tol > 0:
-            raise ValueError(f"fixed_point_tol must be > 0, got {self.fixed_point_tol}")
+        # an infinite tolerance would stop every implicit step after one explicit sweep
+        if not 0 < (tol := self.fixed_point_tol) < math.inf:
+            raise ValueError(f"fixed_point_tol must be > 0 and finite, got {tol}")
         # _fixed_point counts its sweeps with range(), which takes only integers
-        if not (hasattr(type(n := self.fixed_point_max_iter), "__index__") and n >= 1):
+        if not (is_integer(n := self.fixed_point_max_iter) and n >= 1):
             raise ValueError(f"fixed_point_max_iter must be an integer >= 1, got {n!r}")
 
     @property
@@ -106,14 +106,18 @@ class Trajectory:
     A2(y, t) = int_0^t N2 along (y - s, s).  The final accumulators at
     t = grid.t_final feed the scattering profiles.  `snapshot_at(t)` and
     `traces_at(t)` return the pair recorded at t, found by its lattice count.
+    The lattice is the data's: `grid` is `data.grid`.
     """
 
-    grid: Grid
     params: ModelParams
     data: InitialData
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     trace_partials: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     max_fp_iterations: int = 0
+
+    @property
+    def grid(self) -> Grid:
+        return self.data.grid
 
     @property
     def times(self) -> list[float]:
@@ -466,9 +470,9 @@ _KERNELS = {
 SCHEME_KINDS = tuple(_KERNELS)
 
 
-def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
-        record_times: list[float], probes: Iterable = ()) -> Trajectory:
-    """Run the scheme for grid.n_steps steps, recording snapshots and traces.
+def run(data: InitialData, m: ModelParams, s: Scheme, record_times: list[float],
+        probes: Iterable = ()) -> Trajectory:
+    """Run the scheme on data.grid for its n_steps steps, recording snapshots and traces.
 
     record_times must be multiples of the scheme's time step within
     [0, n_steps * h].  The final time is always recorded (the profiles need
@@ -477,9 +481,7 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
     views of |u| and |v| by label over the domain.  Fields that stop being
     finite raise SolverError, not a floating-point warning.
     """
-    g = data.grid
-    if (g.x_min, g.h, g.n_cells) != (grid.x_min, grid.h, grid.n_cells):
-        raise ValueError("initial data was sampled on a different grid")
+    grid = data.grid
     dt = s.cells * grid.h
     if grid.n_steps % s.cells != 0:
         raise ValueError(f"{s.kind} advances {s.cells} cells per step; "
@@ -496,7 +498,7 @@ def run(data: InitialData, grid: Grid, m: ModelParams, s: Scheme,
         record_steps.add(k)
 
     probes = tuple(probes)
-    traj = Trajectory(grid=grid, params=m, data=data)
+    traj = Trajectory(params=m, data=data)
     # overflow and NaN are caught by _fixed_point and the blow-up guard
     with np.errstate(over="ignore", invalid="ignore"):
         lab = _Labels(data.u0, data.v0, grid.h, m, s)

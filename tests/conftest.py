@@ -12,7 +12,7 @@ def small_run(model="gross_neveu", h=1.0 / 64.0, T=2.0, span=10.0,
     m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
     grid = Grid.from_domain(-span, span, h, T)
     data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-    return run(data, grid, m, Scheme(scheme), list(record_times), **kwargs)
+    return run(data, m, Scheme(scheme), list(record_times), **kwargs)
 
 
 @pytest.fixture(scope="session")

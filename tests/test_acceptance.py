@@ -25,10 +25,9 @@ from dirac1d import (Grid, ModelParams, ModulusDrift, Scheme, TriangleRegion, Tr
                      residual, run, sup_tail_bound,
                      tail_bound, total_charge_drift, triangle_balance)
 from dirac1d.cli import parse_config, run_experiment
-from dirac1d.nonlinearity import (charge_flux_defect, eval_N1, eval_N2,
-                                  first_variation, first_variation_fd,
-                                  wirtinger_N1_fd, wirtinger_N2_fd)
+from dirac1d.nonlinearity import charge_flux_defect, eval_N
 from dirac1d.solver import l2_diff, restrict
+from reference import first_variation, first_variation_fd, wirtinger_fd
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 RECORD = [0.0, 2.5, 5.0, 10.0, 20.0]
@@ -48,7 +47,7 @@ def reference_run(model, h, scheme="trapezoidal", T=20.0, span=40.0, record=RECO
     m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
     grid = Grid.from_domain(-span, span, h, T)
     data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-    return run(data, grid, m, Scheme(scheme), list(record))
+    return run(data, m, Scheme(scheme), list(record))
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +63,7 @@ def thirring_exact():
     grid = Grid.from_domain(-40.0, 40.0, 1.0 / 128.0, 20.0)
     data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
     drift = ModulusDrift(data)
-    traj = run(data, grid, ModelParams.thirring(), Scheme("phase_split"), list(RECORD), [drift])
+    traj = run(data, ModelParams.thirring(), Scheme("phase_split"), list(RECORD), [drift])
     return traj, drift
 
 
@@ -78,7 +77,7 @@ def triangles():
         sides = [TriangleSides(region, 2.0, grid, Scheme())
                  for region in (TriangleRegion(-6.0, 6.0, 0.0), TriangleRegion(-4.0, 4.0, 0.0),
                                 TriangleRegion(-2.0, 3.0, 0.5), TriangleRegion(-1.5, 2.5, 0.0))]
-        run(data, grid, ModelParams.gross_neveu(), Scheme(), [0.0, 4.0], sides)
+        run(data, ModelParams.gross_neveu(), Scheme(), [0.0, 4.0], sides)
         runs[h] = sides
     return runs
 
@@ -111,8 +110,9 @@ def test_criterion_01_algebraic_identities():
         vv = pts[k, 2] + 1j * pts[k, 3]
         p = pts[k, 4] + 1j * pts[k, 5]
         q = pts[k, 6] + 1j * pts[k, 7]
-        fd_ok &= abs(wirtinger_N1_fd(uu, vv, m, 1e-4) - eval_N1(uu, vv, m)) <= 1e-9
-        fd_ok &= abs(wirtinger_N2_fd(uu, vv, m, 1e-4) - eval_N2(uu, vv, m)) <= 1e-9
+        n1, n2 = eval_N(uu, vv, m)
+        fd_ok &= abs(wirtinger_fd(uu, vv, m, 1e-4, 1, 0) - n1) <= 1e-9
+        fd_ok &= abs(wirtinger_fd(uu, vv, m, 1e-4, 0, 1) - n2) <= 1e-9
         exact = first_variation(uu, vv, p, q, m)
         e1 = abs(first_variation_fd(uu, vv, p, q, m, 1e-3) - exact)
         e2 = abs(first_variation_fd(uu, vv, p, q, m, 5e-4) - exact)
@@ -193,7 +193,7 @@ def test_criterion_06_l2_convergence(ref):
     sep_grid = Grid.from_domain(-40.0, 40.0, 1.0 / 128.0, 20.0)
     sep = make_initial_data("separated", {"u_center": 5.0, "u_width": 2.0,
                                           "v_center": -5.0, "v_width": 2.0}, sep_grid)
-    traj = run(sep, sep_grid, ModelParams.thirring(), Scheme(), list(RECORD))
+    traj = run(sep, ModelParams.thirring(), Scheme(), list(RECORD))
     sep_worst = max(max(r.l2_u, r.l2_v) for r in _late_reports(traj))
     ok &= sep_worst <= 1e-13
     details.append(f"separated worst residual {sep_worst:.1e}")

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dirac1d import (Grid, ModelParams, Scheme, compute_profile, field_residual,
-                     make_initial_data, residual, sup_tail_bound, tail_bound)
+from dirac1d import (Grid, ModelParams, Scheme, compute_profile, make_initial_data, residual,
+                     sup_tail_bound, tail_bound)
 from dirac1d.solver import run
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
@@ -131,7 +131,7 @@ class TestSupTailBound:
 def gn_traj():
     grid = Grid.from_domain(-10.0, 10.0, 1.0 / 64.0, 4.0)
     data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-    return run(data, grid, ModelParams.gross_neveu(), Scheme(),
+    return run(data, ModelParams.gross_neveu(), Scheme(),
                [0.0, 1.0, 2.0, 4.0])
 
 
@@ -146,10 +146,10 @@ class TestProfiles:
     def test_certificate_shrinks_with_horizon(self):
         grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 2.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-        short = run(data, grid, ModelParams.gross_neveu(), Scheme(), [2.0])
+        short = run(data, ModelParams.gross_neveu(), Scheme(), [2.0])
         grid4 = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 4.0)
         data4 = make_initial_data("gaussian", GAUSSIAN_PAIR, grid4)
-        long = run(data4, grid4, ModelParams.gross_neveu(), Scheme(), [4.0])
+        long = run(data4, ModelParams.gross_neveu(), Scheme(), [4.0])
         assert compute_profile(long)[0].tail_certificate < \
             compute_profile(short)[0].tail_certificate
 
@@ -161,7 +161,7 @@ class TestProfiles:
 
         def profiles(T):
             grid = Grid.from_domain(-20.0, 20.0, h, T)
-            traj = run(make_initial_data("gaussian", GAUSSIAN_PAIR, grid), grid, m, Scheme(), [T])
+            traj = run(make_initial_data("gaussian", GAUSSIAN_PAIR, grid), m, Scheme(), [T])
             return compute_profile(traj)
 
         for short, long in zip(profiles(0.25), profiles(6.0)):
@@ -173,7 +173,7 @@ class TestProfiles:
         data = make_initial_data("separated",
                                  {"u_center": 3.0, "u_width": 2.0,
                                   "v_center": -3.0, "v_width": 2.0}, grid)
-        traj = run(data, grid, ModelParams.thirring(), Scheme(), [2.0])
+        traj = run(data, ModelParams.thirring(), Scheme(), [2.0])
         p_u, p_v = compute_profile(traj)
         assert p_u.l2_norm(grid.h) == 0.0
         assert p_v.l2_norm(grid.h) == 0.0
@@ -183,7 +183,10 @@ class TestResiduals:
     def test_routes_agree_while_above_roundoff(self, gn_traj):
         traj = gn_traj
         rep = residual(traj, 1.0)
-        ru, rv = field_residual(traj, 1.0)
+        # the direct route: u - u0 - G1 with G1 = -i * A1(t_max), and its v analogue
+        u, v = traj.snapshot_at(1.0)
+        a1, a2 = traj.traces_at(traj.grid.t_final)
+        ru, rv = u - traj.data.u0 + 1j * a1, v - traj.data.v0 + 1j * a2
         h = traj.grid.h
         assert np.sqrt(h * np.sum(np.abs(ru) ** 2)) == pytest.approx(rep.l2_u, abs=1e-10)
         assert np.sqrt(h * np.sum(np.abs(rv) ** 2)) == pytest.approx(rep.l2_v, abs=1e-10)

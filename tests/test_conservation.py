@@ -19,7 +19,7 @@ def moduli_run(m, h, T=2.0, span=10.0, triangles=()):
     grid = Grid.from_domain(-span, span, h, T)
     data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
     sides = [TriangleSides(region, tau, grid, Scheme()) for region, tau in triangles]
-    return run(data, grid, m, Scheme(), [0.0, T], sides), sides
+    return run(data, m, Scheme(), [0.0, T], sides), sides
 
 
 class TestChargeDrift:
@@ -38,11 +38,11 @@ class TestChargeDrift:
         grid = Grid.from_domain(-20.0, 20.0, 0.25, 1.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         data.u0 = 2.0 * data.u0
-        traj = run(data, grid, ModelParams.thirring(), Scheme("phase_split"), [1.0])
+        traj = run(data, ModelParams.thirring(), Scheme("phase_split"), [1.0])
         assert total_charge_drift(traj) <= 1e-13
 
     def test_requires_snapshots(self, gn_small):
-        bare = type(gn_small)(grid=gn_small.grid, params=gn_small.params, data=gn_small.data)
+        bare = type(gn_small)(params=gn_small.params, data=gn_small.data)
         with pytest.raises(ValueError):
             total_charge_drift(bare)
 
@@ -76,7 +76,7 @@ class TestTriangleBalance:
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         every_step = [k * h for k in range(grid.n_steps + 1)]
         sides = [TriangleSides(region, tau, grid, Scheme()) for region, tau in triangles]
-        traj = run(data, grid, ModelParams.gross_neveu(), Scheme(), every_step, sides)
+        traj = run(data, ModelParams.gross_neveu(), Scheme(), every_step, sides)
         # the snapshots hold labels: move step k's u right and v left by k nodes
         pad = grid.n_steps + 8
         moduli = [(np.roll(np.pad(np.abs(u) ** 2, pad), k),
@@ -95,7 +95,7 @@ class TestTriangleBalance:
         sides = TriangleSides(TriangleRegion(-20.0, 20.0, 0.0), 20.0, grid, Scheme("phase_split"))
         tracemalloc.start()
         try:
-            run(data, grid, ModelParams.thirring(), Scheme("phase_split"), [20.0], [sides])
+            run(data, ModelParams.thirring(), Scheme("phase_split"), [20.0], [sides])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -144,7 +144,7 @@ class TestTriangleBalance:
         grid = Grid.from_domain(-4.0, 4.0, 0.25, 1.0)
         data = make_initial_data("zero", {}, grid)
         sides = TriangleSides(TriangleRegion(-2.0, 2.0, 0.0), 1.0, grid, Scheme())
-        run(data, grid, ModelParams.thirring(), Scheme(), [1.0], [sides])
+        run(data, ModelParams.thirring(), Scheme(), [1.0], [sides])
         rep = triangle_balance(sides)
         assert rep.defect == 0.0
 
@@ -155,7 +155,7 @@ class TestTriangleBalance:
             triangle_balance(sides)
         # a run that stops before tau leaves the probe short as well
         short = Grid.from_domain(-4.0, 4.0, 0.25, 0.5)
-        run(make_initial_data("zero", {}, short), short, ModelParams.thirring(), Scheme(),
+        run(make_initial_data("zero", {}, short), ModelParams.thirring(), Scheme(),
             [0.5], [sides])
         with pytest.raises(ValueError, match="3 of its 5 steps"):
             triangle_balance(sides)

@@ -54,10 +54,24 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.step_of(5.0)
 
-    @pytest.mark.parametrize("h", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("h", [0.0, -0.5, float("nan"), float("inf")])
     def test_step_must_be_positive(self, h):
         with pytest.raises(ValueError, match="positive"):
             Grid(x_min=0.0, h=h, n_cells=3, n_steps=1)
+
+    def test_fields_checked_on_construction(self):
+        Grid(-10.0, 1.0 / 16.0, np.int64(321), np.int64(32))
+        # `run` would die on a float count with TypeError, or report that
+        # n_steps = 2.5 does not divide evenly
+        for n_cells, n_steps, name in ((321.0, 32, "n_cells"), (321, 32.0, "n_steps"),
+                                       (321, 2.5, "n_steps"), ("321", 32, "n_cells"),
+                                       (0, 32, "n_cells"), (321, -1, "n_steps")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                Grid(-10.0, 1.0 / 16.0, n_cells, n_steps)
+        # make_initial_data would blame u_width for a NaN x_min
+        for x_min in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="x_min must be finite"):
+                Grid(x_min, 1.0 / 16.0, 321, 32)
 
     def test_non_multiple_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -87,8 +101,11 @@ class TestInitialData:
         z = np.zeros(g.n_cells, dtype=complex)
         with pytest.raises(ValueError):
             InitialData(g, z[:-1], z)
-        with pytest.raises(FloatingPointError):
-            InitialData(g, np.full(g.n_cells, np.nan + 0j), z)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                InitialData(g, np.full(g.n_cells, bad + 0j), z)
+            with pytest.raises(ValueError, match="must be finite"):
+                InitialData(g, z, np.full(g.n_cells, bad + 0j))
 
     def test_shape_validation(self):
         g = Grid.from_domain(-1.0, 1.0, 0.5, 1.0)
@@ -98,7 +115,7 @@ class TestInitialData:
                        (z, z.reshape(1, -1))):
             with pytest.raises(ValueError, match="n_cells = 5"):
                 InitialData(g, u0, v0)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(ValueError, match="must be finite"):
             InitialData(g, np.full(g.n_cells, np.nan + 0j), z)
 
     def test_zero_family(self):
@@ -213,3 +230,5 @@ class TestTriangleRegion:
             TriangleRegion(1.0, 1.0)
         with pytest.raises(ValueError):
             TriangleRegion(0.0, 1.0, t0=-0.5)
+        with pytest.raises(ValueError, match="t0 must be"):
+            TriangleRegion(0.0, 1.0, t0=float("nan"))

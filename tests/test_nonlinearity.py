@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dirac1d import (ModelParams, charge_flux_defect, eval_N, eval_N1, eval_N2, eval_W,
-                     pair_overlap)
-from dirac1d.nonlinearity import (first_variation, first_variation_fd,
-                                  wirtinger_N1_fd, wirtinger_N2_fd)
+from dirac1d import ModelParams, charge_flux_defect, eval_N
+from dirac1d.nonlinearity import pair_overlap
+from reference import eval_W, first_variation, first_variation_fd, wirtinger_fd
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 couplings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -26,21 +25,21 @@ class TestClosedForms:
         assert pair_overlap(1.0, 1.0) == pytest.approx(2.0)
         assert eval_W(1.0, 1.0, th) == pytest.approx(1.0)
         assert eval_W(1.0, 1.0, gn) == pytest.approx(1.0)
-        assert eval_N1(1.0, 1.0, th) == pytest.approx(1.0)
-        assert eval_N1(1.0, 1.0, gn) == pytest.approx(1.0)
+        assert eval_N(1.0, 1.0, th)[0] == pytest.approx(1.0)
+        assert eval_N(1.0, 1.0, gn)[0] == pytest.approx(1.0)
         # u = 1, v = i: overlap 0, the beta part drops out entirely
         assert pair_overlap(1.0, 1.0j) == pytest.approx(0.0)
         assert eval_W(1.0, 1.0j, gn) == pytest.approx(0.0)
-        assert eval_N1(1.0, 1.0j, gn) == pytest.approx(0.0)
-        assert eval_N1(1.0, 1.0j, th) == pytest.approx(1.0)
+        assert eval_N(1.0, 1.0j, gn)[0] == pytest.approx(0.0)
+        assert eval_N(1.0, 1.0j, th)[0] == pytest.approx(1.0)
 
     def test_array_broadcasting(self):
         m = ModelParams(0.5, -0.25)
         u = np.array([1.0 + 0j, 2.0j, 0.0])
         v = np.array([1.0j, 1.0, 3.0])
-        assert eval_N1(u, v, m).shape == (3,)
+        assert eval_N(u, v, m)[0].shape == (3,)
         for j in range(3):
-            assert eval_N1(u, v, m)[j] == pytest.approx(eval_N1(u[j], v[j], m))
+            assert eval_N(u, v, m)[0][j] == pytest.approx(eval_N(u[j], v[j], m)[0])
 
 
 def two_term_N1(u, v, m):
@@ -73,8 +72,7 @@ class TestFusedKernel:
              "per_sample": ModelParams(rng.uniform(-2, 2, self.n),
                                        rng.uniform(-2, 2, self.n))}[case]
         want1, want2 = two_term_N1(u, v, m), two_term_N2(u, v, m)
-        for n1, n2 in (eval_N(u, v, m), eval_N(u, v, m, (np.abs(u), np.abs(v))),
-                       (eval_N1(u, v, m), eval_N2(u, v, m))):
+        for n1, n2 in (eval_N(u, v, m), eval_N(u, v, m, (np.abs(u), np.abs(v)))):
             np.testing.assert_array_equal(bits(n1), bits(want1))
             np.testing.assert_array_equal(bits(n2), bits(want2))
 
@@ -114,8 +112,8 @@ class TestProperties:
         m = ModelParams(alpha, beta)
         bound1 = m.c_star * abs(u) * abs(v) ** 2
         bound2 = m.c_star * abs(v) * abs(u) ** 2
-        assert abs(eval_N1(u, v, m)) <= bound1 + 1e-12 * (1.0 + bound1)
-        assert abs(eval_N2(u, v, m)) <= bound2 + 1e-12 * (1.0 + bound2)
+        assert abs(eval_N(u, v, m)[0]) <= bound1 + 1e-12 * (1.0 + bound1)
+        assert abs(eval_N(u, v, m)[1]) <= bound2 + 1e-12 * (1.0 + bound2)
 
     @given(spinors(), spinors(), st.floats(min_value=-np.pi, max_value=np.pi))
     @settings(max_examples=200, deadline=None)
@@ -124,8 +122,8 @@ class TestProperties:
         _, v = q
         m = ModelParams(1.0, 0.25)
         z = np.exp(1j * theta)
-        assert eval_N1(z * u, z * v, m) == pytest.approx(z * eval_N1(u, v, m), abs=1e-9)
-        assert eval_N2(z * u, z * v, m) == pytest.approx(z * eval_N2(u, v, m), abs=1e-9)
+        assert eval_N(z * u, z * v, m)[0] == pytest.approx(z * eval_N(u, v, m)[0], abs=1e-9)
+        assert eval_N(z * u, z * v, m)[1] == pytest.approx(z * eval_N(u, v, m)[1], abs=1e-9)
         assert eval_W(z * u, z * v, m) == pytest.approx(eval_W(u, v, m), abs=1e-9)
 
     @given(spinors(), spinors(), couplings)
@@ -134,7 +132,7 @@ class TestProperties:
         u, _ = p
         _, v = q
         m = ModelParams(alpha, 0.25)
-        assert eval_N2(u, v, m) == pytest.approx(eval_N1(v, u, m), abs=1e-12)
+        assert eval_N(u, v, m)[1] == pytest.approx(eval_N(v, u, m)[0], abs=1e-12)
 
     @given(spinors(), spinors())
     @settings(max_examples=100, deadline=None)
@@ -155,10 +153,10 @@ class TestWirtingerReference:
     def test_matches_closed_form(self, m):
         # exact up to roundoff: W is quadratic in each real coordinate
         for u, v in self.points:
-            fd = wirtinger_N1_fd(u, v, m, 1e-4)
-            assert fd == pytest.approx(eval_N1(u, v, m), abs=1e-9)
-            fd = wirtinger_N2_fd(u, v, m, 1e-4)
-            assert fd == pytest.approx(eval_N2(u, v, m), abs=1e-9)
+            fd = wirtinger_fd(u, v, m, 1e-4, 1, 0)
+            assert fd == pytest.approx(eval_N(u, v, m)[0], abs=1e-9)
+            fd = wirtinger_fd(u, v, m, 1e-4, 0, 1)
+            assert fd == pytest.approx(eval_N(u, v, m)[1], abs=1e-9)
 
     def test_joint_variation_decays_at_second_order(self):
         m = ModelParams(0.9, 0.35)
