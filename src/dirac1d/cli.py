@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, conservation, solver
-from .fields import (FAMILIES, Grid, ModelParams, TriangleRegion, at_nodes, lattice_count,
-                     make_initial_data, triangle_nodes)
+from .fields import (FAMILIES, MAX_STEPS, Grid, ModelParams, TriangleRegion, at_nodes,
+                     lattice_count, make_initial_data)
 from .nonlinearity import charge_flux_defect
 from .solver import SCHEME_KINDS, Scheme, SolverError
 
@@ -98,15 +98,10 @@ class ExperimentConfig:
         """Cells one step of the scheme advances; 1 for an unknown scheme."""
         return Scheme(self.scheme).cells if self.scheme in SCHEME_KINDS else 1
 
-    def canonical(self) -> dict:
-        d = asdict(self)
-        # where the reports land is not part of the experiment's identity
-        d.pop("output_dir")
-        return d
-
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.canonical(), sort_keys=True).encode()).hexdigest()
+        # where the reports land is not part of the experiment's identity
+        d = {k: v for k, v in asdict(self).items() if k != "output_dir"}
+        return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
 
 
 KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"shape_params"} | set(_SHAPE_KEYS)
@@ -147,6 +142,8 @@ def _rules(key: str, cfg: ExperimentConfig, raw: dict):
                     yield f"h: {cfg.h} cuts [{cfg.x_min}, {cfg.x_max}] into too many cells ({n})"
                 if cfg.T < 0 or lattice_count(cfg.T, cfg.h) is None:
                     yield f"T: not a nonnegative multiple of h (T={cfg.T}, h={cfg.h})"
+                elif cfg.T / cfg.h >= MAX_STEPS:
+                    yield f"T: T / h = {cfg.T / cfg.h:.3g} steps; a run takes fewer than 2**52"
         case "fixed_point_max_iter":
             # each scheme field checked alone, so every bad one is reported
             for name, arg in (("scheme", "kind"), ("fixed_point_tol", "fixed_point_tol"),
@@ -258,7 +255,7 @@ def parse_config(text: str) -> ExperimentConfig:
         scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
         for i, (a, b, t0, tau) in enumerate(cfg.triangle_regions):
             try:
-                triangle_nodes(TriangleRegion(a, b, t0), tau, grid, scheme)
+                conservation.TriangleSides(TriangleRegion(a, b, t0), tau, grid, scheme)
             except ValueError as exc:
                 errors.append(f"triangle_regions[{i}]: {exc}")
 

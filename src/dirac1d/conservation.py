@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, InitialData, TriangleRegion, at_nodes, charge, triangle_nodes
+from .fields import Grid, InitialData, TriangleRegion, at_nodes, charge
 from .solver import Scheme, Trajectory
 
 
@@ -44,19 +44,28 @@ class BalanceReport:
 class TriangleSides:
     """Probe keeping |u|^2 + |v|^2 on the base and top rows of a triangle cut
     at tau, and per step from t0 to tau |u|^2 on its right side and |v|^2 on
-    its left.  (region, tau) is validated on construction, before any step."""
+    its left.  Construction raises ValueError unless the scheme steps one
+    cell at a time, a, b, t0, tau lie on nodes of the domain and
+    t0 <= tau <= min(apex time, t_final), compared in cells."""
 
     def __init__(self, region: TriangleRegion, tau: float, grid: Grid, scheme: Scheme):
+        if scheme.cells != 1:
+            raise ValueError(f"triangle balance expects a unit-step scheme, not {scheme.kind}")
         self.region, self.tau, self.h = region, tau, grid.h
-        self.k0, self.kt, self.ja, self.jb = triangle_nodes(region, tau, grid, scheme)
+        self.k0, self.kt = grid.step_of(region.t0), grid.step_of(tau)
+        self.ja, self.jb = grid.index_of(region.a), grid.index_of(region.b)
+        # in whole cells, so a cut exactly at the apex passes on any domain
+        if not (self.k0 <= self.kt and 2 * (self.kt - self.k0) <= self.jb - self.ja):
+            raise ValueError(f"tau = {tau} outside [t0, apex] = [{region.t0}, {region.apex_t}]")
         self.rows, self.right, self.left = [], [], []
 
     def on_step(self, k: int, level: int, abs_u: np.ndarray, abs_v: np.ndarray):
         if self.k0 <= k <= self.kt:
-            au, av = at_nodes(abs_u, abs_v, self.ja + k - self.k0, self.jb - k + self.k0, level)
-            self.right.append(np.square(au[-1]))
-            self.left.append(np.square(av[0]))
+            lo, hi = self.ja + k - self.k0, self.jb - k + self.k0
+            for side, a, i in ((self.right, abs_u, hi - level), (self.left, abs_v, lo + level)):
+                side.append(np.square(a[i]) if 0 <= i < len(a) else 0.0)  # u, v at the corners
             if k in (self.k0, self.kt):
+                au, av = at_nodes(abs_u, abs_v, lo, hi, level)
                 self.rows.append(au ** 2 + av ** 2)
 
 

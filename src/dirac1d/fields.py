@@ -23,6 +23,9 @@ UNDERFLOW_FLOOR = 1e-300
 
 FAMILIES = ("gaussian", "bump", "separated", "zero")
 
+# Steps per run stay below this: from 2**52 up every float T / h is a whole number
+MAX_STEPS = 2 ** 52
+
 
 def lattice_count(value: float, h: float) -> int | None:
     """The whole number n of cells of width h > 0 that value spans, or None.
@@ -50,6 +53,10 @@ class ModelParams:
     alpha: float
     beta: float
 
+    def __post_init__(self):  # per-sample arrays too (cli._identity_sweep)
+        if not (np.isfinite(self.alpha).all() and np.isfinite(self.beta).all()):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
+
     @property
     def c_star(self) -> float:
         """Lipschitz envelope of the nonlinearity: |N1| <= c_star * |u| |v|^2.
@@ -76,7 +83,7 @@ class Grid:
     x_min : left edge of the domain, finite
     h : space step, also the time step; positive and finite
     n_cells : number of nodes in [x_min, x_max], an integer >= 1
-    n_steps : number of time steps of the run, an integer >= 0
+    n_steps : number of time steps of the run, an integer in [0, MAX_STEPS)
     """
 
     x_min: float
@@ -92,6 +99,8 @@ class Grid:
         for name, n, least in (("n_cells", self.n_cells, 1), ("n_steps", self.n_steps, 0)):
             if not (is_integer(n) and n >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+        if self.n_steps >= MAX_STEPS:
+            raise ValueError(f"n_steps must be below 2**52, got {self.n_steps}")
 
     @property
     def x_max(self) -> float:
@@ -190,23 +199,6 @@ class TriangleRegion:
     @property
     def apex_t(self) -> float:
         return 0.5 * (self.b - self.a) + self.t0
-
-
-def triangle_nodes(region: TriangleRegion, tau: float, grid: Grid, scheme) -> tuple:
-    """Steps (k0, k_tau) of t0 and tau and node indices (ja, jb) of a and b.
-
-    Raises ValueError unless the run's `solver.Scheme` steps one cell at a
-    time, a, b, t0, tau lie on nodes of the domain, and t0 <= tau <= min(apex
-    time, t_final), compared in cells.
-    """
-    if scheme.cells != 1:
-        raise ValueError(f"triangle balance expects a unit-step scheme, not {scheme.kind}")
-    k0, k_tau = grid.step_of(region.t0), grid.step_of(tau)
-    ja, jb = grid.index_of(region.a), grid.index_of(region.b)
-    # in whole cells, so a cut exactly at the apex passes on any domain
-    if not (k0 <= k_tau and 2 * (k_tau - k0) <= jb - ja):
-        raise ValueError(f"tau = {tau} outside [t0, apex] = [{region.t0}, {region.apex_t}]")
-    return k0, k_tau, ja, jb
 
 
 @dataclass

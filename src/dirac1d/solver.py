@@ -31,10 +31,10 @@ oracle4       fourth-order reference: 3-stage Lobatto IIIA collocation over a
               double step (time step 2h), whose half-step abscissae land
               exactly on lattice nodes.  Used for cross-validation.
 
-Each run also accumulates, per characteristic label, the running trapezoid
-integral of N1 (and N2) along that characteristic.  These traces are what
-the asymptotics layer turns into scattering profiles, and they make the
-discrete remainder identity u(t) = u0 - i * integral exact by telescoping.
+Each run also accumulates per label the integral A1 of N1 (A2 of N2) along
+its characteristic, for the asymptotics layer's profiles.  After setup only
+`_Labels.commit` writes state, sources and traces, adding the panel of the
+very sources it stores, so u(t) = u0 - i A1(t) telescopes exactly.
 
 Per-step certificates are probes that `run` hands read-only views of |u| and
 |v| after every step (`conservation.TriangleSides`, `ModulusDrift`).
@@ -195,7 +195,13 @@ class _Labels:
         win = hull if hull is None or reach is None else self.trim(*hull, reach)
         if win is None:  # for a hull of quiet nodes the first sweep is the fixed point
             return 0 if hull is None else 1
-        return kernel(self, *self.labels(*win, self.level))
+        ju, jv = self.labels(*win, self.level)
+        # a kernel yields, so its frame (oracle4's window temporaries) outlives the
+        # commit: freed before it, they make the heap shrink and regrow twice a step
+        step = kernel(self, ju, jv)
+        U, V, panel, sweeps = next(step)
+        self.commit(ju, jv, U, V, panel)
+        return sweeps
 
     def window(self, w: int) -> tuple[int, int] | None:
         """Nodes (lo - w, hi + w) around the supports' overlap lo..hi, or None."""
@@ -288,11 +294,21 @@ class _Labels:
         return (slice(MARGIN + lo - s, MARGIN + hi - s + 1),
                 slice(MARGIN + lo + s, MARGIN + hi + s + 1))
 
-    def commit(self, ju: slice, jv: slice, U, V, n1, n2, au, av):
-        """Store a step's window values with their moduli au, av and guard them."""
+    def commit(self, ju: slice, jv: slice, U, V, panel):
+        """Store a step's U, V on labels ju, jv with their moduli and sources,
+        and guard them.  Each trace first gains panel(stored source, new
+        source, side), side 0 for N1 and 1 for N2: the step's quadrature of
+        the very source it stores, so u = u0 - i A1 telescopes."""
+        au, av = np.abs(U, out=self.abs_u[ju]), np.abs(V, out=self.abs_v[jv])
+        n1, n2 = eval_N(U, V, self.m, (au, av))
+        self.a1[ju] += panel(self.n1[ju], n1, 0)
+        self.a2[jv] += panel(self.n2[jv], n2, 1)
         self.u[ju], self.v[jv], self.n1[ju], self.n2[jv] = U, V, n1, n2
-        self.abs_u[ju], self.abs_v[jv] = au, av
         self.guard(au, av)
+
+    def trapezoid_panel(self, old, new, side):
+        """The trace panel of one cell by the trapezoid rule."""
+        return 0.5 * self.h * (old + new)
 
     def guard(self, au: np.ndarray, av: np.ndarray):
         amp = np.maximum(np.max(au), np.max(av))  # a NaN on either side propagates
@@ -360,17 +376,8 @@ def _fixed_point(sweep, start: tuple, lab: _Labels):
         "the time step is too large for the data amplitude")
 
 
-def _commit_trapezoid(lab: _Labels, ju: slice, jv: slice, U, V, moduli=None):
-    """Store U, V and their sources (moduli |U|, |V|), adding the trapezoid panel to the traces."""
-    au, av = (np.abs(U), np.abs(V)) if moduli is None else moduli
-    n1, n2 = eval_N(U, V, lab.m, (au, av))
-    lab.a1[ju] += 0.5 * lab.h * (lab.n1[ju] + n1)
-    lab.a2[jv] += 0.5 * lab.h * (lab.n2[jv] + n2)
-    lab.commit(ju, jv, U, V, n1, n2, au, av)
-
-
-def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice) -> int:
-    """Unit-CFL implicit trapezoid on the window's labels; returns the sweeps."""
+def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice):
+    """Unit-CFL implicit trapezoid on the window's labels; yields (U, V, panel, sweeps)."""
     h, m = lab.h, lab.m
     base, *iterates = lab.work[:, :, :ju.stop - ju.start]
     np.subtract(lab.u[ju], 0.5j * h * lab.n1[ju], out=base[0])
@@ -385,12 +392,11 @@ def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice) -> int:
         return tuple(out)
 
     (U, V), iters = _fixed_point(sweep, (lab.u[ju], lab.v[jv]), lab)
-    _commit_trapezoid(lab, ju, jv, U, V)
-    return iters
+    yield U, V, lab.trapezoid_panel, iters
 
 
-def _step_phase_split(lab: _Labels, ju: slice, jv: slice) -> int:
-    """Exact-modulus step for beta = 0 on the window's labels; no sweeps.
+def _step_phase_split(lab: _Labels, ju: slice, jv: slice):
+    """Exact-modulus step for beta = 0 on the window's labels; yields (U, V, panel, 0).
 
     For the Thirring-type nonlinearity N1 = alpha*u*|v|^2 the characteristic
     ODE is a pure phase rotation, so |u| and |v| transport exactly; the phase
@@ -411,8 +417,7 @@ def _step_phase_split(lab: _Labels, ju: slice, jv: slice) -> int:
         np.cos(x, out=r.real)
         np.sin(x, out=r.imag)
         np.multiply(old, r, out=r)
-    _commit_trapezoid(lab, ju, jv, *rot[:, :n], np.abs(rot[:, :n], out=sq[:, :n]))
-    return 0
+    yield *rot[:, :n], lab.trapezoid_panel, 0
 
 
 # 3-stage Lobatto IIIA (collocation at {0, 1/2, 1}): order 4, and both stage
@@ -425,14 +430,14 @@ def _lobatto(w: tuple, f0, fh, f1):
     return w[0] * f0 + w[1] * fh + w[2] * f1
 
 
-def _step_oracle4(lab: _Labels, fu: slice, fv: slice) -> int:
+def _step_oracle4(lab: _Labels, fu: slice, fv: slice):
     """Lobatto IIIA double step (time 2h) on the window's full-level labels.
 
     The half level is solved one node wider per side: its u stage still
     moves by the -1/24 weight of the full-level source one node to its right
     (v: to its left).  By label, that adds two u labels after the full window
-    and two v labels before it.  The traces gain the order-4 quadrature of
-    the source over each segment.  Returns the sweeps.
+    and two v labels before it.  The panel is the order-4 quadrature of the
+    source over each segment.  Yields (U, V, panel, sweeps) at the full level.
     """
     m, dt = lab.m, 2.0 * lab.h
     hu, hv = slice(fu.start, fu.stop + 2), slice(fv.start - 2, fv.stop)
@@ -452,12 +457,9 @@ def _step_oracle4(lab: _Labels, fu: slice, fv: slice) -> int:
 
     (Uf, Vf, Uh, Vh), iters = _fixed_point(
         sweep, (base_uh[:-2], base_vh[2:], base_uh, base_vh), lab)
-    au, av = np.abs(Uf), np.abs(Vf)
-    (n1h, n2h), (n1f, n2f) = eval_N(Uh, Vh, m), eval_N(Uf, Vf, m, (au, av))
-    lab.a1[fu] += dt * _lobatto(_L_FULL, lab.n1[fu], n1h[:-2], n1f)
-    lab.a2[fv] += dt * _lobatto(_L_FULL, lab.n2[fv], n2h[2:], n2f)
-    lab.commit(fu, fv, Uf, Vf, n1f, n2f, au, av)
-    return iters
+    n1h, n2h = eval_N(Uh, Vh, m)
+    half = n1h[:-2], n2h[2:]
+    yield Uf, Vf, lambda old, new, side: dt * _lobatto(_L_FULL, old, half[side], new), iters
 
 
 # kind -> (kernel for a nonempty window, cells per step = window widening,

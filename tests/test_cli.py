@@ -141,6 +141,8 @@ class TestParseConfig:
         ({"family": "zero", "x_min": 0.0, "x_max": 1e308, "h": 1e308, "T": 0.0,
           "record_times": [0.0]}, "h:", "h^2"),
         ({"u_amplitude": 1e200, "u_width": 0.125}, "family:", "charge"),
+        # 8e300 steps: from 2**52 up every T / h is a whole number
+        ({"h": 0.125, "T": 1e300}, "T:", "2**52"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                        overrides, prefix, fragment):

@@ -67,11 +67,13 @@ def seed_triangle_balance(moduli, grid, pad, region, tau):
 
 class TestTriangleBalance:
     def test_equals_full_history_formula(self):
-        # criterion 4's regions, the light cone and an elevated base
+        # criterion 4's regions, the light cone and an elevated base; the last two are
+        # elevated cones at the domain's ends, whose corner labels leave the domain
         h, T = 1.0 / 32.0, 2.0
         triangles = [(TriangleRegion(-6.0, 6.0, 0.0), 2.0), (TriangleRegion(-4.0, 4.0, 0.0), 2.0),
                      (TriangleRegion(-2.0, 3.0, 0.5), 2.0), (TriangleRegion(-1.5, 2.5, 0.0), 2.0),
-                     (TriangleRegion(-2.0, 2.0, 0.5), 1.5)]
+                     (TriangleRegion(-2.0, 2.0, 0.5), 1.5), (TriangleRegion(11.0, 12.0, 0.5), 1.0),
+                     (TriangleRegion(-12.0, -11.0, 0.5), 1.0)]
         grid = Grid.from_domain(-12.0, 12.0, h, T)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         every_step = [k * h for k in range(grid.n_steps + 1)]

@@ -27,6 +27,14 @@ class TestModelParams:
         assert ModelParams(-2.0, 0.5).c_star == 4.0
         assert ModelParams(0.0, -0.25).c_star == 1.0
 
+    @pytest.mark.parametrize("alpha,beta", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                            (0.0, float("nan")), (np.array([0.5, np.nan]), 0.0)])
+    def test_couplings_must_be_finite(self, alpha, beta):
+        # run would blame the solver: "fixed-point iteration diverged at t = 0.0625"
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            ModelParams(alpha, beta)
+        ModelParams(np.full(2, 0.5), np.zeros(2))  # one coupling per sample is fine
+
 
 class TestGrid:
     def test_from_domain_counts(self):
@@ -68,6 +76,12 @@ class TestGrid:
                                        (0, 32, "n_cells"), (321, -1, "n_steps")):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 Grid(-10.0, 1.0 / 16.0, n_cells, n_steps)
+        # from 2**52 steps up every float is a whole number of steps
+        Grid(-10.0, 0.125, 161, 2 ** 52 - 1)
+        with pytest.raises(ValueError, match="n_steps must be below 2\\*\\*52"):
+            Grid(-10.0, 0.125, 161, 2 ** 52)
+        with pytest.raises(ValueError, match="n_steps must be below"):
+            Grid.from_domain(-10.0, 10.0, 0.125, 1e300)
         # make_initial_data would blame u_width for a NaN x_min
         for x_min in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="x_min must be finite"):

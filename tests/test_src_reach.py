@@ -1,5 +1,6 @@
-"""The package holds only what the program runs: every public top-level
-function and class in `src/dirac1d` is reachable from what uses the package.
+"""The package holds only what the program runs: every top-level function
+and class in `src/dirac1d`, private helpers included, is reachable from what
+uses the package.
 
 The roots are the modules' top-level statements other than imports and
 definitions (tables such as `_KERNELS`, and `main`), the names the demos and
@@ -45,7 +46,7 @@ def roots_and_definitions():
     return roots, defs
 
 
-def test_every_public_definition_is_reachable():
+def test_every_definition_is_reachable():
     roots, defs = roots_and_definitions()
     reached, todo = set(), list(roots)
     while todo:
@@ -54,8 +55,8 @@ def test_every_public_definition_is_reachable():
             reached.add(name)
             todo += [n for _, node in defs.get(name, ()) for n in used_names(node)]
     unreached = sorted(f"{module}:{name}" for name, found in defs.items()
-                       for module, _ in found if name not in reached and not name.startswith("_"))
-    assert not unreached, f"public definitions nothing in the program uses: {unreached}"
+                       for module, _ in found if name not in reached)
+    assert not unreached, f"definitions nothing in the program uses: {unreached}"
 
 
 def test_the_roots_are_found():
