@@ -55,7 +55,7 @@ class Profile:
     tail_certificate: float
 
     def l2_norm(self, h: float) -> float:
-        return float(np.sqrt(h * np.sum(np.abs(self.values) ** 2)))
+        return _l2(self.values, h)
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,15 @@ def residual(traj: Trajectory, t: float) -> ResidualReport:
     bound_u, bound_v = tail_bound(traj.data, traj.params, t)
     return ResidualReport(
         t=t,
-        l2_u=float(np.sqrt(h * np.sum(np.abs(r_u) ** 2))),
+        l2_u=_l2(r_u, h),
         sup_u=float(np.max(np.abs(r_u))),
-        l2_v=float(np.sqrt(h * np.sum(np.abs(r_v) ** 2))),
+        l2_v=_l2(r_v, h),
         sup_v=float(np.max(np.abs(r_v))),
         analytic_bound_u=bound_u,
         analytic_bound_v=bound_v,
     )
+
+
+def _l2(a: np.ndarray, h: float) -> float:
+    """The lattice L2 norm sqrt(h * sum |a|^2)."""
+    return float(np.sqrt(h * np.sum(np.abs(a) ** 2)))

@@ -381,14 +381,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                  [("", np.reshape([(r.t, r.l2_u, r.sup_u, r.l2_v, r.sup_v, r.analytic_bound_u,
                                     r.analytic_bound_v) for r in reports], (-1, 7)))])
 
-    if "residual" in cfg.checks and reports:
+    if "residual" in cfg.checks:
         slack = cfg.residual_k * cfg.h ** 2
         bounded = all(r.l2_u ** 2 <= r.analytic_bound_u + slack
                       and r.l2_v ** 2 <= r.analytic_bound_v + slack for r in reports)
         decreasing = all(n.l2_u <= p.l2_u and n.l2_v <= p.l2_v
                          for p, n in zip(reports, reports[1:]))
-        worst = max(max(r.l2_u ** 2 - r.analytic_bound_u,
-                        r.l2_v ** 2 - r.analytic_bound_v) for r in reports)
+        worst = max((max(r.l2_u ** 2 - r.analytic_bound_u, r.l2_v ** 2 - r.analytic_bound_v)
+                     for r in reports), default=0.0)
         add_check("residual", worst, slack, bounded and decreasing,
                   {"nonincreasing": decreasing})
 

@@ -16,9 +16,8 @@ and keep every bit and sweep count of a whole-lattice step for every input,
 each -0 of the data loaded as +0 (`_Labels.trim`); phase_split steps the hull
 window.  Snapshots keep the labels of [x_min, x_max]: no label leaves its
 initial support, which lies in the domain.  A fixed-point sweep evaluates
-both sources in one `eval_N` call per level.  The trapezoid's sweeps and
-phase_split, whose real cos/sin rotation has the bits of cexp, write into
-window buffers.
+both sources in one `eval_N` call per level.  The kernels write into rows of
+one scratch array; phase_split's real cos/sin rotation has the bits of cexp.
 
 Three schemes are provided:
 
@@ -47,7 +46,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -165,27 +163,16 @@ class _Labels:
             self.n1[ju], self.n2[jv] = eval_N(self.u[ju], self.v[jv], m)
 
     @cached_property
-    def buffers(self) -> SimpleNamespace:
-        """Work arrays of the implicit schemes, as long as the label arrays
-        and sliced to a window, made on first use: a complex and a real one
-        for the fixed point's moves, and real and boolean rows for the quiet
-        rule.  The third boolean row is spare: with two, oracle4's runs
-        measured about 10 % slower, from where its per-sweep temporaries
-        then land on the heap."""
-        size = len(self.u)
-        return SimpleNamespace(c=np.empty(size, complex), r=np.empty(size),
-                               p=np.empty((2, size)), b=np.empty((3, size), bool))
-
-    @cached_property
-    def rotations(self) -> tuple[np.ndarray, np.ndarray]:
-        """phase_split's real and complex (u, v) rows, made on first use."""
-        return np.empty((2, 2, len(self.u))), np.empty((2, len(self.u)), complex)
-
-    @cached_property
     def work(self) -> np.ndarray:
-        """The trapezoid's constant part and the two iterates its sweeps
-        alternate between, each a (u, v) pair of rows sliced to a window."""
-        return np.empty((3, 2, len(self.u)), complex)
+        """Every scratch row of a run: complex rows as long as the label arrays, made on
+        first use and sliced to a window; a real (boolean) row is half (a sixteenth) of a
+        complex row's float (bool) view.  Row 0 is `_fixed_point`'s move, 1 its modulus
+        (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool); from 4 on the
+        kernel's.  trapezoidal: 4-5 the constant part, 6-7 and 8-9 the (u, v) iterates
+        of alternate sweeps.  phase_split: 4 the squared moduli, 5 the midpoints (real),
+        6-7 the rotations, then U, V.  oracle4: 4-5 f0, 6-7 the new sources on the half
+        level, 8-11 and 12-15 the iterates, 16 a Lobatto term, 17 the trace panel."""
+        return np.empty((18, len(self.u)), complex)
 
     def advance(self) -> int:
         """One step of the scheme; returns its fixed-point sweeps."""
@@ -196,10 +183,7 @@ class _Labels:
         if win is None:  # for a hull of quiet nodes the first sweep is the fixed point
             return 0 if hull is None else 1
         ju, jv = self.labels(*win, self.level)
-        # a kernel yields, so its frame (oracle4's window temporaries) outlives the
-        # commit: freed before it, they make the heap shrink and regrow twice a step
-        step = kernel(self, ju, jv)
-        U, V, panel, sweeps = next(step)
+        U, V, panel, sweeps = kernel(self, ju, jv)
         self.commit(ju, jv, U, V, panel)
         return sweeps
 
@@ -260,7 +244,7 @@ class _Labels:
         One pass over the run's stored state: the pair test over every node
         gives the outermost loud nodes; the quiet flanks' sources follow.
         """
-        n, bound, buf = hi - lo + 1, quiet_bound(self.m), self.buffers
+        n, bound = hi - lo + 1, quiet_bound(self.m)
         iu, iv = MARGIN + lo - self.level, MARGIN + lo + self.level  # labels of node lo
         if r:
             amp = max(self.abs_u.max(), self.abs_v.max())
@@ -269,10 +253,11 @@ class _Labels:
                 return lo, hi
 
         au, av = self.abs_u[iu:iu + n + r], self.abs_v[iv - r:iv + n]
-        p, q, loud = buf.p[0, :n + r], buf.p[1, :n + r], buf.b[0, :n]
-        _loud_pairs(au[:n], av[r:], bound, p[:n], q[:n], loud)  # pairs (i, j)
+        p, q = self.work[2].view(float).reshape(2, -1)[:, :n + r]
+        loud, half = self.work[3].view(bool).reshape(16, -1)[:2, :n + r]
+        loud = _loud_pairs(au[:n], av[r:], bound, p[:n], q[:n], loud[:n])  # pairs (i, j)
         if r:  # loud[k] |= half[k], pair (i, j - 2), and half[k + r], pair (i + 2, j)
-            half = _loud_pairs(au, av, bound, p, q, buf.b[1, :n + r])
+            _loud_pairs(au, av, bound, p, q, half)
             loud |= half[:n]
             loud |= half[r:]
         k_lo, k_hi = _first(loud), _last(loud)
@@ -360,10 +345,10 @@ def _fixed_point(sweep, start: tuple, lab: _Labels):
     not finite; returns the last iterate and the sweeps."""
     s, x = lab.s, start
     scale = 1.0 + max(np.max(lab.abs_u), np.max(lab.abs_v))
-    buf = lab.buffers
+    move, modulus = lab.work[0], lab.work[1].view(float)
     for iters in range(1, s.fixed_point_max_iter + 1):
         new = sweep(*x)
-        deltas = [np.abs(np.subtract(a, b, out=buf.c[:a.size]), out=buf.r[:a.size]).max()
+        deltas = [np.abs(np.subtract(a, b, out=move[:a.size]), out=modulus[:a.size]).max()
                   for a, b in zip(new, x)]
         if not all(map(math.isfinite, deltas)):
             raise SolverError(f"fixed-point iteration diverged at t = {lab.level * lab.h:.6g}: "
@@ -377,9 +362,9 @@ def _fixed_point(sweep, start: tuple, lab: _Labels):
 
 
 def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice):
-    """Unit-CFL implicit trapezoid on the window's labels; yields (U, V, panel, sweeps)."""
+    """Unit-CFL implicit trapezoid on the window's labels; returns (U, V, panel, sweeps)."""
     h, m = lab.h, lab.m
-    base, *iterates = lab.work[:, :, :ju.stop - ju.start]
+    base, *iterates = lab.work[4:10, :ju.stop - ju.start].reshape(3, 2, -1)
     np.subtract(lab.u[ju], 0.5j * h * lab.n1[ju], out=base[0])
     np.subtract(lab.v[jv], 0.5j * h * lab.n2[jv], out=base[1])
     slots = itertools.cycle(iterates)  # a sweep never writes over its input
@@ -392,11 +377,11 @@ def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice):
         return tuple(out)
 
     (U, V), iters = _fixed_point(sweep, (lab.u[ju], lab.v[jv]), lab)
-    yield U, V, lab.trapezoid_panel, iters
+    return U, V, lab.trapezoid_panel, iters
 
 
 def _step_phase_split(lab: _Labels, ju: slice, jv: slice):
-    """Exact-modulus step for beta = 0 on the window's labels; yields (U, V, panel, 0).
+    """Exact-modulus step for beta = 0 on the window's labels; returns (U, V, panel, 0).
 
     For the Thirring-type nonlinearity N1 = alpha*u*|v|^2 the characteristic
     ODE is a pure phase rotation, so |u| and |v| transport exactly; the phase
@@ -405,29 +390,26 @@ def _step_phase_split(lab: _Labels, ju: slice, jv: slice):
     part +0, where cexp gives (cos, sin) of its imaginary part theta: the step forms
     theta with the same bits (+ 0.0 turns a zero product's -0 into +0), then cos, sin.
     """
-    (sq, mid), rot, n = *lab.rotations, ju.stop - ju.start
+    n = ju.stop - ju.start
+    (sq, mid), rot = lab.work[4:6].view(float).reshape(2, 2, -1)[..., :n + 2], lab.work[6:8, :n]
     # the previous level's squared moduli at both neighbours of every window node
-    np.square(lab.abs_u[ju.start:ju.stop + 2], out=sq[0, :n + 2])
-    np.square(lab.abs_v[jv.start - 2:jv.stop], out=sq[1, :n + 2])
+    np.square(lab.abs_u[ju.start:ju.stop + 2], out=sq[0])
+    np.square(lab.abs_v[jv.start - 2:jv.stop], out=sq[1])
     # u turns by the midpoint |v|^2, v by the midpoint |u|^2
-    for q, x, r, old in zip(sq[::-1, :n + 2], mid[:, :n], rot[:, :n], (lab.u[ju], lab.v[jv])):
+    for q, x, r, old in zip(sq[::-1], mid[:, :n], rot, (lab.u[ju], lab.v[jv])):
         np.multiply(np.add(q[:-2], q[2:], out=x), 0.5, out=x)
         np.multiply(-(lab.m.alpha * lab.h), x, out=x)
         x += 0.0
         np.cos(x, out=r.real)
         np.sin(x, out=r.imag)
         np.multiply(old, r, out=r)
-    yield *rot[:, :n], lab.trapezoid_panel, 0
+    return *rot, lab.trapezoid_panel, 0
 
 
 # 3-stage Lobatto IIIA (collocation at {0, 1/2, 1}): order 4, and both stage
 # abscissae land on lattice nodes when the time step spans two cells.
 _L_HALF = (5.0 / 24.0, 1.0 / 3.0, -1.0 / 24.0)
 _L_FULL = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
-
-
-def _lobatto(w: tuple, f0, fh, f1):
-    return w[0] * f0 + w[1] * fh + w[2] * f1
 
 
 def _step_oracle4(lab: _Labels, fu: slice, fv: slice):
@@ -437,29 +419,41 @@ def _step_oracle4(lab: _Labels, fu: slice, fv: slice):
     moves by the -1/24 weight of the full-level source one node to its right
     (v: to its left).  By label, that adds two u labels after the full window
     and two v labels before it.  The panel is the order-4 quadrature of the
-    source over each segment.  Yields (U, V, panel, sweeps) at the full level.
+    source over each segment.  Returns (U, V, panel, sweeps) at the full level.
     """
     m, dt = lab.m, 2.0 * lab.h
     hu, hv = slice(fu.start, fu.stop + 2), slice(fv.start - 2, fv.stop)
     base_uh, base_vh = lab.u[hu], lab.v[hv]
-    f0u, f0v = -1j * lab.n1[hu], -1j * lab.n2[hv]
-    # the full-level sources seen from the half level: zero past the full window
-    f1u_h, f1v_h = np.zeros_like(base_uh), np.zeros_like(base_vh)
+    f0u, f0v, f1u_h, f1v_h, *iterates, term, panel_row = lab.work[4:, :hu.stop - hu.start]
+    np.multiply(-1j, lab.n1[hu], out=f0u)
+    np.multiply(-1j, lab.n2[hv], out=f0v)
+    f1u_h[-2:], f1v_h[:2] = 0, 0  # the new sources on the half level: zero past the window
+    slots = itertools.cycle((iterates[:4], iterates[4:]))  # never over the input
+
+    def lobatto(w: tuple, f0, fh, f1, out):
+        """out <- dt * (w[0] f0 + w[1] fh + w[2] f1), term by term."""
+        np.multiply(w[0], f0, out=out)
+        out += np.multiply(w[1], fh, out=term[:out.size])
+        out += np.multiply(w[2], f1, out=term[:out.size])
+        return np.multiply(dt, out, out=out)
 
     def sweep(Uf, Vf, Uh, Vh):
-        fhu, fhv = (-1j * n for n in eval_N(Uh, Vh, m))
-        f1u, f1v = (-1j * n for n in eval_N(Uf, Vf, m))
-        f1u_h[:-2], f1v_h[2:] = f1u, f1v
-        return (base_uh[:-2] + dt * _lobatto(_L_FULL, f0u[:-2], fhu[:-2], f1u),
-                base_vh[2:] + dt * _lobatto(_L_FULL, f0v[2:], fhv[2:], f1v),
-                base_uh + dt * _lobatto(_L_HALF, f0u, fhu, f1u_h),
-                base_vh + dt * _lobatto(_L_HALF, f0v, fhv, f1v_h))
+        fhu, fhv = (np.multiply(-1j, n, out=n) for n in eval_N(Uh, Vh, m))
+        for n, o in zip(eval_N(Uf, Vf, m), (f1u_h[:-2], f1v_h[2:])):
+            np.multiply(-1j, n, out=o)
+        out = next(slots)  # the full-level stages, too, over the half level's labels
+        for o, w, base, f0, fh, f1 in zip(out, (_L_FULL, _L_FULL, _L_HALF, _L_HALF),
+                                          (base_uh, base_vh) * 2, (f0u, f0v) * 2,
+                                          (fhu, fhv) * 2, (f1u_h, f1v_h) * 2):
+            np.add(base, lobatto(w, f0, fh, f1, o), out=o)
+        return out[0][:-2], out[1][2:], out[2], out[3]
 
     (Uf, Vf, Uh, Vh), iters = _fixed_point(
         sweep, (base_uh[:-2], base_vh[2:], base_uh, base_vh), lab)
     n1h, n2h = eval_N(Uh, Vh, m)
     half = n1h[:-2], n2h[2:]
-    yield Uf, Vf, lambda old, new, side: dt * _lobatto(_L_FULL, old, half[side], new), iters
+    return Uf, Vf, lambda old, new, side: lobatto(_L_FULL, old, half[side], new,
+                                                  panel_row[:new.size]), iters
 
 
 # kind -> (kernel for a nonempty window, cells per step = window widening,

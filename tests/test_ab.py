@@ -1,0 +1,44 @@
+"""The statistics `tools/ab.py` prints, on fixed inputs, and its path-length rule."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+AB = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("_tools_ab", AB)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quartiles(ab):
+    assert ab.quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == (2.0, 3.0, 4.0)
+    assert ab.quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
+
+
+def test_pairs_won_counts_ties_for_neither(ab):
+    this, parent = [1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 1.0, 5.0]
+    assert ab.pairs_won(this, parent, "lower") == (2, 1)
+    assert ab.pairs_won(this, parent, "higher") == (1, 2)
+
+
+def test_sign_test(ab):
+    assert ab.sign_test(10, 0) == ab.sign_test(0, 10) == pytest.approx(2 / 1024)
+    assert ab.sign_test(9, 1) == pytest.approx(2 * 11 / 1024)
+    assert ab.sign_test(8, 0) == pytest.approx(2 / 256)
+    assert ab.sign_test(5, 5) == 1.0
+    assert ab.sign_test(0, 0) == 1.0
+
+
+def test_refuses_paths_of_unequal_length(ab, tmp_path, capsys):
+    name = "p" if len(str(tmp_path / "p")) != len(str(ab.ROOT)) else "pp"
+    (tmp_path / name / "src" / "dirac1d").mkdir(parents=True)
+    with pytest.raises(SystemExit) as exc:
+        ab.main([str(tmp_path / name)])
+    assert exc.value.code == 2
+    assert "path length" in capsys.readouterr().err

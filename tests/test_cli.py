@@ -318,6 +318,18 @@ class TestRunExperiment:
         assert all(c["pass"] for c in summary["checks"])
         assert all("identity" in c for c in summary["checks"])
 
+    def test_every_requested_check_reported_at_t_zero(self, tmp_path):
+        # no step and no residual time: the residual check passes vacuously,
+        # as triangle and tails do on empty input
+        raw = {"model": "gross_neveu", "x_min": -10, "x_max": 10, "h": 0.125, "T": 0.0,
+               "output_dir": str(tmp_path / "out")}
+        (tmp_path / "t0.json").write_text(json.dumps(raw))
+        assert main(["run", str(tmp_path / "t0.json")]) == 0
+        checks = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
+        assert [c["name"] for c in checks] == ["identity", *ALL_CHECKS]
+        residual = next(c for c in checks if c["name"] == "residual")
+        assert residual["value"] == 0.0 and residual["pass"]
+
     def test_snapshot_rows(self, tmp_path):
         cfg = parse_config(write_config(tmp_path).read_text())
         cfg.output_dir = str(tmp_path / "out")

@@ -616,20 +616,29 @@ class TestProbes:
 
 class TestTraceIdentity:
     @pytest.mark.parametrize("scheme,model,tol", [
-        # telescoping is exact for the implicit trapezoid update (fp tolerance
-        # only); the phase-split update matches its own trapezoid traces to O(h^2)
+        # telescoping is exact for the implicit trapezoid and oracle4 updates (fp
+        # tolerance only); the phase-split update matches its own trapezoid traces to O(h^2)
         ("trapezoidal", "gross_neveu", 1e-10),
+        ("oracle4", "gross_neveu", 1e-10),
         ("phase_split", "thirring", 5e-3),
     ])
     def test_field_equals_free_flow_plus_trace(self, scheme, model, tol):
         m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
-        traj = gaussian_run(m, 1.0 / 64.0, 1.0, scheme=scheme)
-        a1, a2 = traj.traces_at(1.0)
-        u, v = traj.snapshot_at(1.0)
-        ru = u - traj.data.u0 + 1j * a1
-        rv = v - traj.data.v0 + 1j * a2
-        assert np.max(np.abs(ru)) <= tol
-        assert np.max(np.abs(rv)) <= tol
+        assert identity_miss(gaussian_run(m, 1.0 / 64.0, 1.0, scheme=scheme)) <= tol
+
+    def test_scaled_trace_panel_breaks_the_identity(self, monkeypatch):
+        from dirac1d import solver
+        panel = solver._Labels.trapezoid_panel
+        monkeypatch.setattr(solver._Labels, "trapezoid_panel",
+                            lambda self, old, new, side: 1.1 * panel(self, old, new, side))
+        assert identity_miss(gaussian_run(ModelParams.gross_neveu(), 1.0 / 64.0, 1.0)) > 1e-2
+
+
+def identity_miss(traj):
+    """max |u - u0 + i A1| and max |v - v0 + i A2| at the final time."""
+    (u, v), (a1, a2) = traj.snapshot_at(traj.grid.t_final), traj.traces_at(traj.grid.t_final)
+    return max(np.max(np.abs(u - traj.data.u0 + 1j * a1)),
+               np.max(np.abs(v - traj.data.v0 + 1j * a2)))
 
 
 class TestConvergence:
