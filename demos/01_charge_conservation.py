@@ -25,7 +25,7 @@ gn = ModelParams.gross_neveu()
 prev = None
 for h in (1 / 32, 1 / 64, 1 / 128):
     traj, drift = drift_at(gn, h)
-    q = [charge(u, v, h) for u, v in traj.snapshots.values()]
+    q = [charge(u, v, h) for u, v, *_ in traj.snapshots.values()]
     line = f"  h = 1/{round(1 / h):3d}:  Q(0) = {q[0]:.12f}  drift = {drift:.3e}"
     if prev is not None:
         line += f"  ratio = {prev / drift:.2f}"

@@ -168,7 +168,7 @@ def compute_profile(traj: Trajectory) -> tuple[Profile, Profile]:
     t_max = traj.grid.t_final
     bounds = tail_bound(traj.data, traj.params, t_max)
     return tuple(Profile(values=-1j * a, tail_certificate=float(np.sqrt(b)))
-                 for a, b in zip(traj.traces_at(t_max), bounds))
+                 for a, b in zip(traj.snapshot_at(t_max)[2:], bounds))
 
 
 def residual(traj: Trajectory, t: float) -> ResidualReport:
@@ -180,8 +180,8 @@ def residual(traj: Trajectory, t: float) -> ResidualReport:
     decays below machine epsilon relative to the fields.  It reads the traces
     alone, not the profiles -i * A(t_max).
     """
-    a1_t, a2_t = traj.traces_at(t)
-    a1_T, a2_T = traj.traces_at(traj.grid.t_final)
+    *_, a1_t, a2_t = traj.snapshot_at(t)
+    *_, a1_T, a2_T = traj.snapshot_at(traj.grid.t_final)
     h = traj.grid.h
     r_u = 1j * (a1_T - a1_t)
     r_v = 1j * (a2_T - a2_t)

@@ -342,8 +342,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     # snapshots.csv: u and v at the domain's nodes at each recorded time
     x = grid.x()
     blocks = []
-    for level, snap in traj.snapshots.items():
-        u, v = at_nodes(*snap, 0, grid.n_cells - 1, level)
+    for level, (u, v, *_) in traj.snapshots.items():
+        u, v = at_nodes(u, v, 0, grid.n_cells - 1, level)
         blocks.append(("", np.column_stack((np.full(len(x), level * grid.h), x, u.real, u.imag,
                                              v.real, v.imag))))
     _write_table(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"], blocks)

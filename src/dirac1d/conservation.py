@@ -59,12 +59,12 @@ class TriangleSides:
             raise ValueError(f"tau = {tau} outside [t0, apex] = [{region.t0}, {region.apex_t}]")
         self.rows, self.right, self.left = [], [], []
 
-    def on_step(self, k: int, level: int, abs_u: np.ndarray, abs_v: np.ndarray):
-        if self.k0 <= k <= self.kt:
-            lo, hi = self.ja + k - self.k0, self.jb - k + self.k0
+    def on_step(self, level: int, abs_u: np.ndarray, abs_v: np.ndarray):
+        if self.k0 <= level <= self.kt:
+            lo, hi = self.ja + level - self.k0, self.jb - level + self.k0
             for side, a, i in ((self.right, abs_u, hi - level), (self.left, abs_v, lo + level)):
                 side.append(np.square(a[i]) if 0 <= i < len(a) else 0.0)  # u, v at the corners
-            if k in (self.k0, self.kt):
+            if level in (self.k0, self.kt):
                 au, av = at_nodes(abs_u, abs_v, lo, hi, level)
                 self.rows.append(au ** 2 + av ** 2)
 
@@ -77,7 +77,7 @@ class ModulusDrift:
         self.abs0 = np.abs(data.u0), np.abs(data.v0)
         self.value = 0.0
 
-    def on_step(self, k: int, level: int, abs_u: np.ndarray, abs_v: np.ndarray):
+    def on_step(self, level: int, abs_u: np.ndarray, abs_v: np.ndarray):
         self.value = max(self.value, np.max(np.abs(abs_u - self.abs0[0])),
                          np.max(np.abs(abs_v - self.abs0[1])))
 
@@ -89,7 +89,7 @@ def total_charge_drift(traj: Trajectory) -> float:
         raise ValueError("trajectory has no recorded snapshots")
     q0 = traj.data.c0
     worst = 0.0
-    for u, v in traj.snapshots.values():
+    for u, v, *_ in traj.snapshots.values():
         worst = max(worst, abs(charge(u, v, traj.grid.h) - q0))
     return worst / max(q0, 1e-300)
 
@@ -137,7 +137,7 @@ def check_pointwise_bound(traj: Trajectory) -> float:
         bu, bv = (np.nan_to_num(factor * np.abs(a) ** 2, nan=0.0, posinf=np.inf)
                   for a in (traj.data.u0, traj.data.v0))
     worst = 0.0
-    for u, v in traj.snapshots.values():
+    for u, v, *_ in traj.snapshots.values():
         worst = max(worst, float(np.max(np.abs(u) ** 2 - bu)),
                     float(np.max(np.abs(v) ** 2 - bv)))
     return worst

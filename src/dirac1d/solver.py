@@ -94,23 +94,21 @@ class Scheme:
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots plus per-characteristic trace integrals, keyed by
-    cell level (time level * h) in increasing order.
+    """Recorded states and per-characteristic trace integrals, keyed by cell
+    level (time level * h) in increasing order.
 
-    `snapshots[level]` holds the pair (u, v) by label, like the solver.
-    `trace_partials[level]` holds the pair (A1, A2) in the same label frames
-    (y = x - t for the u side, y = x + t for the v side), the composite
-    trapezoid integrals A1(y, t) = int_0^t N1 along (y + s, s) and
-    A2(y, t) = int_0^t N2 along (y - s, s).  The final accumulators at
-    t = grid.t_final feed the scattering profiles.  `snapshot_at(t)` and
-    `traces_at(t)` return the pair recorded at t, found by its lattice count.
-    The lattice is the data's: `grid` is `data.grid`.
+    `snapshots[level]` holds the record (u, v, A1, A2) by label, like the
+    solver: u and A1 on labels y = x - t, v and A2 on y = x + t, with the
+    composite trapezoid integrals A1(y, t) = int_0^t N1 along (y + s, s) and
+    A2(y, t) = int_0^t N2 along (y - s, s).  The traces at t = grid.t_final
+    feed the scattering profiles.  `snapshot_at(t)` returns the record at t,
+    found by its lattice count.  The lattice is the data's: `grid` is
+    `data.grid`.
     """
 
     params: ModelParams
     data: InitialData
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    trace_partials: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    snapshots: dict[int, tuple[np.ndarray, ...]] = field(default_factory=dict)
     max_fp_iterations: int = 0
 
     @property
@@ -121,17 +119,11 @@ class Trajectory:
     def times(self) -> list[float]:
         return [level * self.grid.h for level in self.snapshots]
 
-    def snapshot_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self._at(self.snapshots, t)
-
-    def traces_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self._at(self.trace_partials, t)
-
-    def _at(self, recorded: dict, t: float):
+    def snapshot_at(self, t: float) -> tuple[np.ndarray, ...]:
         level = lattice_count(t, self.grid.h)
-        if level not in recorded:
+        if level not in self.snapshots:
             raise ValueError(f"nothing recorded at t = {t}; recorded times: {self.times}")
-        return recorded[level]
+        return self.snapshots[level]
 
 
 class _Labels:
@@ -472,9 +464,9 @@ def run(data: InitialData, m: ModelParams, s: Scheme, record_times: list[float],
 
     record_times must be multiples of the scheme's time step within
     [0, n_steps * h].  The final time is always recorded (the profiles need
-    the full trace integrals).  After step k (0: before the first) each probe
-    gets `p.on_step(k, level, abs_u, abs_v)`: the cell level and read-only
-    views of |u| and |v| by label over the domain.  Fields that stop being
+    the full trace integrals).  Before the first step and after each step
+    every probe gets `p.on_step(level, abs_u, abs_v)`: the cell level and
+    read-only views of |u| and |v| by label over the domain.  Fields that stop being
     finite raise SolverError, not a floating-point warning.
     """
     grid = data.grid
@@ -505,11 +497,10 @@ def run(data: InitialData, m: ModelParams, s: Scheme, record_times: list[float],
             if k:
                 traj.max_fp_iterations = max(traj.max_fp_iterations, lab.advance())
             for p in probes:
-                p.on_step(k, lab.level, *moduli)
+                p.on_step(lab.level, *moduli)
             if k in record_steps:
-                u, v, a1, a2 = (a.copy() for a in lab.domain(lab.u, lab.v, lab.a1, lab.a2))
-                traj.snapshots[lab.level] = (u, v)
-                traj.trace_partials[lab.level] = (a1, a2)
+                traj.snapshots[lab.level] = tuple(
+                    a.copy() for a in lab.domain(lab.u, lab.v, lab.a1, lab.a2))
     return traj
 
 
@@ -529,5 +520,5 @@ def l2_diff(coarse: Trajectory, fine: Trajectory, t: float) -> float:
     """L2 distance at time t between runs on a grid and a nested refinement of it:
     the root of the charge of their difference on the coarse labels."""
     du, dv = (a - restrict(b, fine.grid, coarse.grid)
-              for a, b in zip(coarse.snapshot_at(t), fine.snapshot_at(t)))
+              for a, b in zip(coarse.snapshot_at(t)[:2], fine.snapshot_at(t)[:2]))
     return math.sqrt(charge(du, dv, coarse.grid.h))

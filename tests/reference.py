@@ -1,5 +1,6 @@
-"""Reference formulas for the closed-form sources: the potential W and
-difference quotients of it, which the tests compare with `eval_N`."""
+"""Reference formulas: the potential W and difference quotients of it, which
+the tests compare with `eval_N`, and the Thirring-type (beta = 0) state in
+closed form on the lattice, which they compare with phase_split."""
 
 import numpy as np
 
@@ -42,3 +43,24 @@ def wirtinger_fd(u, v, m, delta, p, q):
     """
     return 0.5 * (first_variation_fd(u, v, p, q, m, delta)
                   + 1j * first_variation_fd(u, v, 1j * p, 1j * q, m, delta))
+
+
+def thirring_lattice(u0, v0, m, h, level):
+    """(u, v) by label at cell level `level` for beta = 0, in closed form.
+
+    With beta = 0 the moduli are transported, so u label i only turns, by
+    exp(-i alpha h S) with S the lattice trapezoid sum of |v0|^2 over the v
+    labels i, i + 2, ..., i + 2 level that its characteristic meets, and v
+    label j by the same sum of |u0|^2 over j, j - 2, ..., j - 2 level.  Labels
+    past the domain hold 0.  Each of phase_split's steps turns u by the
+    midpoint of two consecutive terms, so its states equal these up to
+    roundoff.
+    """
+    n, pad = len(u0), 2 * level
+    mv = np.pad(np.abs(v0) ** 2, (0, pad))  # |v0|^2 at label i + 2k is mv[i + 2k]
+    mu = np.pad(np.abs(u0) ** 2, (pad, 0))  # |u0|^2 at label j - 2k is mu[j + pad - 2k]
+    s_u, s_v = np.zeros(n), np.zeros(n)
+    for k in range(level):  # step k + 1: the labels met at levels k and k + 1
+        s_u += 0.5 * (mv[2 * k:2 * k + n] + mv[2 * k + 2:2 * k + 2 + n])
+        s_v += 0.5 * (mu[pad - 2 * k:pad - 2 * k + n] + mu[pad - 2 * k - 2:pad - 2 * k - 2 + n])
+    return u0 * np.exp(-1j * m.alpha * h * s_u), v0 * np.exp(-1j * m.alpha * h * s_v)

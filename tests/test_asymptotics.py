@@ -138,7 +138,7 @@ def gn_traj():
 class TestProfiles:
     def test_profile_from_traces(self, gn_traj):
         p, _ = compute_profile(gn_traj)
-        a1, _ = gn_traj.traces_at(4.0)
+        *_, a1, _ = gn_traj.snapshot_at(4.0)
         np.testing.assert_allclose(p.values, -1j * a1)
         assert p.l2_norm(gn_traj.grid.h) > 0.1
         assert p.tail_certificate >= 0.0
@@ -184,8 +184,8 @@ class TestResiduals:
         traj = gn_traj
         rep = residual(traj, 1.0)
         # the direct route: u - u0 - G1 with G1 = -i * A1(t_max), and its v analogue
-        u, v = traj.snapshot_at(1.0)
-        a1, a2 = traj.traces_at(traj.grid.t_final)
+        u, v, *_ = traj.snapshot_at(1.0)
+        *_, a1, a2 = traj.snapshot_at(traj.grid.t_final)
         ru, rv = u - traj.data.u0 + 1j * a1, v - traj.data.v0 + 1j * a2
         h = traj.grid.h
         assert np.sqrt(h * np.sum(np.abs(ru) ** 2)) == pytest.approx(rep.l2_u, abs=1e-10)

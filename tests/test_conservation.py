@@ -83,7 +83,7 @@ class TestTriangleBalance:
         pad = grid.n_steps + 8
         moduli = [(np.roll(np.pad(np.abs(u) ** 2, pad), k),
                    np.roll(np.pad(np.abs(v) ** 2, pad), -k))
-                  for k, (u, v) in traj.snapshots.items()]
+                  for k, (u, v, *_) in traj.snapshots.items()]
         assert len(moduli) == grid.n_steps + 1
         for (region, tau), s in zip(triangles, sides):
             rep = triangle_balance(s)

@@ -15,6 +15,7 @@ from dirac1d.cli import parse_config, run_experiment
 from dirac1d.nonlinearity import eval_N
 from dirac1d.solver import (_KERNELS, MARGIN, QUIET_EXP, _loud_pairs, l2_diff, quiet_bound,
                             restrict, run)
+from reference import thirring_lattice
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 
@@ -233,8 +234,7 @@ def assert_matches_reference(traj, data, grid, m, kind):
         max_its = max(max_its, its)
         t = k * cells * grid.h
         if any(abs(t - rt) < 1e-12 for rt in traj.times):
-            (su, sv), (b1, b2) = traj.snapshot_at(t), traj.traces_at(t)
-            for got, want in ((su, u), (sv, v), (b1, a1), (b2, a2)):
+            for got, want in zip(traj.snapshot_at(t), (u, v, a1, a2)):
                 np.testing.assert_array_equal(bits(got), bits(want))
     assert traj.max_fp_iterations == max_its
 
@@ -350,7 +350,7 @@ class TestWindowedSolver:
             traj = run(init, ModelParams(alpha, beta), Scheme(kind),
                        [k * grid.h for k in range(0, 9, Scheme(kind).cells)])
         for t in traj.times:
-            for a in traj.snapshot_at(t):
+            for a in traj.snapshot_at(t)[:2]:
                 f = a.view(float)
                 assert not np.signbit(f[f == 0]).any(), (t, a)
 
@@ -395,7 +395,7 @@ class TestWindowedSolver:
         traj = run(data, m, Scheme(kind), [])
         u, v, _, _, _ = next(reference_labels(data, grid, m, kind))
         assert list(traj.snapshots) == [cells]  # keyed by cell level
-        got_u, got_v = traj.snapshot_at(grid.t_final)
+        got_u, got_v, *_ = traj.snapshot_at(grid.t_final)
         np.testing.assert_array_equal(got_u, u)
         np.testing.assert_array_equal(got_v, v)
 
@@ -410,7 +410,7 @@ class TestWindowedSolver:
         assert counter.nodes == 0
         assert traj.max_fp_iterations == 0
         # free transport leaves every label's value untouched
-        u, v = traj.snapshot_at(2.0)
+        u, v, *_ = traj.snapshot_at(2.0)
         np.testing.assert_array_equal(u, data.u0)
         np.testing.assert_array_equal(v, data.v0)
 
@@ -439,7 +439,6 @@ class TestWindowedSolver:
         traj = run(data, ModelParams.thirring(), Scheme(kind), [0.0, 1.0], probes)
         assert counter.nodes == 0
         assert not any(a.any() for a in traj.snapshot_at(1.0))
-        assert not any(a.any() for a in traj.traces_at(1.0))
         assert drift.value == 0.0
 
 
@@ -528,14 +527,14 @@ class TestExactCases:
                                   "v_center": -3.0, "v_width": 2.0}, grid)
         m = ModelParams.thirring()
         traj = run(data, m, Scheme(scheme), [2.0])
-        u, v = traj.snapshot_at(2.0)
+        u, v, *_ = traj.snapshot_at(2.0)
         np.testing.assert_allclose(u, data.u0, atol=1e-14)
         np.testing.assert_allclose(v, data.v0, atol=1e-14)
 
     def test_phase_split_exact_moduli(self):
         m = ModelParams.thirring()
         traj = gaussian_run(m, 1.0 / 32.0, 2.0, scheme="phase_split")
-        u, v = traj.snapshot_at(2.0)
+        u, v, *_ = traj.snapshot_at(2.0)
         np.testing.assert_allclose(np.abs(u), np.abs(traj.data.u0), atol=1e-13)
         np.testing.assert_allclose(np.abs(v), np.abs(traj.data.v0), atol=1e-13)
 
@@ -570,14 +569,14 @@ class TestExactCases:
 
 
 class StepLog:
-    """Probe recording each call's step, level and copies of the moduli."""
+    """Probe recording each call's level and copies of the moduli."""
 
     def __init__(self):
         self.calls = []
 
-    def on_step(self, k, level, abs_u, abs_v):
+    def on_step(self, level, abs_u, abs_v):
         assert not abs_u.flags.writeable and not abs_v.flags.writeable
-        self.calls.append((k, level, abs_u.copy(), abs_v.copy()))
+        self.calls.append((level, abs_u.copy(), abs_v.copy()))
 
 
 class TestProbes:
@@ -589,11 +588,10 @@ class TestProbes:
         every = [k * cells * grid.h for k in range(grid.n_steps // cells + 1)]
         log = StepLog()
         traj = run(data, ModelParams.thirring(), Scheme(kind), every, [log])
-        assert [(k, level) for k, level, *_ in log.calls] == [
-            (k, k * cells) for k in range(grid.n_steps // cells + 1)]
+        assert [level for level, *_ in log.calls] == list(range(0, grid.n_steps + 1, cells))
         # the views are |u| and |v| by label over the domain at that step
-        for (_, _, au, av), t in zip(log.calls, traj.times):
-            u, v = traj.snapshot_at(t)
+        for (_, au, av), t in zip(log.calls, traj.times):
+            u, v, *_ = traj.snapshot_at(t)
             np.testing.assert_array_equal(au, np.abs(u))
             np.testing.assert_array_equal(av, np.abs(v))
 
@@ -607,7 +605,7 @@ class TestProbes:
         traj = run(data, model, Scheme(kind), every, [drift])
         want = 0.0
         for t in traj.times:
-            u, v = traj.snapshot_at(t)
+            u, v, *_ = traj.snapshot_at(t)
             want = max(want, np.max(np.abs(np.abs(u) - np.abs(data.u0))),
                        np.max(np.abs(np.abs(v) - np.abs(data.v0))))
         assert drift.value == want
@@ -636,9 +634,58 @@ class TestTraceIdentity:
 
 def identity_miss(traj):
     """max |u - u0 + i A1| and max |v - v0 + i A2| at the final time."""
-    (u, v), (a1, a2) = traj.snapshot_at(traj.grid.t_final), traj.traces_at(traj.grid.t_final)
+    u, v, a1, a2 = traj.snapshot_at(traj.grid.t_final)
     return max(np.max(np.abs(u - traj.data.u0 + 1j * a1)),
                np.max(np.abs(v - traj.data.v0 + 1j * a2)))
+
+
+class TestThirringClosedForm:
+    """phase_split against the lattice closed form of the beta = 0 states."""
+
+    H, T = 1.0 / 64.0, 2.0
+
+    def miss(self):
+        """max over every recorded time of phase_split's distance to the closed
+        form, and the bound that the roundoff of its steps keeps it under."""
+        grid = Grid.from_domain(-10.0, 10.0, self.H, self.T)
+        data = make_initial_data("gaussian", {**GAUSSIAN_PAIR, "v_phase": 0.3}, grid)
+        m = ModelParams.thirring()
+        traj = run(data, m, Scheme("phase_split"), [k / 8.0 for k in range(17)])
+        worst = 0.0
+        for level, (u, v, *_) in traj.snapshots.items():
+            want_u, want_v = thirring_lattice(data.u0, data.v0, m, grid.h, level)
+            worst = max(worst, np.max(np.abs(u - want_u)), np.max(np.abs(v - want_v)))
+        # each step's rotation and angle round by a few ulps of the (unit) amplitude
+        return worst, 8.0 * grid.n_steps * np.finfo(float).eps
+
+    def test_phase_split_matches_the_lattice_closed_form(self):
+        worst, bound = self.miss()
+        assert worst <= bound
+
+    @pytest.mark.parametrize("mutant", ["scaled_angle", "left_endpoint"])
+    def test_defects_miss_the_closed_form(self, mutant, monkeypatch):
+        from dirac1d import solver
+        kernel, cells, reach = solver._KERNELS["phase_split"]
+
+        def scaled_angle(lab, ju, jv):
+            """the rotation angle alone times 1.1; the traced sources keep alpha"""
+            m = lab.m
+            lab.m = ModelParams(1.1 * m.alpha, m.beta)
+            try:
+                return kernel(lab, ju, jv)
+            finally:
+                lab.m = m
+
+        def left_endpoint(lab, ju, jv):
+            """u turned by the |v|^2 at its characteristic's start, not the midpoint"""
+            U, V, panel, sweeps = kernel(lab, ju, jv)
+            start = np.square(lab.abs_v[jv.start - 2:jv.stop - 2])
+            return lab.u[ju] * np.exp(-1j * lab.m.alpha * lab.h * start), V, panel, sweeps
+
+        defect = {"scaled_angle": scaled_angle, "left_endpoint": left_endpoint}[mutant]
+        monkeypatch.setitem(solver._KERNELS, "phase_split", (defect, cells, reach))
+        worst, bound = self.miss()
+        assert worst > bound
 
 
 class TestConvergence:
@@ -677,12 +724,12 @@ class TestInvariances:
         grid = Grid.from_domain(-10.0, 10.0, 1 / 32, 1.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         m = ModelParams.gross_neveu()
-        base = run(data, m, Scheme(), [1.0]).snapshot_at(1.0)
+        base = run(data, m, Scheme(), [1.0]).snapshot_at(1.0)[:2]
         z = np.exp(0.7j)
         rotated = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         rotated.u0 = z * rotated.u0
         rotated.v0 = z * rotated.v0
-        rot = run(rotated, m, Scheme(), [1.0]).snapshot_at(1.0)
+        rot = run(rotated, m, Scheme(), [1.0]).snapshot_at(1.0)[:2]
         for a, b in zip(rot, base):
             np.testing.assert_allclose(a, z * b, atol=1e-12)
 
@@ -744,10 +791,11 @@ class TestGuards:
     def test_states_keyed_by_cell_level(self):
         # oracle4 records every other level; 3 * 0.1 is 0.30000000000000004
         traj = gaussian_run(ModelParams.thirring(), 0.1, 0.4, scheme="oracle4", record=(0.0, 0.2))
-        assert list(traj.snapshots) == list(traj.trace_partials) == [0, 2, 4]
+        assert list(traj.snapshots) == [0, 2, 4]
         assert traj.times == [0.0, 2 * 0.1, 4 * 0.1]
         assert traj.snapshot_at(0.2) is traj.snapshots[2]
-        assert traj.traces_at(0.1 + 0.1 + 0.1 + 0.1) is traj.trace_partials[4]
+        assert traj.snapshot_at(0.1 + 0.1 + 0.1 + 0.1) is traj.snapshots[4]
+        assert len(traj.snapshots[4]) == 4  # (u, v, A1, A2)
         for t in (0.1, 0.2 + 1e-6):
             with pytest.raises(ValueError, match="nothing recorded"):
                 traj.snapshot_at(t)
