@@ -159,7 +159,8 @@ class _Labels:
         """Every scratch row of a run: complex rows as long as the label arrays, made on
         first use and sliced to a window; a real (boolean) row is half (a sixteenth) of a
         complex row's float (bool) view.  Row 0 is `_fixed_point`'s move, 1 its modulus
-        (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool); from 4 on the
+        (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool), which
+        phase_split, never trimmed, takes for |theta| and its flags; from 4 on the
         kernel's.  trapezoidal: 4-5 the constant part, 6-7 and 8-9 the (u, v) iterates
         of alternate sweeps.  phase_split: 4 the squared moduli, 5 the midpoints (real),
         6-7 the rotations, then U, V.  oracle4: 4-5 f0, 6-7 the new sources on the half
@@ -381,9 +382,16 @@ def _step_phase_split(lab: _Labels, ju: slice, jv: slice):
     characteristic (second order).  The exponent of exp(-1j*alpha*h*mid) has real
     part +0, where cexp gives (cos, sin) of its imaginary part theta: the step forms
     theta with the same bits (+ 0.0 turns a zero product's -0 into +0), then cos, sin.
+    Below |theta| = 2**-27 these are 1 and theta, so the step writes (1, theta) and
+    calls cos and sin only from the first to the last angle at or above 2**-27:
+    1 - cos(theta) < theta**2 / 2 < 2**-55, under half the float spacing 2**-53 below
+    1, and |sin(theta) - theta| < |theta|**3 / 6 < 2**-56 |theta|, under half the
+    spacing next to theta, subnormal or not; so the correctly rounded values are 1
+    and theta, which the platform's cos and sin return (a test pins them).
     """
     n = ju.stop - ju.start
     (sq, mid), rot = lab.work[4:6].view(float).reshape(2, 2, -1)[..., :n + 2], lab.work[6:8, :n]
+    size, big = lab.work[2].view(float)[:n], lab.work[3].view(bool)[:n]
     # the previous level's squared moduli at both neighbours of every window node
     np.square(lab.abs_u[ju.start:ju.stop + 2], out=sq[0])
     np.square(lab.abs_v[jv.start - 2:jv.stop], out=sq[1])
@@ -392,8 +400,11 @@ def _step_phase_split(lab: _Labels, ju: slice, jv: slice):
         np.multiply(np.add(q[:-2], q[2:], out=x), 0.5, out=x)
         np.multiply(-(lab.m.alpha * lab.h), x, out=x)
         x += 0.0
-        np.cos(x, out=r.real)
-        np.sin(x, out=r.imag)
+        np.greater_equal(np.abs(x, out=size), 2.0 ** -27, out=big)
+        span = slice(_first(big), _last(big) + 1)
+        r.real, r.imag = 1.0, x
+        np.cos(x[span], out=r.real[span])
+        np.sin(x[span], out=r.imag[span])
         np.multiply(old, r, out=r)
     return *rot, lab.trapezoid_panel, 0
 

@@ -560,6 +560,23 @@ class TestExactCases:
         np.sin(theta, out=got.imag)
         np.testing.assert_array_equal(bits(got), bits(want))
 
+    def test_tiny_angles_have_exact_cos_and_sin(self):
+        # _step_phase_split writes (1, theta) for |theta| < 2**-27 rather than
+        # calling cos and sin, which must return exactly these there
+        rng = np.random.default_rng(10)
+        tiny = np.finfo(float).smallest_subnormal
+        theta = np.concatenate([[tiny, 2 * tiny, np.finfo(float).tiny, 2.0 ** -28,
+                                 np.nextafter(2.0 ** -27, 0.0)],
+                                2.0 ** rng.uniform(-1074.0, -27.0, 20000)])
+        theta = np.concatenate([theta, -theta])
+        assert np.all(np.abs(theta) < 2.0 ** -27)
+        got = np.empty(len(theta), complex)
+        np.cos(theta, out=got.real)  # as the kernel calls them: into a complex row
+        np.sin(theta, out=got.imag)
+        for c, s in ((got.real, got.imag), (np.cos(theta), np.sin(theta))):
+            np.testing.assert_array_equal(c, 1.0)
+            np.testing.assert_array_equal(s.view(np.uint64), theta.view(np.uint64))
+
     def test_modulus_drift_tracking(self):
         grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
