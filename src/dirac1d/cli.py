@@ -264,13 +264,18 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+CHUNK_ROWS = 1024  # CSV rows formatted at once
+
+
 def _write_table(path: Path, header: list[str], blocks) -> None:
-    """CSV of blocks (prefix, 2-D float array), each block one %-format of its rows."""
+    """CSV of blocks (prefix, 2-D float array), each CHUNK_ROWS rows of a block one
+    %-format, so the text held at once does not grow with the lattice."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for prefix, table in blocks:
-            fmt = prefix + ",".join(["%.17g"] * table.shape[1]) + "\n"
-            fh.write(fmt * table.shape[0] % tuple(table.ravel().tolist()))
+            row = prefix + ",".join(["%.17g"] * table.shape[1]) + "\n"
+            for chunk in np.split(table, range(CHUNK_ROWS, len(table), CHUNK_ROWS)):
+                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _identity_sweep(seed: int, n: int = 10000) -> float:
@@ -339,14 +344,16 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         _dump_json(out / "summary.json", summary)
         return 2
 
-    # snapshots.csv: u and v at the domain's nodes at each recorded time
+    # snapshots.csv: u and v at the domain's nodes at each recorded time, one block at a time
     x = grid.x()
-    blocks = []
-    for level, (u, v, *_) in traj.snapshots.items():
-        u, v = at_nodes(u, v, 0, grid.n_cells - 1, level)
-        blocks.append(("", np.column_stack((np.full(len(x), level * grid.h), x, u.real, u.imag,
-                                             v.real, v.imag))))
-    _write_table(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"], blocks)
+
+    def snapshot_blocks():
+        for level, (u, v, *_) in traj.snapshots.items():
+            u, v = at_nodes(u, v, 0, grid.n_cells - 1, level)
+            yield "", np.column_stack((np.full(len(x), level * grid.h), x, u.real, u.imag,
+                                       v.real, v.imag))
+    _write_table(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"],
+                 snapshot_blocks())
 
     if "charge" in cfg.checks:
         drift = conservation.total_charge_drift(traj)

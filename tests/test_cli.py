@@ -13,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import dirac1d
 from dirac1d import Grid
-from dirac1d.cli import (ALL_CHECKS, KNOWN_KEYS, ConfigError, ExperimentConfig, _identity_sweep,
-                         _is_number, _write_table, main, parse_config, run_experiment, sweep)
+from dirac1d.cli import (ALL_CHECKS, CHUNK_ROWS, KNOWN_KEYS, ConfigError, ExperimentConfig,
+                         _identity_sweep, _is_number, _write_table, main, parse_config,
+                         run_experiment, sweep)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -442,6 +443,17 @@ class TestWriteTable:
         _write_table(tmp_path / "new.csv", ["side", "x", "y", "z"], [("u,", a), ("v,", b)])
         _write_cells(tmp_path / "old.csv", ["side", "x", "y", "z"],
                      [("u", *map(float, r)) for r in a] + [("v", *map(float, r)) for r in b])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_chunked_blocks_keep_the_bytes(self, tmp_path):
+        # a block of two full chunks and a part of one, a generator of blocks, an empty block
+        rows = 2 * CHUNK_ROWS + 5
+        a = np.resize(np.array(self.VALUES), 3 * rows).reshape(rows, 3)
+        a[:, 0] = np.arange(rows)
+        blocks = ((p, t) for p, t in (("u,", a), ("v,", a[:0]), ("w,", a[:7])))
+        _write_table(tmp_path / "new.csv", ["side", "x", "y", "z"], blocks)
+        _write_cells(tmp_path / "old.csv", ["side", "x", "y", "z"],
+                     [("u", *map(float, r)) for r in a] + [("w", *map(float, r)) for r in a[:7]])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_report_files_equal_the_per_cell_writer(self, tmp_path):
