@@ -1,4 +1,5 @@
-"""The statistics `tools/ab.py` prints, on fixed inputs, and its path-length rule."""
+"""The statistics `tools/ab.py` prints, CPU time's included, on fixed inputs, and its
+path-length rule."""
 
 import importlib.util
 from pathlib import Path
@@ -33,6 +34,15 @@ def test_sign_test(ab):
     assert ab.sign_test(8, 0) == pytest.approx(2 / 256)
     assert ab.sign_test(5, 5) == 1.0
     assert ab.sign_test(0, 0) == 1.0
+
+
+def test_cpu_seconds_compared_like_wall_time(ab):
+    assert ab.CPU == {"name": "cpu_s", "unit": "s", "better": "lower"}
+    this, parent = [1.0, 1.1, 0.9, 1.2, 1.0], [1.2, 1.3, 1.0, 1.1, 1.0]
+    q_parent, q_this, won, p = ab.compare(this, parent, ab.CPU["better"])
+    assert (q_parent, q_this) == (ab.quartiles(parent), ab.quartiles(this))
+    assert won == 3  # one pair lost, one tied
+    assert p == ab.sign_test(3, 1) == pytest.approx(2 * 5 / 16)
 
 
 def test_refuses_paths_of_unequal_length(ab, tmp_path, capsys):

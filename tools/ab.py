@@ -6,10 +6,18 @@ For each workload it writes the benchmark's config for seed S
 (`perfbench/workloads.py`) to the benchmark's config path in both trees, then
 runs N pairs of untraced child runs, as `perfbench/run.py` does (its
 environment, its output checks), alternating which tree runs first.  Per
-end-to-end metric of BENCHMARK.json it prints each side's median and Q1-Q3,
-the pairs this tree won (ties count for neither side) and a two-sided sign-test
-p, then each side's median minor page faults and child CPU time (user plus
-system, from RUSAGE_CHILDREN), and every pair's run_s and minor faults.
+end-to-end metric of BENCHMARK.json, and for the child's CPU time (user plus
+system, from RUSAGE_CHILDREN), it prints each side's median and Q1-Q3, the
+pairs this tree won (ties count for neither side) and a two-sided sign-test p,
+then each side's median minor page faults, and every pair's run_s and minor
+faults.
+
+Each child is spawned by a short-lived launcher process that calls
+`perfbench/run.py`'s `_execute`.  Linux carries a process's maximum resident
+size into the `ru_maxrss` of every child it spawns, so a child spawned from
+this process, which holds the parsed outputs of earlier runs, would report that
+as its `peak_rss_mb`; spawned from the launcher it starts from the launcher's
+few MiB, and a change in the program's own memory shows.
 
 The trees' paths must have the same length: the heap layout of a run, and with
 it its timing, moves with the length of its argv and environment.
@@ -20,18 +28,34 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import resource
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "perfbench"))
-from run import WORK, _execute, _references, _setup_sample, load_spec  # noqa: E402
+from run import WORK, _setup_sample, load_spec  # noqa: E402
 from workloads import WORKLOADS, make_config, node_steps  # noqa: E402
 
 CONFIG = f"{WORK}/config.json"  # where `run.measure` writes a workload's config
+
+# argv: perfbench directory, tree, config, workload.  Prints the run's failure
+# reasons, its result line and the CPU seconds of the child alone.
+LAUNCHER = """
+import json, resource, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from run import _execute, _references
+ex = _execute(Path(sys.argv[2]), sys.argv[3], False, _references(sys.argv[4]))
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"reasons": ex.reasons, "result": ex.result,
+                  "cpu_s": usage.ru_utime + usage.ru_stime}))
+"""
+
+# compared like the end-to-end metrics of BENCHMARK.json
+CPU = {"name": "cpu_s", "unit": "s", "better": "lower"}
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -55,9 +79,22 @@ def sign_test(won: int, lost: int) -> float:
     return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2.0 ** n)
 
 
-def cpu_seconds() -> float:
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+def launch(tree: Path, workload: str) -> dict:
+    """One untraced child run in `tree`, spawned by the launcher; returns its
+    end-to-end metrics, minor faults and CPU seconds, or the reasons it failed."""
+    proc = subprocess.run([sys.executable, "-B", "-c", LAUNCHER, str(ROOT / "perfbench"),
+                           str(tree), CONFIG, workload],
+                          cwd=ROOT, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        return {"failed": [f"launcher exited with {proc.returncode}: "
+                           + (proc.stderr.strip().splitlines() or ["no output"])[-1]]}
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    if out["reasons"]:
+        return {"failed": out["reasons"]}
+    res = out["result"]
+    return {"setup_s": res["setup_s"], "run_s": res["run_s"],
+            "peak_rss_mb": res["peak_rss_mb"], "minor_faults": res["minor_faults"],
+            "cpu_s": out["cpu_s"]}
 
 
 def measure_pairs(workload: str, seed: int, pairs: int, trees: dict[str, Path]) -> list:
@@ -68,20 +105,21 @@ def measure_pairs(workload: str, seed: int, pairs: int, trees: dict[str, Path]) 
         (root / WORK).mkdir(parents=True, exist_ok=True)
         (root / CONFIG).write_text(json.dumps(cfg, indent=1) + "\n")
         _setup_sample(root, CONFIG)  # warms the byte-code cache
-    refs, runs = _references(workload), []
+    runs = []
     for k in range(pairs):
         pair = {}
         for side in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
-            cpu = cpu_seconds()
-            ex = _execute(trees[side], CONFIG, False, refs)
-            res = ex.result
-            pair[side] = {"failed": ex.reasons} if not ex.ok else {
-                "setup_s": res["setup_s"], "run_s": res["run_s"],
-                "node_steps_per_s": node_steps(cfg) / res["run_s"],
-                "peak_rss_mb": res["peak_rss_mb"], "minor_faults": res["minor_faults"],
-                "cpu_s": cpu_seconds() - cpu}
+            pair[side] = r = launch(trees[side], workload)
+            if "failed" not in r:
+                r["node_steps_per_s"] = node_steps(cfg) / r["run_s"]
         runs.append(pair)
     return runs
+
+
+def compare(this: list[float], parent: list[float], better: str) -> tuple:
+    """(parent's (Q1, median, Q3), this side's, pairs this side won, its sign-test p)."""
+    won, lost = pairs_won(this, parent, better)
+    return quartiles(parent), quartiles(this), won, sign_test(won, lost)
 
 
 def report(workload: str, runs: list) -> None:
@@ -96,16 +134,15 @@ def report(workload: str, runs: list) -> None:
     this, parent = ([p[side] for p in ok] for side in ("this", "parent"))
     print(f"  {'metric':18s} {'parent median [Q1-Q3]':>30s} {'this median [Q1-Q3]':>30s}"
           f" {'won':>7s} {'sign p':>8s}")
-    for metric in load_spec()["end_to_end"]:
+    for metric in [*load_spec()["end_to_end"], CPU]:
         name = metric["name"]
-        a, b = ([r[name] for r in side] for side in (this, parent))
-        won, lost = pairs_won(a, b, metric["better"])
-        cells = [f"{m:.4g} [{q1:.4g}-{q3:.4g}]" for q1, m, q3 in (quartiles(b), quartiles(a))]
+        qb, qa, won, p = compare(*([r[name] for r in side] for side in (this, parent)),
+                                 metric["better"])
+        cells = [f"{m:.4g} [{q1:.4g}-{q3:.4g}]" for q1, m, q3 in (qb, qa)]
         print(f"  {name + ' ' + metric['unit']:18s} {cells[0]:>30s} {cells[1]:>30s}"
-              f" {won:>3d}/{len(a):<3d} {sign_test(won, lost):8.3g}")
-    for name in ("minor_faults", "cpu_s"):
-        a, b = (statistics.median(r[name] for r in side) for side in (this, parent))
-        print(f"  median {name}: parent {b:.4g}, this {a:.4g}")
+              f" {won:>3d}/{len(ok):<3d} {p:8.3g}")
+    a, b = (statistics.median(r["minor_faults"] for r in side) for side in (this, parent))
+    print(f"  median minor_faults: parent {b:.4g}, this {a:.4g}")
     print("  pairs (run_s s, minor faults), parent -> this: " + "; ".join(
         f"{p['run_s']:.3f} -> {t['run_s']:.3f} ({p['minor_faults']} -> {t['minor_faults']})"
         for p, t in zip(parent, this)))
