@@ -477,8 +477,8 @@ def run(data: InitialData, m: ModelParams, s: Scheme, record_times: list[float],
     [0, n_steps * h].  The final time is always recorded (the profiles need
     the full trace integrals).  Before the first step and after each step
     every probe gets `p.on_step(level, abs_u, abs_v)`: the cell level and
-    read-only views of |u| and |v| by label over the domain.  Fields that stop being
-    finite raise SolverError, not a floating-point warning.
+    read-only views of |u| and |v| by label over the domain.  Fields that
+    stop being finite raise SolverError, not a floating-point warning.
     """
     grid = data.grid
     dt = s.cells * grid.h

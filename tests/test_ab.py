@@ -38,11 +38,11 @@ def test_sign_test(ab):
 
 def test_cpu_seconds_compared_like_wall_time(ab):
     assert ab.CPU == {"name": "cpu_s", "unit": "s", "better": "lower"}
-    this, parent = [1.0, 1.1, 0.9, 1.2, 1.0], [1.2, 1.3, 1.0, 1.1, 1.0]
-    q_parent, q_this, won, p = ab.compare(this, parent, ab.CPU["better"])
-    assert (q_parent, q_this) == (ab.quartiles(parent), ab.quartiles(this))
-    assert won == 3  # one pair lost, one tied
-    assert p == ab.sign_test(3, 1) == pytest.approx(2 * 5 / 16)
+    this = [{"cpu_s": x} for x in (1.0, 1.1, 0.9, 1.2, 1.0)]
+    parent = [{"cpu_s": x} for x in (1.2, 1.3, 1.0, 1.1, 1.0)]
+    # 3 pairs won, 1 lost, 1 tied: p = 2 * 5 / 16
+    assert ab.row(ab.CPU, this, parent).split() == [
+        "cpu_s", "s", "1.1", "[1-1.2]", "1", "[1-1.1]", "3/5", "0.625"]
 
 
 def test_refuses_paths_of_unequal_length(ab, tmp_path, capsys):

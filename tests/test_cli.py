@@ -440,20 +440,14 @@ class TestWriteTable:
     def test_bytes_equal_the_per_cell_writer(self, tmp_path):
         a = np.array(self.VALUES).reshape(-1, 3)
         b = np.array(self.VALUES[::-1]).reshape(-1, 3)
-        _write_table(tmp_path / "new.csv", ["side", "x", "y", "z"], [("u,", a), ("v,", b)])
-        _write_cells(tmp_path / "old.csv", ["side", "x", "y", "z"],
-                     [("u", *map(float, r)) for r in a] + [("v", *map(float, r)) for r in b])
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-    def test_chunked_blocks_keep_the_bytes(self, tmp_path):
-        # a block of two full chunks and a part of one, a generator of blocks, an empty block
-        rows = 2 * CHUNK_ROWS + 5
-        a = np.resize(np.array(self.VALUES), 3 * rows).reshape(rows, 3)
-        a[:, 0] = np.arange(rows)
-        blocks = ((p, t) for p, t in (("u,", a), ("v,", a[:0]), ("w,", a[:7])))
+        # two full chunks and a part of one, and an empty block, from a generator
+        c = np.resize(np.array(self.VALUES), (2 * CHUNK_ROWS + 5, 3))
+        c[:, 0] = np.arange(len(c))  # no two rows alike
+        blocks = ((p, t) for p, t in (("u,", a), ("v,", b), ("w,", c), ("e,", c[:0])))
         _write_table(tmp_path / "new.csv", ["side", "x", "y", "z"], blocks)
         _write_cells(tmp_path / "old.csv", ["side", "x", "y", "z"],
-                     [("u", *map(float, r)) for r in a] + [("w", *map(float, r)) for r in a[:7]])
+                     [(side, *map(float, r)) for side, t in (("u", a), ("v", b), ("w", c))
+                      for r in t])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_report_files_equal_the_per_cell_writer(self, tmp_path):

@@ -116,10 +116,14 @@ def measure_pairs(workload: str, seed: int, pairs: int, trees: dict[str, Path]) 
     return runs
 
 
-def compare(this: list[float], parent: list[float], better: str) -> tuple:
-    """(parent's (Q1, median, Q3), this side's, pairs this side won, its sign-test p)."""
-    won, lost = pairs_won(this, parent, better)
-    return quartiles(parent), quartiles(this), won, sign_test(won, lost)
+def row(metric: dict, this: list[dict], parent: list[dict]) -> str:
+    """The metric's line: each side's median [Q1-Q3], the pairs this side won
+    and the sign-test p."""
+    a, b = ([r[metric["name"]] for r in side] for side in (this, parent))
+    won, lost = pairs_won(a, b, metric["better"])
+    cells = [f"{m:.4g} [{q1:.4g}-{q3:.4g}]" for q1, m, q3 in (quartiles(b), quartiles(a))]
+    return (f"  {metric['name'] + ' ' + metric['unit']:18s} {cells[0]:>30s} {cells[1]:>30s}"
+            f" {won:>3d}/{len(a):<3d} {sign_test(won, lost):8.3g}")
 
 
 def report(workload: str, runs: list) -> None:
@@ -135,12 +139,7 @@ def report(workload: str, runs: list) -> None:
     print(f"  {'metric':18s} {'parent median [Q1-Q3]':>30s} {'this median [Q1-Q3]':>30s}"
           f" {'won':>7s} {'sign p':>8s}")
     for metric in [*load_spec()["end_to_end"], CPU]:
-        name = metric["name"]
-        qb, qa, won, p = compare(*([r[name] for r in side] for side in (this, parent)),
-                                 metric["better"])
-        cells = [f"{m:.4g} [{q1:.4g}-{q3:.4g}]" for q1, m, q3 in (qb, qa)]
-        print(f"  {name + ' ' + metric['unit']:18s} {cells[0]:>30s} {cells[1]:>30s}"
-              f" {won:>3d}/{len(ok):<3d} {p:8.3g}")
+        print(row(metric, this, parent))
     a, b = (statistics.median(r["minor_faults"] for r in side) for side in (this, parent))
     print(f"  median minor_faults: parent {b:.4g}, this {a:.4g}")
     print("  pairs (run_s s, minor faults), parent -> this: " + "; ".join(
