@@ -2,8 +2,11 @@
 
     python3 tools/compare_reports.py PARENT_CHECKOUT
 
-Runs the three shipped configs (`configs/*.json`) and perfbench seeds 0, 3
-and 6 of each workload (`perfbench/workloads.py`), and the refinement sweep
+Runs the three shipped configs (`configs/*.json`), perfbench seeds 0, 3 and
+6 of each workload (`perfbench/workloads.py`), the implicit schemes on every
+path of the sources (`IMPLICIT`: Thirring and a custom coupling with alpha and
+beta both nonzero, on the trapezoid and on oracle4), acceptance criterion 9's
+trapezoid run (h = 1/256, T = 10) and the refinement sweep
 `dirac1d sweep configs/triangle_balance.json -k 2`, once with this tree's
 `src` and once with PARENT_CHECKOUT's.  Both trees run the same config,
 written from this tree, with PYTHONDONTWRITEBYTECODE=1 and their outputs
@@ -30,6 +33,9 @@ from workloads import WORKLOADS, make_config  # noqa: E402
 REPORTS = ("summary.json", "balance.json", "snapshots.csv", "profiles.csv", "residuals.csv")
 SEEDS = (0, 3, 6)
 SWEEP = ("sweep", "-k", "2")
+# couplings that take eval_N's alpha != 0 branches, run on gross_neveu_reference's setup
+IMPLICIT = {"thirring": {"model": "thirring"},
+            "custom": {"model": "custom", "alpha": 0.9, "beta": 0.35}}
 
 
 def cases():
@@ -41,6 +47,12 @@ def cases():
     for workload in WORKLOADS:
         for seed in SEEDS:
             yield f"{workload}_seed{seed}", make_config(workload, seed, ROOT), ("run",), REPORTS
+    reference = configs["gross_neveu_reference"]
+    for scheme in ("trapezoidal", "oracle4"):
+        for name, model in IMPLICIT.items():
+            yield f"{name}_{scheme}", {**reference, **model, "scheme": scheme}, ("run",), REPORTS
+    yield ("criterion09_trapezoid", {**reference, "h": 1.0 / 256.0, "T": 10.0,
+                                     "record_times": [0.0, 10.0]}, ("run",), REPORTS)
     yield "triangle_balance_sweep", configs["triangle_balance"], SWEEP, ("sweep.csv",)
 
 
