@@ -7,10 +7,12 @@ them against difference quotients of W):
     N1 = d W / d ub = alpha * u |v|^2 + 2 beta (ub*v + u*vb) v
     N2 = d W / d vb = alpha * v |u|^2 + 2 beta (ub*v + u*vb) u
 
-`eval_N` evaluates both at once and skips a term whose coupling is zero
-everywhere (alpha for Gross-Neveu, beta for Thirring): the skipped term is +-0,
-so only a source that is exactly zero may change, in its sign.  All functions
-are pure and accept scalars or numpy arrays.
+`eval_N` evaluates both at once, as one formula on the stacked pair w = (u, v):
+N2 is N1 with u and v exchanged, so (N1, N2) = alpha w |partner|^2 + 2 beta
+(ub*v + u*vb) partner with partner = (v, u).  It skips a term whose coupling is
+zero everywhere (alpha for Gross-Neveu, beta for Thirring): the skipped term is
++-0, so only a source that is exactly zero may change, in its sign.  All
+functions are pure but for `eval_N`'s `out` and accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -32,28 +34,32 @@ def pair_overlap(u: Complexlike, v: Complexlike):
     return 2.0 * np.real(np.conj(u) * v)
 
 
-def eval_N(u: Complexlike, v: Complexlike, m: ModelParams, moduli=None):
-    """Both sources (N1, N2) at (u, v); moduli = (|u|, |v|) spares recomputing them."""
+def eval_N(w, m: ModelParams, moduli=None, out=None):
+    """Both sources, stacked as (N1, N2), at the stacked pair w = (u, v);
+    moduli = (|u|, |v|) spares recomputing them, and out receives the result."""
+    partner = w[::-1]
     with_beta = np.count_nonzero(m.beta)  # np.any is 7x slower on a scalar
     if with_beta:
-        c = 2.0 * m.beta * pair_overlap(u, v)
+        c = 2.0 * m.beta * pair_overlap(*w)
         if not np.count_nonzero(m.alpha):
-            return c * v, c * u
-    abs_u, abs_v = (np.abs(u), np.abs(v)) if moduli is None else moduli
-    n1, n2 = m.alpha * u * abs_v ** 2, m.alpha * v * abs_u ** 2
-    return (n1 + c * v, n2 + c * u) if with_beta else (n1, n2)
+            return np.multiply(c, partner, out=out)
+    n = np.multiply(m.alpha, w, out=out)
+    n *= np.square(np.abs(w) if moduli is None else moduli)[::-1]
+    if with_beta:
+        n += c * partner
+    return n
 
 
 # Only the benchmark's tracer uses eval_N1 and eval_N2, on `solver`, which imports
 # them for it; they go once the tracer wraps eval_N (ROADMAP item 1).
 def eval_N1(u: Complexlike, v: Complexlike, m: ModelParams):
-    """Right-mover source, eval_N(u, v, m)[0]."""
-    return eval_N(u, v, m)[0]
+    """Right-mover source, eval_N((u, v), m)[0]."""
+    return eval_N(np.stack((u, v)), m)[0]
 
 
 def eval_N2(u: Complexlike, v: Complexlike, m: ModelParams):
-    """Left-mover source, eval_N(u, v, m)[1]."""
-    return eval_N(u, v, m)[1]
+    """Left-mover source, eval_N((u, v), m)[1]."""
+    return eval_N(np.stack((u, v)), m)[1]
 
 
 def charge_flux_defect(u: Complexlike, v: Complexlike, m: ModelParams):
@@ -64,5 +70,5 @@ def charge_flux_defect(u: Complexlike, v: Complexlike, m: ModelParams):
     modulus sources of u and v cancel and total charge is conserved.
     The returned value measures only floating-point noise.
     """
-    n1, n2 = eval_N(u, v, m)
+    n1, n2 = eval_N(np.stack((u, v)), m)
     return np.real(1j * np.conj(n1) * u) + np.real(1j * np.conj(n2) * v)

@@ -130,42 +130,47 @@ class _Labels:
     """u on labels y = x - t and v on labels z = x + t, advanced by one scheme.
 
     At cell level s, u's label i sits at node i + s and v's label i at node
-    i - s.  u, v, |u|, |v|, the sources N1, N2 at the current level and the
-    traces A1, A2 are indexed by label + MARGIN; the zero margin holds the
-    labels a window reaches past the domain.
+    i - s.  Each pair is one (2, L) array, u's row over v's, indexed by label
+    + MARGIN: the state `w` = (u, v), its `moduli` (|u|, |v|), the `sources`
+    (N1, N2) at the current level and the `traces` (A1, A2).  The zero margin
+    holds the labels a window reaches past the domain.  A step addresses its
+    window (iu, iv, n), the u and v labels of its first node and its node
+    count, through `_pair` views.
     """
 
-    def __init__(self, u: np.ndarray, v: np.ndarray, h: float, m: ModelParams, s: Scheme):
+    def __init__(self, data: InitialData, m: ModelParams, s: Scheme):
         if s.kind == "phase_split" and m.beta != 0.0:
             raise ValueError("phase_split scheme is only valid for beta = 0")
-        self.n, self.level, self.h, self.m, self.s = len(u), 0, h, m, s
-        self.u, self.v = np.pad(u, MARGIN), np.pad(v, MARGIN)
-        self.u += 0.0  # -0 -> +0, every other value kept (see trim)
-        self.v += 0.0
-        self.abs_u, self.abs_v = np.abs(self.u), np.abs(self.v)
-        self.n1, self.n2, self.a1, self.a2 = (np.zeros_like(self.u) for _ in range(4))
+        self.level, self.m, self.s = 0, m, s
+        self.h = data.grid.h
+        self.w = np.pad(np.stack((data.u0, data.v0)), ((0, 0), (MARGIN, MARGIN)))
+        self.w += 0.0  # -0 -> +0, every other value kept (see trim)
+        self.moduli = np.abs(self.w)
+        self.sources, self.traces = np.zeros_like(self.w), np.zeros_like(self.w)
         # A label's support never grows (N1 vanishes where u does, N2 where v
         # does), so the initial supports bound every later overlap.
-        iu, iv = np.flatnonzero(u), np.flatnonzero(v)
+        iu, iv = np.flatnonzero(data.u0), np.flatnonzero(data.v0)
         self.hull = ((int(iu[0]), int(iu[-1]), int(iv[0]), int(iv[-1]))
                      if iu.size and iv.size else None)
-        self.guard(self.abs_u, self.abs_v)
+        self.guard(self.moduli)
         if (win := self.window(0)) is not None:
-            ju, jv = self.labels(*win, 0)
-            self.n1[ju], self.n2[jv] = eval_N(self.u[ju], self.v[jv], m)
+            win = self.labels(*win, 0)
+            eval_N(_pair(self.w, *win), m, out=_pair(self.sources, *win))
 
     @cached_property
     def work(self) -> np.ndarray:
         """Every scratch row of a run: complex rows as long as the label arrays, made on
-        first use and sliced to a window; a real (boolean) row is half (a sixteenth) of a
-        complex row's float (bool) view.  Row 0 is `_fixed_point`'s move, 1 its modulus
-        (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool), which
-        phase_split, never trimmed, takes for |theta| and its flags; from 4 on the
-        kernel's.  trapezoidal: 4-5 the constant part, 6-7 and 8-9 the (u, v) iterates
-        of alternate sweeps.  phase_split: 4 the squared moduli, 5 the midpoints (real),
-        6-7 the rotations, then U, V.  oracle4: 4-5 f0, 6-7 the new sources on the half
-        level, 8-11 and 12-15 the iterates, 16 a Lobatto term, 17 the trace panel."""
-        return np.empty((18, len(self.u)), complex)
+        first use and sliced to a window.  A pair takes two rows; a real (boolean) pair
+        is one complex row's float (bool) view.  0-1 `_fixed_point`'s move, 2 its
+        modulus (real); 3 `trim`'s lifted products (real), 4 its loud flags (bool),
+        which phase_split, never trimmed, takes for |theta| and its flags; 5-6
+        `commit`'s new sources, 7-8 the trace panel; from 9 on the kernel's.
+        trapezoidal: 9-10 the constant part, 11-12 the products i h/2 N, 13-14 and
+        15-16 the iterates of alternate sweeps.  phase_split: 9 the squared moduli, 10
+        the midpoints (real), 11-12 the rotations.  oracle4: 9-10 f0, 11-12 the half
+        level's sources, 13-14 the new sources on the half level, 15-18 and 19-22 the
+        (full, half) stages of alternate sweeps, 23-24 a Lobatto term."""
+        return np.empty((25, self.w.shape[1]), complex)
 
     def advance(self) -> int:
         """One step of the scheme; returns its fixed-point sweeps."""
@@ -175,9 +180,9 @@ class _Labels:
         win = hull if hull is None or reach is None else self.trim(*hull, reach)
         if win is None:  # for a hull of quiet nodes the first sweep is the fixed point
             return 0 if hull is None else 1
-        ju, jv = self.labels(*win, self.level)
-        U, V, panel, sweeps = kernel(self, ju, jv)
-        self.commit(ju, jv, U, V, panel)
+        win = self.labels(*win, self.level)
+        W, panel, sweeps = kernel(self, *win)
+        self.commit(win, W, panel)
         return sweeps
 
     def window(self, w: int) -> tuple[int, int] | None:
@@ -237,66 +242,64 @@ class _Labels:
         One pass over the run's stored state: the pair test over every node
         gives the outermost loud nodes; the quiet flanks' sources follow.
         """
-        n, bound = hi - lo + 1, quiet_bound(self.m)
-        iu, iv = MARGIN + lo - self.level, MARGIN + lo + self.level  # labels of node lo
+        (iu, iv, n), bound = self.labels(lo, hi, self.level), quiet_bound(self.m)
         if r:
-            amp = max(self.abs_u.max(), self.abs_v.max())
+            amp = self.moduli.max()
             lim, dt, c = 1.5 * amp, r * self.h, self.m.c_star  # lim bounds every iterate
             if 7.0 * dt * c * amp ** 2 > 1.0 or dt * (lim ** 2 + (2 * c + 1) * lim + 5) > 8.0:
                 return lo, hi
 
-        au, av = self.abs_u[iu:iu + n + r], self.abs_v[iv - r:iv + n]
-        p, q = self.work[2].view(float).reshape(2, -1)[:, :n + r]
-        loud, half = self.work[3].view(bool).reshape(16, -1)[:2, :n + r]
-        loud = _loud_pairs(au[:n], av[r:], bound, p[:n], q[:n], loud[:n])  # pairs (i, j)
+        p, q = self.work[3].view(float).reshape(2, -1)[:, :n + r]
+        loud, half = self.work[4].view(bool).reshape(2, -1)[:, :n + r]
+        loud = _loud_pairs(*_pair(self.moduli, iu, iv, n), bound, p[:n], q[:n], loud[:n])
         if r:  # loud[k] |= half[k], pair (i, j - 2), and half[k + r], pair (i + 2, j)
-            _loud_pairs(au, av, bound, p, q, half)
+            _loud_pairs(*_pair(self.moduli, iu, iv - r, n + r), bound, p, q, half)
             loud |= half[:n]
             loud |= half[r:]
         k_lo, k_hi = _first(loud), _last(loud)
 
-        n1, n2 = self.n1.view(float), self.n2.view(float)  # (real, imaginary) pairs
-        for z, first in ((n1, iu), (n2, iv)):  # the labels of nodes 0..k_lo - 1
-            if np.count_nonzero(flank := z[2 * first:2 * (first + k_lo)]):
-                k_lo = _first(flank != 0) // 2
+        src = _pair(self.sources, iu, iv, n).view(float)  # (real, imaginary) pairs
+        if np.count_nonzero(flank := src[:, :2 * k_lo]):  # the labels of nodes 0..k_lo - 1
+            k_lo = _first(flank.any(axis=0)) // 2
         if k_lo == n:
             return None
         k_hi = max(k_hi, k_lo)
-        for z, first in ((n1, iu), (n2, iv)):  # the labels of nodes k_hi + 1..n - 1
-            if np.count_nonzero(flank := z[2 * (first + k_hi + 1):2 * (first + n)]):
-                k_hi += 1 + _last(flank != 0) // 2
+        if np.count_nonzero(flank := src[:, 2 * (k_hi + 1):]):  # of nodes k_hi + 1..n - 1
+            k_hi += 1 + _last(flank.any(axis=0)) // 2
         return lo + k_lo, lo + k_hi
 
-    def labels(self, lo: int, hi: int, s: int) -> tuple[slice, slice]:
-        """Slices of the u and v label arrays at nodes lo..hi of cell level s."""
-        return (slice(MARGIN + lo - s, MARGIN + hi - s + 1),
-                slice(MARGIN + lo + s, MARGIN + hi + s + 1))
+    def labels(self, lo: int, hi: int, s: int) -> tuple[int, int, int]:
+        """The window (iu, iv, n) of nodes lo..hi at cell level s."""
+        return MARGIN + lo - s, MARGIN + lo + s, hi - lo + 1
 
-    def commit(self, ju: slice, jv: slice, U, V, panel):
-        """Store a step's U, V on labels ju, jv with their moduli and sources,
-        and guard them.  Each trace first gains panel(stored source, new
-        source, side), side 0 for N1 and 1 for N2: the step's quadrature of
-        the very source it stores, so u = u0 - i A1 telescopes."""
-        au, av = np.abs(U, out=self.abs_u[ju]), np.abs(V, out=self.abs_v[jv])
-        n1, n2 = eval_N(U, V, self.m, (au, av))
-        self.a1[ju] += panel(self.n1[ju], n1, 0)
-        self.a2[jv] += panel(self.n2[jv], n2, 1)
-        self.u[ju], self.v[jv], self.n1[ju], self.n2[jv] = U, V, n1, n2
-        self.guard(au, av)
+    def commit(self, win: tuple, W, panel):
+        """Store a step's W = (U, V) on the window win with its moduli and sources,
+        and guard them.  The traces first gain panel(stored sources, new sources):
+        the step's quadrature of the very sources it stores, so u = u0 - i A1
+        telescopes."""
+        mod, src, traces = (_pair(a, *win) for a in (self.moduli, self.sources, self.traces))
+        new = eval_N(W, self.m, np.abs(W, out=mod), out=self.work[5:7, :win[2]])
+        traces += panel(src, new)
+        _pair(self.w, *win)[...], src[...] = W, new
+        self.guard(mod)
 
-    def trapezoid_panel(self, old, new, side):
+    def trapezoid_panel(self, old, new):
         """The trace panel of one cell by the trapezoid rule."""
-        return 0.5 * self.h * (old + new)
+        out = self.work[7:9, :new.shape[1]]
+        return np.multiply(0.5 * self.h, np.add(old, new, out=out), out=out)
 
-    def guard(self, au: np.ndarray, av: np.ndarray):
-        amp = np.maximum(np.max(au), np.max(av))  # a NaN on either side propagates
+    def guard(self, moduli: np.ndarray):
+        amp = np.max(moduli)  # a NaN propagates
         if not np.isfinite(amp) or amp > BLOWUP_LIMIT:
             t = self.level * self.h
             raise SolverError(f"field blow-up at t = {t:.6g}: max amplitude {amp:.3g}")
 
-    def domain(self, *arrays: np.ndarray) -> tuple:
-        """Views of label arrays on the labels of the domain."""
-        return tuple(a[MARGIN:MARGIN + self.n] for a in arrays)
+
+def _pair(a: np.ndarray, iu: int, iv: int, n: int) -> np.ndarray:
+    """The (2, n) view of a contiguous (2, L) pair array whose rows start at
+    labels iu and iv (+ MARGIN)."""
+    size = a.itemsize
+    return np.ndarray((2, n), a.dtype, a, iu * size, ((a.shape[1] + iv - iu) * size, size))
 
 
 def quiet_bound(m: ModelParams) -> float:
@@ -333,16 +336,17 @@ def _last(mask: np.ndarray) -> int:
 
 
 def _fixed_point(sweep, start: tuple, lab: _Labels):
-    """Iterate x <- sweep(*x) from start until no component moves by more than
-    tol * (1 + max(max|u|, max|v|)), or raise at the first sweep whose move is
-    not finite; returns the last iterate and the sweeps."""
+    """Iterate x <- sweep(*x) from start, a tuple of (2, .) stages, until no
+    component moves by more than tol * (1 + max(max|u|, max|v|)), or raise at
+    the first sweep whose move is not finite; returns the last iterate and the
+    sweeps."""
     s, x = lab.s, start
-    scale = 1.0 + max(np.max(lab.abs_u), np.max(lab.abs_v))
-    move, modulus = lab.work[0], lab.work[1].view(float)
+    scale = 1.0 + np.max(lab.moduli)
+    move, modulus = lab.work[:2], lab.work[2].view(float).reshape(2, -1)
     for iters in range(1, s.fixed_point_max_iter + 1):
         new = sweep(*x)
-        deltas = [np.abs(np.subtract(a, b, out=move[:a.size]), out=modulus[:a.size]).max()
-                  for a, b in zip(new, x)]
+        deltas = [np.abs(np.subtract(a, b, out=move[:, :a.shape[1]]),
+                         out=modulus[:, :a.shape[1]]).max() for a, b in zip(new, x)]
         if not all(map(math.isfinite, deltas)):
             raise SolverError(f"fixed-point iteration diverged at t = {lab.level * lab.h:.6g}: "
                               f"sweep {iters} moved the iterate by {np.max(deltas):.3g}")
@@ -354,27 +358,25 @@ def _fixed_point(sweep, start: tuple, lab: _Labels):
         "the time step is too large for the data amplitude")
 
 
-def _step_trapezoidal(lab: _Labels, ju: slice, jv: slice):
-    """Unit-CFL implicit trapezoid on the window's labels; returns (U, V, panel, sweeps)."""
+def _step_trapezoidal(lab: _Labels, iu: int, iv: int, n: int):
+    """Unit-CFL implicit trapezoid on the window's labels; returns (W, panel, sweeps)."""
     h, m = lab.h, lab.m
-    base, *iterates = lab.work[4:10, :ju.stop - ju.start].reshape(3, 2, -1)
-    np.subtract(lab.u[ju], 0.5j * h * lab.n1[ju], out=base[0])
-    np.subtract(lab.v[jv], 0.5j * h * lab.n2[jv], out=base[1])
+    base, half_step, *iterates = lab.work[9:17, :n].reshape(4, 2, -1)
+    start = _pair(lab.w, iu, iv, n)
+    np.subtract(start, np.multiply(0.5j * h, _pair(lab.sources, iu, iv, n), out=half_step),
+                out=base)
     slots = itertools.cycle(iterates)  # a sweep never writes over its input
 
-    def sweep(U, V):
-        out = next(slots)
-        for c, n, o in zip(base, eval_N(U, V, m), out):  # eval_N returns new arrays
-            n *= 0.5j * h
-            np.subtract(c, n, out=o)
-        return tuple(out)
+    def sweep(W):
+        N = eval_N(W, m, out=half_step)
+        return np.subtract(base, np.multiply(N, 0.5j * h, out=N), out=next(slots)),
 
-    (U, V), iters = _fixed_point(sweep, (lab.u[ju], lab.v[jv]), lab)
-    return U, V, lab.trapezoid_panel, iters
+    (W,), iters = _fixed_point(sweep, (start,), lab)
+    return W, lab.trapezoid_panel, iters
 
 
-def _step_phase_split(lab: _Labels, ju: slice, jv: slice):
-    """Exact-modulus step for beta = 0 on the window's labels; returns (U, V, panel, 0).
+def _step_phase_split(lab: _Labels, iu: int, iv: int, n: int):
+    """Exact-modulus step for beta = 0 on the window's labels; returns (W, panel, 0).
 
     For the Thirring-type nonlinearity N1 = alpha*u*|v|^2 the characteristic
     ODE is a pure phase rotation, so |u| and |v| transport exactly; the phase
@@ -389,24 +391,22 @@ def _step_phase_split(lab: _Labels, ju: slice, jv: slice):
     spacing next to theta, subnormal or not; so the correctly rounded values are 1
     and theta, which the platform's cos and sin return (a test pins them).
     """
-    n = ju.stop - ju.start
-    (sq, mid), rot = lab.work[4:6].view(float).reshape(2, 2, -1)[..., :n + 2], lab.work[6:8, :n]
-    size, big = lab.work[2].view(float)[:n], lab.work[3].view(bool)[:n]
+    (sq, mid), rot = lab.work[9:11].view(float).reshape(2, 2, -1)[..., :n + 2], lab.work[11:13, :n]
+    size, big = (lab.work[k].view(t).reshape(2, -1)[:, :n] for k, t in ((3, float), (4, bool)))
     # the previous level's squared moduli at both neighbours of every window node
-    np.square(lab.abs_u[ju.start:ju.stop + 2], out=sq[0])
-    np.square(lab.abs_v[jv.start - 2:jv.stop], out=sq[1])
+    np.square(_pair(lab.moduli, iu, iv - 2, n + 2), out=sq)
     # u turns by the midpoint |v|^2, v by the midpoint |u|^2
-    for q, x, r, old in zip(sq[::-1], mid[:, :n], rot, (lab.u[ju], lab.v[jv])):
-        np.multiply(np.add(q[:-2], q[2:], out=x), 0.5, out=x)
-        np.multiply(-(lab.m.alpha * lab.h), x, out=x)
-        x += 0.0
-        np.greater_equal(np.abs(x, out=size), 2.0 ** -27, out=big)
-        span = slice(_first(big), _last(big) + 1)
-        r.real, r.imag = 1.0, x
-        np.cos(x[span], out=r.real[span])
-        np.sin(x[span], out=r.imag[span])
-        np.multiply(old, r, out=r)
-    return *rot, lab.trapezoid_panel, 0
+    x = np.add(sq[::-1, :-2], sq[::-1, 2:], out=mid[:, :n])
+    np.multiply(x, 0.5, out=x)
+    np.multiply(-(lab.m.alpha * lab.h), x, out=x)
+    x += 0.0
+    np.greater_equal(np.abs(x, out=size), 2.0 ** -27, out=big)
+    rot.real, rot.imag = 1.0, x
+    for theta, r, flags in zip(x, rot, big):  # each mover's span of large angles
+        span = slice(_first(flags), _last(flags) + 1)
+        np.cos(theta[span], out=r.real[span])
+        np.sin(theta[span], out=r.imag[span])
+    return np.multiply(_pair(lab.w, iu, iv, n), rot, out=rot), lab.trapezoid_panel, 0
 
 
 # 3-stage Lobatto IIIA (collocation at {0, 1/2, 1}): order 4, and both stage
@@ -415,48 +415,42 @@ _L_HALF = (5.0 / 24.0, 1.0 / 3.0, -1.0 / 24.0)
 _L_FULL = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
 
 
-def _step_oracle4(lab: _Labels, fu: slice, fv: slice):
+def _step_oracle4(lab: _Labels, iu: int, iv: int, n: int):
     """Lobatto IIIA double step (time 2h) on the window's full-level labels.
 
     The half level is solved one node wider per side: its u stage still
     moves by the -1/24 weight of the full-level source one node to its right
     (v: to its left).  By label, that adds two u labels after the full window
     and two v labels before it.  The panel is the order-4 quadrature of the
-    source over each segment.  Returns (U, V, panel, sweeps) at the full level.
+    source over each segment.  Returns (W, panel, sweeps) at the full level.
     """
     m, dt = lab.m, 2.0 * lab.h
-    hu, hv = slice(fu.start, fu.stop + 2), slice(fv.start - 2, fv.stop)
-    base_uh, base_vh = lab.u[hu], lab.v[hv]
-    f0u, f0v, f1u_h, f1v_h, *iterates, term, panel_row = lab.work[4:, :hu.stop - hu.start]
-    np.multiply(-1j, lab.n1[hu], out=f0u)
-    np.multiply(-1j, lab.n2[hv], out=f0v)
-    f1u_h[-2:], f1v_h[:2] = 0, 0  # the new sources on the half level: zero past the window
-    slots = itertools.cycle((iterates[:4], iterates[4:]))  # never over the input
+    base = _pair(lab.w, iu, iv - 2, n + 2)  # the state on the half level's labels
+    f0, fh, f1 = lab.work[9:15, :n + 2].reshape(3, 2, -1)
+    new_f1, half = (_pair(lab.work[k:k + 2], 0, 2, n) for k in (13, 11))  # full-level nodes
+    term = lab.work[23:25]
+    np.multiply(-1j, _pair(lab.sources, iu, iv - 2, n + 2), out=f0)
+    f1[...] = 0  # the new sources on the half level: zero past the window
+    slots = itertools.cycle(lab.work[15:23].reshape(2, 2, 2, -1))  # never over the input
 
     def lobatto(w: tuple, f0, fh, f1, out):
         """out <- dt * (w[0] f0 + w[1] fh + w[2] f1), term by term."""
         np.multiply(w[0], f0, out=out)
-        out += np.multiply(w[1], fh, out=term[:out.size])
-        out += np.multiply(w[2], f1, out=term[:out.size])
+        out += np.multiply(w[1], fh, out=term[:, :out.shape[1]])
+        out += np.multiply(w[2], f1, out=term[:, :out.shape[1]])
         return np.multiply(dt, out, out=out)
 
-    def sweep(Uf, Vf, Uh, Vh):
-        fhu, fhv = (np.multiply(-1j, n, out=n) for n in eval_N(Uh, Vh, m))
-        for n, o in zip(eval_N(Uf, Vf, m), (f1u_h[:-2], f1v_h[2:])):
-            np.multiply(-1j, n, out=o)
-        out = next(slots)  # the full-level stages, too, over the half level's labels
-        for o, w, base, f0, fh, f1 in zip(out, (_L_FULL, _L_FULL, _L_HALF, _L_HALF),
-                                          (base_uh, base_vh) * 2, (f0u, f0v) * 2,
-                                          (fhu, fhv) * 2, (f1u_h, f1v_h) * 2):
-            np.add(base, lobatto(w, f0, fh, f1, o), out=o)
-        return out[0][:-2], out[1][2:], out[2], out[3]
+    def sweep(Wf, Wh):
+        np.multiply(-1j, eval_N(Wh, m, out=fh), out=fh)
+        np.multiply(-1j, eval_N(Wf, m, out=new_f1), out=new_f1)
+        stages = next(slots)  # the full-level stage, too, over the half level's labels
+        for stage, w in zip(stages[..., :n + 2], (_L_FULL, _L_HALF)):
+            np.add(base, lobatto(w, f0, fh, f1, stage), out=stage)
+        return _pair(stages[0], 0, 2, n), stages[1, :, :n + 2]
 
-    (Uf, Vf, Uh, Vh), iters = _fixed_point(
-        sweep, (base_uh[:-2], base_vh[2:], base_uh, base_vh), lab)
-    n1h, n2h = eval_N(Uh, Vh, m)
-    half = n1h[:-2], n2h[2:]
-    return Uf, Vf, lambda old, new, side: lobatto(_L_FULL, old, half[side], new,
-                                                  panel_row[:new.size]), iters
+    (Wf, Wh), iters = _fixed_point(sweep, (_pair(lab.w, iu, iv, n), base), lab)
+    eval_N(Wh, m, out=fh)  # the half level's sources, read at the full level's nodes by half
+    return Wf, lambda old, new: lobatto(_L_FULL, old, half, new, lab.work[7:9, :n]), iters
 
 
 # kind -> (kernel for a nonempty window, cells per step = window widening,
@@ -500,10 +494,10 @@ def run(data: InitialData, m: ModelParams, s: Scheme, record_times: list[float],
     traj = Trajectory(params=m, data=data)
     # overflow and NaN are caught by _fixed_point and the blow-up guard
     with np.errstate(over="ignore", invalid="ignore"):
-        lab = _Labels(data.u0, data.v0, grid.h, m, s)
-        moduli = lab.domain(lab.abs_u, lab.abs_v)
-        for a in moduli:
-            a.flags.writeable = False
+        lab = _Labels(data, m, s)
+        domain = slice(MARGIN, MARGIN + grid.n_cells)
+        moduli = lab.moduli[:, domain]
+        moduli.flags.writeable = False
         for k in range(n_steps + 1):
             if k:
                 traj.max_fp_iterations = max(traj.max_fp_iterations, lab.advance())
@@ -511,7 +505,7 @@ def run(data: InitialData, m: ModelParams, s: Scheme, record_times: list[float],
                 p.on_step(lab.level, *moduli)
             if k in record_steps:
                 traj.snapshots[lab.level] = tuple(
-                    a.copy() for a in lab.domain(lab.u, lab.v, lab.a1, lab.a2))
+                    a.copy() for pair in (lab.w, lab.traces) for a in pair[:, domain])
     return traj
 
 

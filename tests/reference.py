@@ -18,7 +18,7 @@ def first_variation(u, v, p, q, m):
     d/ds W(u + s p, v + s q) at s = 0 equals 2 Re(conj(N1) p) + 2 Re(conj(N2) q)
     because W is real (its u- and ub-derivatives are conjugate).
     """
-    n1, n2 = eval_N(u, v, m)
+    n1, n2 = eval_N(np.stack((u, v)), m)
     return 2.0 * np.real(np.conj(n1) * p) + 2.0 * np.real(np.conj(n2) * q)
 
 

@@ -110,7 +110,7 @@ def test_criterion_01_algebraic_identities():
         vv = pts[k, 2] + 1j * pts[k, 3]
         p = pts[k, 4] + 1j * pts[k, 5]
         q = pts[k, 6] + 1j * pts[k, 7]
-        n1, n2 = eval_N(uu, vv, m)
+        n1, n2 = eval_N(np.array([uu, vv]), m)
         fd_ok &= abs(wirtinger_fd(uu, vv, m, 1e-4, 1, 0) - n1) <= 1e-9
         fd_ok &= abs(wirtinger_fd(uu, vv, m, 1e-4, 0, 1) - n2) <= 1e-9
         exact = first_variation(uu, vv, p, q, m)

@@ -3,9 +3,9 @@ production code: some check of `run_experiment` must turn red in summary.json.
 
 Each mutant runs one small experiment (Gaussian pair on [-12, 12], h = 1/64,
 T = 4, every check on, two triangles for the unit-step schemes: a wide one, and
-one whose right side starts inside u's bump).  A mutant that no check catches is an expected failure whose reason names the gap; it is
-strict, so a new certificate that catches it turns the suite red until the
-mark goes.
+one whose right side starts inside u's bump).  A mutant that no check
+catches is an expected failure whose reason names the gap; it is strict, so
+a new certificate that catches it turns the suite red until the mark goes.
 """
 
 import json
@@ -39,21 +39,21 @@ def scaled_panel(mp):
     """trace panel x 1.1"""
     panel = solver._Labels.trapezoid_panel
     mp.setattr(solver._Labels, "trapezoid_panel",
-               lambda self, old, new, side: 1.1 * panel(self, old, new, side))
+               lambda self, old, new: 1.1 * panel(self, old, new))
 
 
 def no_old_endpoint(mp):
     """the panel without its old endpoint: h/2 times the new source alone"""
     mp.setattr(solver._Labels, "trapezoid_panel",
-               lambda self, old, new, side: 0.5 * self.h * new)
+               lambda self, old, new: 0.5 * self.h * new)
 
 
 def panel_twice(mp):
     """each step adds its panel to the traces twice"""
     panel = solver._Labels.trapezoid_panel
 
-    def twice(self, old, new, side):
-        p = panel(self, old, new, side)
+    def twice(self, old, new):
+        p = panel(self, old, new)
         return p + p
     mp.setattr(solver._Labels, "trapezoid_panel", twice)
 
@@ -98,10 +98,11 @@ def scaled_angle(mp):
 def left_endpoint(mp):
     """u turned by the |v|^2 at its characteristic's start, not the midpoint"""
     def defect(kernel):
-        def step(lab, ju, jv):
-            U, V, panel, sweeps = kernel(lab, ju, jv)
-            start = np.square(lab.abs_v[jv.start - 2:jv.stop - 2])
-            return lab.u[ju] * np.exp(-1j * lab.m.alpha * lab.h * start), V, panel, sweeps
+        def step(lab, iu, iv, n):
+            W, panel, sweeps = kernel(lab, iu, iv, n)
+            start = np.square(lab.moduli[1, iv - 2:iv - 2 + n])
+            W[0] = lab.w[0, iu:iu + n] * np.exp(-1j * lab.m.alpha * lab.h * start)
+            return W, panel, sweeps
         return step
     phase_split_kernel(mp, defect)
 
@@ -110,8 +111,8 @@ def scaled_alpha(mp):
     """alpha x 1.1 in phase_split's rotation and in its traced sources"""
     init = solver._Labels.__init__
 
-    def scaled(self, u, v, h, m, s):
-        init(self, u, v, h, ModelParams(1.1 * m.alpha, m.beta), s)
+    def scaled(self, data, m, s):
+        init(self, data, ModelParams(1.1 * m.alpha, m.beta), s)
     mp.setattr(solver._Labels, "__init__", scaled)
 
 

@@ -25,21 +25,22 @@ class TestClosedForms:
         assert pair_overlap(1.0, 1.0) == pytest.approx(2.0)
         assert eval_W(1.0, 1.0, th) == pytest.approx(1.0)
         assert eval_W(1.0, 1.0, gn) == pytest.approx(1.0)
-        assert eval_N(1.0, 1.0, th)[0] == pytest.approx(1.0)
-        assert eval_N(1.0, 1.0, gn)[0] == pytest.approx(1.0)
+        assert eval_N(np.array([1.0, 1.0]), th)[0] == pytest.approx(1.0)
+        assert eval_N(np.array([1.0, 1.0]), gn)[0] == pytest.approx(1.0)
         # u = 1, v = i: overlap 0, the beta part drops out entirely
         assert pair_overlap(1.0, 1.0j) == pytest.approx(0.0)
         assert eval_W(1.0, 1.0j, gn) == pytest.approx(0.0)
-        assert eval_N(1.0, 1.0j, gn)[0] == pytest.approx(0.0)
-        assert eval_N(1.0, 1.0j, th)[0] == pytest.approx(1.0)
+        assert eval_N(np.array([1.0, 1.0j]), gn)[0] == pytest.approx(0.0)
+        assert eval_N(np.array([1.0, 1.0j]), th)[0] == pytest.approx(1.0)
 
     def test_array_broadcasting(self):
         m = ModelParams(0.5, -0.25)
         u = np.array([1.0 + 0j, 2.0j, 0.0])
         v = np.array([1.0j, 1.0, 3.0])
-        assert eval_N(u, v, m)[0].shape == (3,)
+        assert eval_N(np.array([u, v]), m)[0].shape == (3,)
         for j in range(3):
-            assert eval_N(u, v, m)[0][j] == pytest.approx(eval_N(u[j], v[j], m)[0])
+            assert eval_N(np.array([u, v]), m)[0][j] == pytest.approx(
+                eval_N(np.array([u[j], v[j]]), m)[0])
 
 
 def two_term_N1(u, v, m):
@@ -72,9 +73,12 @@ class TestFusedKernel:
              "per_sample": ModelParams(rng.uniform(-2, 2, self.n),
                                        rng.uniform(-2, 2, self.n))}[case]
         want1, want2 = two_term_N1(u, v, m), two_term_N2(u, v, m)
-        for n1, n2 in (eval_N(u, v, m), eval_N(u, v, m, (np.abs(u), np.abs(v)))):
+        w, out = np.stack((u, v)), np.empty((2, self.n), complex)
+        for n1, n2 in (eval_N(w, m), eval_N(w, m, np.abs(w)), eval_N(w, m, out=out)):
             np.testing.assert_array_equal(bits(n1), bits(want1))
             np.testing.assert_array_equal(bits(n2), bits(want2))
+        # every branch writes its result into out, and returns it
+        assert eval_N(w, m, out=out) is out
 
     @pytest.mark.parametrize("m", [ModelParams.thirring(), ModelParams.gross_neveu(),
                                    ModelParams(0.0, 0.0)])
@@ -83,7 +87,7 @@ class TestFusedKernel:
         # zero may change, and only in its sign
         u = np.array([0.0, 1.0 - 2.0j, 0.0, 3.0j])
         v = np.array([0.5 + 0.5j, 0.0, 0.0, 2.0])
-        n1, n2 = eval_N(u, v, m)
+        n1, n2 = eval_N(np.array([u, v]), m)
         assert n1.shape == n2.shape == u.shape
         np.testing.assert_array_equal(n1, two_term_N1(u, v, m))
         np.testing.assert_array_equal(n2, two_term_N2(u, v, m))
@@ -112,8 +116,8 @@ class TestProperties:
         m = ModelParams(alpha, beta)
         bound1 = m.c_star * abs(u) * abs(v) ** 2
         bound2 = m.c_star * abs(v) * abs(u) ** 2
-        assert abs(eval_N(u, v, m)[0]) <= bound1 + 1e-12 * (1.0 + bound1)
-        assert abs(eval_N(u, v, m)[1]) <= bound2 + 1e-12 * (1.0 + bound2)
+        assert abs(eval_N(np.array([u, v]), m)[0]) <= bound1 + 1e-12 * (1.0 + bound1)
+        assert abs(eval_N(np.array([u, v]), m)[1]) <= bound2 + 1e-12 * (1.0 + bound2)
 
     @given(spinors(), spinors(), st.floats(min_value=-np.pi, max_value=np.pi))
     @settings(max_examples=200, deadline=None)
@@ -122,8 +126,10 @@ class TestProperties:
         _, v = q
         m = ModelParams(1.0, 0.25)
         z = np.exp(1j * theta)
-        assert eval_N(z * u, z * v, m)[0] == pytest.approx(z * eval_N(u, v, m)[0], abs=1e-9)
-        assert eval_N(z * u, z * v, m)[1] == pytest.approx(z * eval_N(u, v, m)[1], abs=1e-9)
+        n1, n2 = eval_N(np.array([u, v]), m)
+        m1, m2 = eval_N(np.array([z * u, z * v]), m)
+        assert m1 == pytest.approx(z * n1, abs=1e-9)
+        assert m2 == pytest.approx(z * n2, abs=1e-9)
         assert eval_W(z * u, z * v, m) == pytest.approx(eval_W(u, v, m), abs=1e-9)
 
     @given(spinors(), spinors(), couplings)
@@ -132,7 +138,8 @@ class TestProperties:
         u, _ = p
         _, v = q
         m = ModelParams(alpha, 0.25)
-        assert eval_N(u, v, m)[1] == pytest.approx(eval_N(v, u, m)[0], abs=1e-12)
+        assert eval_N(np.array([u, v]), m)[1] == pytest.approx(eval_N(np.array([v, u]), m)[0],
+                                                               abs=1e-12)
 
     @given(spinors(), spinors())
     @settings(max_examples=100, deadline=None)
@@ -154,9 +161,9 @@ class TestWirtingerReference:
         # exact up to roundoff: W is quadratic in each real coordinate
         for u, v in self.points:
             fd = wirtinger_fd(u, v, m, 1e-4, 1, 0)
-            assert fd == pytest.approx(eval_N(u, v, m)[0], abs=1e-9)
+            assert fd == pytest.approx(eval_N(np.array([u, v]), m)[0], abs=1e-9)
             fd = wirtinger_fd(u, v, m, 1e-4, 0, 1)
-            assert fd == pytest.approx(eval_N(u, v, m)[1], abs=1e-9)
+            assert fd == pytest.approx(eval_N(np.array([u, v]), m)[1], abs=1e-9)
 
     def test_joint_variation_decays_at_second_order(self):
         m = ModelParams(0.9, 0.35)

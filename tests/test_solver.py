@@ -48,7 +48,7 @@ def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
     a1, a2 = np.zeros_like(u), np.zeros_like(v)
     cells = 2 if kind == "oracle4" else 1
     for k in range(1, n_steps // cells + 1):
-        n1p, n2p = eval_N(u, v, m)
+        n1p, n2p = sources(u, v, m)
         its = 0
         if kind == "oracle4":
             dt = 2.0 * h
@@ -57,8 +57,8 @@ def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
             Uh, Uf, Vh, Vf = bases
             scale = 1.0 + max(np.max(np.abs(u)), np.max(np.abs(v)))
             for its in range(1, max_iter + 1):
-                fhu, fhv = (-1j * n for n in eval_N(Uh, Vh, m))
-                f1u, f1v = (-1j * n for n in eval_N(Uf, Vf, m))
+                fhu, fhv = (-1j * n for n in sources(Uh, Vh, m))
+                f1u, f1v = (-1j * n for n in sources(Uf, Vf, m))
                 new = (bases[0] + dt * (_L_HALF[0] * shift_right(f0u) + _L_HALF[1] * fhu
                                         + _L_HALF[2] * shift_left(f1u)),
                        bases[1] + dt * (_L_FULL[0] * shift_right(f0u, 2)
@@ -72,7 +72,7 @@ def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
                 if delta <= tol * scale:
                     break
             u, v = Uf, Vf
-            (n1h, n2h), (n1, n2) = eval_N(Uh, Vh, m), eval_N(u, v, m)
+            (n1h, n2h), (n1, n2) = sources(Uh, Vh, m), sources(u, v, m)
             a1 = shift_right(a1, 2) + dt * (_L_FULL[0] * shift_right(n1p, 2)
                                             + _L_FULL[1] * shift_right(n1h) + _L_FULL[2] * n1)
             a2 = shift_left(a2, 2) + dt * (_L_FULL[0] * shift_left(n2p, 2)
@@ -84,7 +84,7 @@ def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
                 U, V = shift_right(u), shift_left(v)
                 scale = 1.0 + max(np.max(np.abs(U)), np.max(np.abs(V)))
                 for its in range(1, max_iter + 1):
-                    n1, n2 = eval_N(U, V, m)
+                    n1, n2 = sources(U, V, m)
                     Un, Vn = a - 0.5j * h * n1, b - 0.5j * h * n2
                     delta = max(np.max(np.abs(Un - U)), np.max(np.abs(Vn - V)))
                     U, V = Un, Vn
@@ -97,10 +97,15 @@ def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
                 U = shift_right(u) * np.exp(-1j * m.alpha * h * v_mid)
                 V = shift_left(v) * np.exp(-1j * m.alpha * h * u_mid)
             u, v = U, V
-            n1, n2 = eval_N(u, v, m)
+            n1, n2 = sources(u, v, m)
             a1 = shift_right(a1) + 0.5 * h * (shift_right(n1p) + n1)
             a2 = shift_left(a2) + 0.5 * h * (shift_left(n2p) + n2)
         yield u, v, shift_left(a1, k * cells), shift_right(a2, k * cells), its
+
+
+def sources(u, v, m):
+    """(N1, N2) at (u, v) by the production formula."""
+    return tuple(eval_N(np.stack((u, v)), m))
 
 
 def padded_reference(data, grid, m, kind="trapezoidal"):
@@ -141,9 +146,9 @@ class CountingN:
         self.nodes = 0
         original = solver.eval_N
 
-        def counted(u, v, *args):
-            self.nodes += np.size(u)
-            return original(u, v, *args)
+        def counted(w, *args, **kwargs):
+            self.nodes += np.shape(w)[-1]
+            return original(w, *args, **kwargs)
         monkeypatch.setattr(solver, "eval_N", counted)
 
 
@@ -167,16 +172,17 @@ def rule_window(lab, lo, hi, r):
     x = np.arange(lo, hi + 1)
     i, j = MARGIN + x - lab.level, MARGIN + x + lab.level  # the labels at node x
     # oracle4's half level also moves u labels i[-1] + 1..i[-1] + r and v labels j[0] - r..j[0] - 1
-    assert not lab.n1[i[-1] + 1:i[-1] + r + 1].any() and not lab.n2[j[0] - r:j[0]].any()
+    (n1, n2), (abs_u, abs_v) = lab.sources, lab.moduli
+    assert not n1[i[-1] + 1:i[-1] + r + 1].any() and not n2[j[0] - r:j[0]].any()
     if r:
-        a = max(lab.abs_u.max(), lab.abs_v.max())
+        a = max(abs_u.max(), abs_v.max())
         b, dt, c = 1.5 * a, r * lab.h, lab.m.c_star
         if dt * c * a ** 2 > 1.0 / 7.0 or dt * (b ** 2 + (2 * c + 1) * b + 5) > 8.0:
             return lo, hi
     n = len(x)
-    loud = (lab.n1[i] != 0) | (lab.n2[j] != 0)
+    loud = (n1[i] != 0) | (n2[j] != 0)
     for pi, pj in [(i, j)] + ([(i, j - r), (i + r, j)] if r else []):
-        loud |= _loud_pairs(lab.abs_u[pi], lab.abs_v[pj], quiet_bound(lab.m),
+        loud |= _loud_pairs(abs_u[pi], abs_v[pj], quiet_bound(lab.m),
                             np.empty(n), np.empty(n), np.empty(n, bool))
     k = np.flatnonzero(loud)
     return (lo + int(k[0]), lo + int(k[-1])) if k.size else None
@@ -480,7 +486,8 @@ class TestQuietRule:
         else:
             assert not loud[0]
         if not loud[0]:
-            for n1, n2 in (eval_N(u, v, m), eval_N(u, v, m, (a, b))):
+            w = np.stack((u, v))
+            for n1, n2 in (eval_N(w, m), eval_N(w, m, np.stack((a, b)))):
                 assert n1[0] == 0 and n2[0] == 0
 
     def test_bound(self):
@@ -645,7 +652,7 @@ class TestTraceIdentity:
         from dirac1d import solver
         panel = solver._Labels.trapezoid_panel
         monkeypatch.setattr(solver._Labels, "trapezoid_panel",
-                            lambda self, old, new, side: 1.1 * panel(self, old, new, side))
+                            lambda self, old, new: 1.1 * panel(self, old, new))
         assert identity_miss(gaussian_run(ModelParams.gross_neveu(), 1.0 / 64.0, 1.0)) > 1e-2
 
 
@@ -684,20 +691,21 @@ class TestThirringClosedForm:
         from dirac1d import solver
         kernel, cells, reach = solver._KERNELS["phase_split"]
 
-        def scaled_angle(lab, ju, jv):
+        def scaled_angle(lab, *window):
             """the rotation angle alone times 1.1; the traced sources keep alpha"""
             m = lab.m
             lab.m = ModelParams(1.1 * m.alpha, m.beta)
             try:
-                return kernel(lab, ju, jv)
+                return kernel(lab, *window)
             finally:
                 lab.m = m
 
-        def left_endpoint(lab, ju, jv):
+        def left_endpoint(lab, iu, iv, n):
             """u turned by the |v|^2 at its characteristic's start, not the midpoint"""
-            U, V, panel, sweeps = kernel(lab, ju, jv)
-            start = np.square(lab.abs_v[jv.start - 2:jv.stop - 2])
-            return lab.u[ju] * np.exp(-1j * lab.m.alpha * lab.h * start), V, panel, sweeps
+            W, panel, sweeps = kernel(lab, iu, iv, n)
+            start = np.square(lab.moduli[1, iv - 2:iv - 2 + n])
+            W[0] = lab.w[0, iu:iu + n] * np.exp(-1j * lab.m.alpha * lab.h * start)
+            return W, panel, sweeps
 
         defect = {"scaled_angle": scaled_angle, "left_endpoint": left_endpoint}[mutant]
         monkeypatch.setitem(solver._KERNELS, "phase_split", (defect, cells, reach))
