@@ -141,8 +141,7 @@ class _Labels:
     def __init__(self, data: InitialData, m: ModelParams, s: Scheme):
         if s.kind == "phase_split" and m.beta != 0.0:
             raise ValueError("phase_split scheme is only valid for beta = 0")
-        self.level, self.m, self.s = 0, m, s
-        self.h = data.grid.h
+        self.level, self.m, self.s, self.grid, self.h = 0, m, s, data.grid, data.grid.h
         self.w = np.pad(np.stack((data.u0, data.v0)), ((0, 0), (MARGIN, MARGIN)))
         self.w += 0.0  # -0 -> +0, every other value kept (see trim)
         self.moduli = np.abs(self.w)
@@ -152,7 +151,7 @@ class _Labels:
         iu, iv = np.flatnonzero(data.u0), np.flatnonzero(data.v0)
         self.hull = ((int(iu[0]), int(iu[-1]), int(iv[0]), int(iv[-1]))
                      if iu.size and iv.size else None)
-        self.guard(self.moduli)
+        self.guard(self.moduli, -MARGIN)
         if (win := self.window(0)) is not None:
             win = self.labels(*win, 0)
             eval_N(_pair(self.w, *win), m, out=_pair(self.sources, *win))
@@ -272,6 +271,10 @@ class _Labels:
         """The window (iu, iv, n) of nodes lo..hi at cell level s."""
         return MARGIN + lo - s, MARGIN + lo + s, hi - lo + 1
 
+    def node(self, iu: int) -> int:
+        """The node of u's label iu at the current level."""
+        return iu - MARGIN + self.level
+
     def commit(self, win: tuple, W, panel):
         """Store a step's W = (U, V) on the window win with its moduli and sources,
         and guard them.  The traces first gain panel(stored sources, new sources):
@@ -281,18 +284,26 @@ class _Labels:
         new = eval_N(W, self.m, np.abs(W, out=mod), out=self.work[5:7, :win[2]])
         traces += panel(src, new)
         _pair(self.w, *win)[...], src[...] = W, new
-        self.guard(mod)
+        self.guard(mod, self.node(win[0]))
 
     def trapezoid_panel(self, old, new):
         """The trace panel of one cell by the trapezoid rule."""
         out = self.work[7:9, :new.shape[1]]
         return np.multiply(0.5 * self.h, np.add(old, new, out=out), out=out)
 
-    def guard(self, moduli: np.ndarray):
+    def guard(self, moduli: np.ndarray, first: int):
+        """Raise SolverError if a modulus is not finite or exceeds BLOWUP_LIMIT;
+        column k of moduli sits at node first + k."""
         amp = np.max(moduli)  # a NaN propagates
         if not np.isfinite(amp) or amp > BLOWUP_LIMIT:
-            t = self.level * self.h
-            raise SolverError(f"field blow-up at t = {t:.6g}: max amplitude {amp:.3g}")
+            node = first + int(np.argmax(np.max(moduli, axis=0)))
+            raise SolverError(f"field blow-up at t = {self.level * self.h:.6g} "
+                              f"({self.at(node)}): max amplitude {amp:.3g}")
+
+    def at(self, node: int) -> str:
+        """The step and the node, with its x, where a solve failed."""
+        return (f"step {self.level // self.s.cells}, node {node} "
+                f"at x = {self.grid.x_min + node * self.h:.6g}")
 
 
 def _pair(a: np.ndarray, iu: int, iv: int, n: int) -> np.ndarray:
@@ -335,11 +346,12 @@ def _last(mask: np.ndarray) -> int:
     return len(mask) - 1 - _first(mask[::-1])
 
 
-def _fixed_point(sweep, start: tuple, lab: _Labels):
-    """Iterate x <- sweep(*x) from start, a tuple of (2, .) stages, until no
-    component moves by more than tol * (1 + max(max|u|, max|v|)), or raise at
-    the first sweep whose move is not finite; returns the last iterate and the
-    sweeps."""
+def _fixed_point(sweep, start: tuple, lab: _Labels, firsts: tuple):
+    """Iterate x <- sweep(*x) from start, a tuple of (2, .) stages whose column k
+    sits at node firsts[i] + k, until no component moves by more than
+    tol * (1 + max(max|u|, max|v|)), or raise at the first sweep whose move is
+    not finite; returns the last iterate and the sweeps.  An error names the
+    step and the node that moved most in the last sweep."""
     s, x = lab.s, start
     scale = 1.0 + np.max(lab.moduli)
     move, modulus = lab.work[:2], lab.work[2].view(float).reshape(2, -1)
@@ -349,13 +361,21 @@ def _fixed_point(sweep, start: tuple, lab: _Labels):
                          out=modulus[:, :a.shape[1]]).max() for a, b in zip(new, x)]
         if not all(map(math.isfinite, deltas)):
             raise SolverError(f"fixed-point iteration diverged at t = {lab.level * lab.h:.6g}: "
-                              f"sweep {iters} moved the iterate by {np.max(deltas):.3g}")
-        x = new
+                              f"sweep {iters} moved the iterate by {np.max(deltas):.3g} "
+                              f"({lab.at(_worst(new, x, firsts))})")
+        x, old = new, x
         if max(deltas) <= s.fixed_point_tol * scale:
             return x, iters
     raise SolverError(
-        f"fixed-point iteration did not converge in {s.fixed_point_max_iter} iterations; "
-        "the time step is too large for the data amplitude")
+        f"fixed-point iteration did not converge in {s.fixed_point_max_iter} iterations "
+        f"({lab.at(_worst(x, old, firsts))}); the time step is too large for the data amplitude")
+
+
+def _worst(new: tuple, old: tuple, firsts: tuple) -> int:
+    """The node that moved most from old to new, the first whose move is not finite if any."""
+    moves = np.concatenate([np.abs(a - b).max(axis=0) for a, b in zip(new, old)])
+    nodes = np.concatenate([first + np.arange(a.shape[1]) for first, a in zip(firsts, new)])
+    return int(nodes[np.argmax(moves)])
 
 
 def _step_trapezoidal(lab: _Labels, iu: int, iv: int, n: int):
@@ -371,7 +391,7 @@ def _step_trapezoidal(lab: _Labels, iu: int, iv: int, n: int):
         N = eval_N(W, m, out=half_step)
         return np.subtract(base, np.multiply(N, 0.5j * h, out=N), out=next(slots)),
 
-    (W,), iters = _fixed_point(sweep, (start,), lab)
+    (W,), iters = _fixed_point(sweep, (start,), lab, (lab.node(iu),))
     return W, lab.trapezoid_panel, iters
 
 
@@ -448,7 +468,8 @@ def _step_oracle4(lab: _Labels, iu: int, iv: int, n: int):
             np.add(base, lobatto(w, f0, fh, f1, stage), out=stage)
         return _pair(stages[0], 0, 2, n), stages[1, :, :n + 2]
 
-    (Wf, Wh), iters = _fixed_point(sweep, (_pair(lab.w, iu, iv, n), base), lab)
+    (Wf, Wh), iters = _fixed_point(sweep, (_pair(lab.w, iu, iv, n), base), lab,
+                                   (lab.node(iu), lab.node(iu) - 1))
     eval_N(Wh, m, out=fh)  # the half level's sources, read at the full level's nodes by half
     return Wf, lambda old, new: lobatto(_L_FULL, old, half, new, lab.work[7:9, :n]), iters
 

@@ -767,14 +767,15 @@ class TestGuards:
     def test_blowup_guard(self):
         grid = Grid.from_domain(-20.0, 20.0, 0.25, 1.0)
         data = make_initial_data("gaussian", {**GAUSSIAN_PAIR, "u_amplitude": 2e6}, grid)
-        with pytest.raises(SolverError, match="blow-up"):
+        # the data's largest modulus, u's peak at x = 0
+        with pytest.raises(SolverError, match=r"blow-up at t = 0 \(step 0, node 80 at x = 0\)"):
             run(data, ModelParams.thirring(), Scheme(), [1.0])
 
     def test_fixed_point_divergence_reported(self):
         grid = Grid.from_domain(-20.0, 20.0, 0.25, 1.0)
         data = make_initial_data("gaussian", {**GAUSSIAN_PAIR, "u_amplitude": 100.0,
                                               "v_amplitude": 100.0}, grid)
-        with pytest.raises(SolverError, match="did not converge"):
+        with pytest.raises(SolverError, match=r"did not converge in 3 iterations \(step 1, node "):
             run(data, ModelParams.thirring(), Scheme(fixed_point_max_iter=3), [1.0])
 
     def test_nonfinite_sweep_stops_with_its_time(self):
@@ -784,8 +785,29 @@ class TestGuards:
                                               "v_amplitude": 8.0}, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverError, match=r"diverged at t = 0\.\d+: sweep \d+ "):
+            with pytest.raises(SolverError, match=r"diverged at t = 0\.\d+: sweep \d+ ") as err:
                 run(data, ModelParams.gross_neveu(), Scheme(), [4.0])
+        # the first step, at the node whose iterate first stopped being finite
+        assert str(err.value).endswith("by nan (step 1, node 394 at x = 0.3125)")
+
+    @pytest.mark.parametrize("kind,stage", [("trapezoidal", 0), ("oracle4", 0), ("oracle4", 1)])
+    def test_failing_sweep_names_its_worst_node(self, kind, stage, monkeypatch):
+        # a sweep that breaks v at one node of a stage (oracle4's 1 is the half
+        # level's): the error names that node
+        from dirac1d import solver
+        fixed_point, grid = solver._fixed_point, Grid.from_domain(-30.0, 30.0, 1.0 / 16.0, 1.0)
+        bad = grid.index_of(0.5)
+
+        def breaking(sweep, start, lab, firsts):
+            def broken(*x):
+                new = sweep(*x)
+                new[stage][1, bad - firsts[stage]] = np.nan
+                return new
+            return fixed_point(broken, start, lab, firsts)
+        monkeypatch.setattr(solver, "_fixed_point", breaking)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+        with pytest.raises(SolverError, match=rf"sweep 1 .* \(step 1, node {bad} at x = 0.5\)"):
+            run(data, ModelParams.gross_neveu(), Scheme(kind), [1.0])
 
     def test_phase_split_requires_beta_zero(self):
         grid = Grid.from_domain(-10.0, 10.0, 0.25, 1.0)
