@@ -11,8 +11,9 @@ them against difference quotients of W):
 N2 is N1 with u and v exchanged, so (N1, N2) = alpha w |partner|^2 + 2 beta
 (ub*v + u*vb) partner with partner = (v, u).  It skips a term whose coupling is
 zero everywhere (alpha for Gross-Neveu, beta for Thirring): the skipped term is
-+-0, so only a source that is exactly zero may change, in its sign.  All
-functions are pure but for `eval_N`'s `out` and accept scalars or numpy arrays.
++-0, so only a source that is exactly zero may change, in its sign.  The
+functions accept scalars or numpy arrays (`eval_N` their stacked pair), and
+all are pure but for `eval_N`'s `out`.
 """
 
 from __future__ import annotations

@@ -160,16 +160,16 @@ class _Labels:
     def work(self) -> np.ndarray:
         """Every scratch row of a run: complex rows as long as the label arrays, made on
         first use and sliced to a window.  A pair takes two rows; a real (boolean) pair
-        is one complex row's float (bool) view.  0-1 `_fixed_point`'s move, 2 its
-        modulus (real); 3 `trim`'s lifted products (real), 4 its loud flags (bool),
-        which phase_split, never trimmed, takes for |theta| and its flags; 5-6
-        `commit`'s new sources, 7-8 the trace panel; from 9 on the kernel's.
-        trapezoidal: 9-10 the constant part, 11-12 the products i h/2 N, 13-14 and
-        15-16 the iterates of alternate sweeps.  phase_split: 9 the squared moduli, 10
-        the midpoints (real), 11-12 the rotations.  oracle4: 9-10 f0, 11-12 the half
-        level's sources, 13-14 the new sources on the half level, 15-18 and 19-22 the
-        (full, half) stages of alternate sweeps, 23-24 a Lobatto term."""
-        return np.empty((25, self.w.shape[1]), complex)
+        is one complex row's float (bool) view.  0 `_fixed_point`'s move, 1 its modulus
+        (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool), which
+        phase_split, never trimmed, takes for |theta| and its flags; 4-5 `commit`'s new
+        sources, 6-7 the trace panel; from 8 on the kernel's.  trapezoidal: 8-9 the
+        constant part, 10-11 the products i h/2 N, 12-13 and 14-15 the iterates of
+        alternate sweeps.  phase_split: 8 the squared moduli, 9 the midpoints (real),
+        10-11 the rotations.  oracle4: 8-9 f0, 10-11 the half level's sources, 12-13
+        the new sources on the half level, 14-17 and 18-21 the (full, half) stages of
+        alternate sweeps, 22 a Lobatto term."""
+        return np.empty((23, self.w.shape[1]), complex)
 
     def advance(self) -> int:
         """One step of the scheme; returns its fixed-point sweeps."""
@@ -248,8 +248,8 @@ class _Labels:
             if 7.0 * dt * c * amp ** 2 > 1.0 or dt * (lim ** 2 + (2 * c + 1) * lim + 5) > 8.0:
                 return lo, hi
 
-        p, q = self.work[3].view(float).reshape(2, -1)[:, :n + r]
-        loud, half = self.work[4].view(bool).reshape(2, -1)[:, :n + r]
+        p, q = self.work[2].view(float).reshape(2, -1)[:, :n + r]
+        loud, half = self.work[3].view(bool).reshape(2, -1)[:, :n + r]
         loud = _loud_pairs(*_pair(self.moduli, iu, iv, n), bound, p[:n], q[:n], loud[:n])
         if r:  # loud[k] |= half[k], pair (i, j - 2), and half[k + r], pair (i + 2, j)
             _loud_pairs(*_pair(self.moduli, iu, iv - r, n + r), bound, p, q, half)
@@ -281,14 +281,14 @@ class _Labels:
         the step's quadrature of the very sources it stores, so u = u0 - i A1
         telescopes."""
         mod, src, traces = (_pair(a, *win) for a in (self.moduli, self.sources, self.traces))
-        new = eval_N(W, self.m, np.abs(W, out=mod), out=self.work[5:7, :win[2]])
+        new = eval_N(W, self.m, np.abs(W, out=mod), out=self.work[4:6, :win[2]])
         traces += panel(src, new)
         _pair(self.w, *win)[...], src[...] = W, new
         self.guard(mod, self.node(win[0]))
 
     def trapezoid_panel(self, old, new):
         """The trace panel of one cell by the trapezoid rule."""
-        out = self.work[7:9, :new.shape[1]]
+        out = self.work[6:8, :new.shape[1]]
         return np.multiply(0.5 * self.h, np.add(old, new, out=out), out=out)
 
     def guard(self, moduli: np.ndarray, first: int):
@@ -354,11 +354,12 @@ def _fixed_point(sweep, start: tuple, lab: _Labels, firsts: tuple):
     step and the node that moved most in the last sweep."""
     s, x = lab.s, start
     scale = 1.0 + np.max(lab.moduli)
-    move, modulus = lab.work[:2], lab.work[2].view(float).reshape(2, -1)
+    move, modulus = lab.work[0], lab.work[1].view(float)
     for iters in range(1, s.fixed_point_max_iter + 1):
         new = sweep(*x)
-        deltas = [np.abs(np.subtract(a, b, out=move[:, :a.shape[1]]),
-                         out=modulus[:, :a.shape[1]]).max() for a, b in zip(new, x)]
+        # row by row: at fine h one row's move stays in a core's cache, a pair's does not
+        deltas = [np.abs(np.subtract(a, b, out=move[:a.size]), out=modulus[:a.size]).max()
+                  for stage, last in zip(new, x) for a, b in zip(stage, last)]
         if not all(map(math.isfinite, deltas)):
             raise SolverError(f"fixed-point iteration diverged at t = {lab.level * lab.h:.6g}: "
                               f"sweep {iters} moved the iterate by {np.max(deltas):.3g} "
@@ -381,15 +382,14 @@ def _worst(new: tuple, old: tuple, firsts: tuple) -> int:
 def _step_trapezoidal(lab: _Labels, iu: int, iv: int, n: int):
     """Unit-CFL implicit trapezoid on the window's labels; returns (W, panel, sweeps)."""
     h, m = lab.h, lab.m
-    base, half_step, *iterates = lab.work[9:17, :n].reshape(4, 2, -1)
-    start = _pair(lab.w, iu, iv, n)
-    np.subtract(start, np.multiply(0.5j * h, _pair(lab.sources, iu, iv, n), out=half_step),
-                out=base)
+    base, half_step, *iterates = lab.work[8:16, :n].reshape(4, 2, -1)
+    np.multiply(0.5j * h, _pair(lab.sources, iu, iv, n), out=half_step)
+    np.subtract(start := _pair(lab.w, iu, iv, n), half_step, out=base)
     slots = itertools.cycle(iterates)  # a sweep never writes over its input
 
     def sweep(W):
         N = eval_N(W, m, out=half_step)
-        return np.subtract(base, np.multiply(N, 0.5j * h, out=N), out=next(slots)),
+        return (np.subtract(base, np.multiply(N, 0.5j * h, out=N), out=next(slots)),)
 
     (W,), iters = _fixed_point(sweep, (start,), lab, (lab.node(iu),))
     return W, lab.trapezoid_panel, iters
@@ -411,8 +411,8 @@ def _step_phase_split(lab: _Labels, iu: int, iv: int, n: int):
     spacing next to theta, subnormal or not; so the correctly rounded values are 1
     and theta, which the platform's cos and sin return (a test pins them).
     """
-    (sq, mid), rot = lab.work[9:11].view(float).reshape(2, 2, -1)[..., :n + 2], lab.work[11:13, :n]
-    size, big = (lab.work[k].view(t).reshape(2, -1)[:, :n] for k, t in ((3, float), (4, bool)))
+    (sq, mid), rot = lab.work[8:10].view(float).reshape(2, 2, -1)[..., :n + 2], lab.work[10:12, :n]
+    size, big = (lab.work[k].view(t).reshape(2, -1)[:, :n] for k, t in ((2, float), (3, bool)))
     # the previous level's squared moduli at both neighbours of every window node
     np.square(_pair(lab.moduli, iu, iv - 2, n + 2), out=sq)
     # u turns by the midpoint |v|^2, v by the midpoint |u|^2
@@ -446,19 +446,22 @@ def _step_oracle4(lab: _Labels, iu: int, iv: int, n: int):
     """
     m, dt = lab.m, 2.0 * lab.h
     base = _pair(lab.w, iu, iv - 2, n + 2)  # the state on the half level's labels
-    f0, fh, f1 = lab.work[9:15, :n + 2].reshape(3, 2, -1)
-    new_f1, half = (_pair(lab.work[k:k + 2], 0, 2, n) for k in (13, 11))  # full-level nodes
-    term = lab.work[23:25]
+    f0, fh, f1 = lab.work[8:14, :n + 2].reshape(3, 2, -1)
+    new_f1, half = (_pair(lab.work[k:k + 2], 0, 2, n) for k in (12, 10))  # full-level nodes
+    term = lab.work[22]
     np.multiply(-1j, _pair(lab.sources, iu, iv - 2, n + 2), out=f0)
-    f1[...] = 0  # the new sources on the half level: zero past the window
-    slots = itertools.cycle(lab.work[15:23].reshape(2, 2, 2, -1))  # never over the input
+    f1[0, n:], f1[1, :2] = 0, 0  # the new sources on the half level: zero past the window
+    slots = itertools.cycle(lab.work[14:22].reshape(2, 2, 2, -1))  # never over the input
 
     def lobatto(w: tuple, f0, fh, f1, out):
-        """out <- dt * (w[0] f0 + w[1] fh + w[2] f1), term by term."""
-        np.multiply(w[0], f0, out=out)
-        out += np.multiply(w[1], fh, out=term[:, :out.shape[1]])
-        out += np.multiply(w[2], f1, out=term[:, :out.shape[1]])
-        return np.multiply(dt, out, out=out)
+        """out <- dt * (w[0] f0 + w[1] fh + w[2] f1), term by term, row by row (at fine
+        h one row's operands stay in a core's cache, a pair's do not)."""
+        for o, a, b, c in zip(out, f0, fh, f1):
+            np.multiply(w[0], a, out=o)
+            o += np.multiply(w[1], b, out=term[:o.size])
+            o += np.multiply(w[2], c, out=term[:o.size])
+            np.multiply(dt, o, out=o)
+        return out
 
     def sweep(Wf, Wh):
         np.multiply(-1j, eval_N(Wh, m, out=fh), out=fh)
@@ -471,7 +474,7 @@ def _step_oracle4(lab: _Labels, iu: int, iv: int, n: int):
     (Wf, Wh), iters = _fixed_point(sweep, (_pair(lab.w, iu, iv, n), base), lab,
                                    (lab.node(iu), lab.node(iu) - 1))
     eval_N(Wh, m, out=fh)  # the half level's sources, read at the full level's nodes by half
-    return Wf, lambda old, new: lobatto(_L_FULL, old, half, new, lab.work[7:9, :n]), iters
+    return Wf, lambda old, new: lobatto(_L_FULL, old, half, new, lab.work[6:8, :n]), iters
 
 
 # kind -> (kernel for a nonempty window, cells per step = window widening,
