@@ -202,8 +202,8 @@ class _Labels:
         whose node x also evaluates the half-level pairs (i, j - 2), at node
         x - 1, and (i + 2, j), at node x + 1.
 
-        Node x is quiet when n1[i] and n2[j] are exact zeros and every pair
-        it evaluates is quiet by its stored moduli a, b:
+        Node x is quiet when its stored sources N1 at i and N2 at j are exact
+        zeros and every pair it evaluates is quiet by its stored moduli a, b:
         c_star * a * b * max(a, b) < 2**QUIET_EXP.  Then:
 
         * eval_N at the pair returns exact zeros.  Before its last rounding

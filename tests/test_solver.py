@@ -16,6 +16,7 @@ from dirac1d.nonlinearity import eval_N
 from dirac1d.solver import (_KERNELS, MARGIN, QUIET_EXP, _loud_pairs, l2_diff, quiet_bound,
                             restrict, run)
 from reference import thirring_lattice
+from test_mutants import left_endpoint, scaled_angle
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
 
@@ -686,29 +687,9 @@ class TestThirringClosedForm:
         worst, bound = self.miss()
         assert worst <= bound
 
-    @pytest.mark.parametrize("mutant", ["scaled_angle", "left_endpoint"])
+    @pytest.mark.parametrize("mutant", [scaled_angle, left_endpoint], ids=lambda f: f.__name__)
     def test_defects_miss_the_closed_form(self, mutant, monkeypatch):
-        from dirac1d import solver
-        kernel, cells, reach = solver._KERNELS["phase_split"]
-
-        def scaled_angle(lab, *window):
-            """the rotation angle alone times 1.1; the traced sources keep alpha"""
-            m = lab.m
-            lab.m = ModelParams(1.1 * m.alpha, m.beta)
-            try:
-                return kernel(lab, *window)
-            finally:
-                lab.m = m
-
-        def left_endpoint(lab, iu, iv, n):
-            """u turned by the |v|^2 at its characteristic's start, not the midpoint"""
-            W, panel, sweeps = kernel(lab, iu, iv, n)
-            start = np.square(lab.moduli[1, iv - 2:iv - 2 + n])
-            W[0] = lab.w[0, iu:iu + n] * np.exp(-1j * lab.m.alpha * lab.h * start)
-            return W, panel, sweeps
-
-        defect = {"scaled_angle": scaled_angle, "left_endpoint": left_endpoint}[mutant]
-        monkeypatch.setitem(solver._KERNELS, "phase_split", (defect, cells, reach))
+        mutant(monkeypatch)
         worst, bound = self.miss()
         assert worst > bound
 
