@@ -11,7 +11,8 @@
 * for beta = 0, exact transport of |u| and |v| along the characteristics.
 
 `TriangleSides` and `ModulusDrift` are probes for `solver.run`: they gather
-their samples as the run steps.  All spatial and slanted-side integrals use
+their samples from the `solver.Step` record the run hands them before the
+first step and after each step.  All spatial and slanted-side integrals use
 the trapezoid rule on the lattice nodes the characteristics pass through
 (unit CFL makes those exact node sequences).  The snapshots hold u and v by
 characteristic label, so the envelope compares each label with its own
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, InitialData, TriangleRegion, at_nodes, charge
-from .solver import Scheme, Trajectory
+from .solver import Scheme, Step, Trajectory
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,8 @@ class TriangleSides:
             raise ValueError(f"tau = {tau} outside [t0, apex] = [{region.t0}, {region.apex_t}]")
         self.rows, self.right, self.left = [], [], []
 
-    def on_step(self, level: int, abs_u: np.ndarray, abs_v: np.ndarray):
+    def on_step(self, step: Step):
+        level, (abs_u, abs_v) = step.level, step.moduli
         if self.k0 <= level <= self.kt:
             lo, hi = self.ja + level - self.k0, self.jb - level + self.k0
             for side, a, i in ((self.right, abs_u, hi - level), (self.left, abs_v, lo + level)):
@@ -74,12 +76,11 @@ class ModulusDrift:
     and ||v| - |v0||, each label against its own initial value."""
 
     def __init__(self, data: InitialData):
-        self.abs0 = np.abs(data.u0), np.abs(data.v0)
+        self.abs0 = np.abs(np.stack((data.u0, data.v0)))
         self.value = 0.0
 
-    def on_step(self, level: int, abs_u: np.ndarray, abs_v: np.ndarray):
-        self.value = max(self.value, np.max(np.abs(abs_u - self.abs0[0])),
-                         np.max(np.abs(abs_v - self.abs0[1])))
+    def on_step(self, step: Step):
+        self.value = max(self.value, np.max(np.abs(step.moduli - self.abs0)))
 
 
 def total_charge_drift(traj: Trajectory) -> float:

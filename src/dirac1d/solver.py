@@ -35,8 +35,10 @@ its characteristic, for the asymptotics layer's profiles.  After setup only
 `_Labels.commit` writes state, sources and traces, adding the panel of the
 very sources it stores, so u(t) = u0 - i A1(t) telescopes exactly.
 
-Per-step certificates are probes that `run` hands read-only views of |u| and
-|v| after every step (`conservation.TriangleSides`, `ModulusDrift`).
+`run` is the step loop alone: before the first step and after each step it
+hands one `Step` record to every probe.  The `Trajectory` it returns is the
+first probe and keeps the snapshots; the per-step certificates are the others
+(`conservation.TriangleSides`, `ModulusDrift`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +95,21 @@ class Scheme:
         return _KERNELS[self.kind][1]
 
 
+class Step(NamedTuple):
+    """What every probe sees before the first step and after each step: the
+    cell level, the step's fixed-point sweeps (0 before the first step) and
+    read-only (2, n_cells) views by label over the domain of the state
+    w = (u, v), its moduli (|u|, |v|) and the traces (A1, A2).  The views are
+    the run's own arrays, which the next step overwrites: a probe copies what
+    it keeps."""
+
+    level: int
+    sweeps: int
+    w: np.ndarray
+    moduli: np.ndarray
+    traces: np.ndarray
+
+
 @dataclass
 class Trajectory:
     """Recorded states and per-characteristic trace integrals, keyed by cell
@@ -103,11 +121,13 @@ class Trajectory:
     A2(y, t) = int_0^t N2 along (y - s, s).  The traces at t = grid.t_final
     feed the scattering profiles.  `snapshot_at(t)` returns the record at t,
     found by its lattice count.  The lattice is the data's: `grid` is
-    `data.grid`.
+    `data.grid`.  A trajectory is a probe of `run`: `on_step` keeps the most
+    sweeps of any step and copies the record at each of `record_levels`.
     """
 
     params: ModelParams
     data: InitialData
+    record_levels: frozenset[int] = frozenset()
     snapshots: dict[int, tuple[np.ndarray, ...]] = field(default_factory=dict)
     max_fp_iterations: int = 0
 
@@ -124,6 +144,11 @@ class Trajectory:
         if level not in self.snapshots:
             raise ValueError(f"nothing recorded at t = {t}; recorded times: {self.times}")
         return self.snapshots[level]
+
+    def on_step(self, step: Step):
+        self.max_fp_iterations = max(self.max_fp_iterations, step.sweeps)
+        if step.level in self.record_levels:
+            self.snapshots[step.level] = tuple(np.concatenate((step.w, step.traces)))
 
 
 class _Labels:
@@ -491,45 +516,32 @@ def run(data: InitialData, m: ModelParams, s: Scheme, record_times: list[float],
         probes: Iterable = ()) -> Trajectory:
     """Run the scheme on data.grid for its n_steps steps, recording snapshots and traces.
 
-    record_times must be multiples of the scheme's time step within
-    [0, n_steps * h].  The final time is always recorded (the profiles need
-    the full trace integrals).  Before the first step and after each step
-    every probe gets `p.on_step(level, abs_u, abs_v)`: the cell level and
-    read-only views of |u| and |v| by label over the domain.  Fields that
-    stop being finite raise SolverError, not a floating-point warning.
+    record_times must be whole steps of the scheme within [0, n_steps * h];
+    the final time is always recorded (the profiles need the full trace
+    integrals).  Before the first step and after each step the trajectory,
+    then every probe, gets `p.on_step(step)`, with step the `Step` record of
+    that level.  Fields that stop being finite raise SolverError, not a
+    floating-point warning.
     """
-    grid = data.grid
-    dt = s.cells * grid.h
-    if grid.n_steps % s.cells != 0:
-        raise ValueError(f"{s.kind} advances {s.cells} cells per step; "
-                         f"n_steps = {grid.n_steps} does not divide evenly")
-    n_steps = grid.n_steps // s.cells
+    grid, levels = data.grid, set()
+    for t in (*record_times, grid.t_final):  # Grid.step_of rejects a time off the lattice
+        levels.add(k := grid.step_of(t))
+        if k % s.cells:
+            raise ValueError(f"{s.kind} advances {s.cells} cells per step; record time {t} "
+                             f"(cell level {k}) does not divide evenly")
 
-    record_steps = {n_steps}
-    for t in record_times:
-        k = lattice_count(t, dt)
-        if k is None or not 0 <= k <= n_steps:
-            raise ValueError(
-                f"record time {t} is not a multiple of the time step {dt} "
-                f"within [0, {grid.t_final}]")
-        record_steps.add(k)
-
-    probes = tuple(probes)
-    traj = Trajectory(params=m, data=data)
+    traj = Trajectory(params=m, data=data, record_levels=frozenset(levels))
+    probes = (traj, *probes)
     # overflow and NaN are caught by _fixed_point and the blow-up guard
     with np.errstate(over="ignore", invalid="ignore"):
         lab = _Labels(data, m, s)
-        domain = slice(MARGIN, MARGIN + grid.n_cells)
-        moduli = lab.moduli[:, domain]
-        moduli.flags.writeable = False
-        for k in range(n_steps + 1):
-            if k:
-                traj.max_fp_iterations = max(traj.max_fp_iterations, lab.advance())
+        views = [np.lib.stride_tricks.as_strided(a[:, MARGIN:-MARGIN], writeable=False)
+                 for a in (lab.w, lab.moduli, lab.traces)]  # _Labels updates them in place
+        for k in range(grid.n_steps // s.cells + 1):
+            sweeps = lab.advance() if k else 0
+            step = Step(lab.level, sweeps, *views)
             for p in probes:
-                p.on_step(lab.level, *moduli)
-            if k in record_steps:
-                traj.snapshots[lab.level] = tuple(
-                    a.copy() for pair in (lab.w, lab.traces) for a in pair[:, domain])
+                p.on_step(step)
     return traj
 
 

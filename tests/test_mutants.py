@@ -67,10 +67,11 @@ def side_off_by_one(mp):
     """the triangle's right side sampled one node right of its corner"""
     on_step = conservation.TriangleSides.on_step
 
-    def shifted(self, level, abs_u, abs_v):
+    def shifted(self, step):
         seen = len(self.right)
-        on_step(self, level, abs_u, abs_v)
+        on_step(self, step)
         if len(self.right) > seen:
+            level, abs_u = step.level, step.moduli[0]
             i = self.jb - level + self.k0 - level + 1
             self.right[-1] = np.square(abs_u[i]) if 0 <= i < len(abs_u) else 0.0
     mp.setattr(conservation.TriangleSides, "on_step", shifted)
@@ -116,6 +117,15 @@ def scaled_alpha(mp):
     mp.setattr(solver._Labels, "__init__", scaled)
 
 
+def scaled_couplings(mp):
+    """alpha and beta x 1.1 in oracle4's steps and in its traced sources"""
+    init = solver._Labels.__init__
+
+    def scaled(self, data, m, s):
+        init(self, data, ModelParams(1.1 * m.alpha, 1.1 * m.beta), s)
+    mp.setattr(solver._Labels, "__init__", scaled)
+
+
 def gap(reason):
     return pytest.mark.xfail(strict=True, reason=reason)
 
@@ -137,6 +147,9 @@ MUTANTS = [
     pytest.param(scaled_alpha, "phase_split", id="phase-split-alpha-x1.1", marks=gap(
         "the rotation and the traces agree with each other, and no check compares "
         "either with the configured alpha")),
+    pytest.param(scaled_couplings, "oracle4", id="oracle4-couplings-x1.1", marks=gap(
+        "as phase-split-alpha-x1.1: no check recomputes a step from the configured "
+        "couplings (the step-equation certificate, ROADMAP item 12)")),
 ]
 
 

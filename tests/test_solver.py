@@ -594,14 +594,16 @@ class TestExactCases:
 
 
 class StepLog:
-    """Probe recording each call's level and copies of the moduli."""
+    """Probe keeping every Step it sees, with copies of the views, which the
+    run overwrites, and the last Step as handed over."""
 
     def __init__(self):
-        self.calls = []
+        self.steps, self.last = [], None
 
-    def on_step(self, level, abs_u, abs_v):
-        assert not abs_u.flags.writeable and not abs_v.flags.writeable
-        self.calls.append((level, abs_u.copy(), abs_v.copy()))
+    def on_step(self, step):
+        self.last = step
+        self.steps.append(step._replace(w=step.w.copy(), moduli=step.moduli.copy(),
+                                        traces=step.traces.copy()))
 
 
 class TestProbes:
@@ -613,12 +615,42 @@ class TestProbes:
         every = [k * cells * grid.h for k in range(grid.n_steps // cells + 1)]
         log = StepLog()
         traj = run(data, ModelParams.thirring(), Scheme(kind), every, [log])
-        assert [level for level, *_ in log.calls] == list(range(0, grid.n_steps + 1, cells))
-        # the views are |u| and |v| by label over the domain at that step
-        for (_, au, av), t in zip(log.calls, traj.times):
-            u, v, *_ = traj.snapshot_at(t)
-            np.testing.assert_array_equal(au, np.abs(u))
-            np.testing.assert_array_equal(av, np.abs(v))
+        assert [step.level for step in log.steps] == list(range(0, grid.n_steps + 1, cells))
+        # the views are (u, v), (|u|, |v|) and (A1, A2) by label over the domain at that step
+        for step, t in zip(log.steps, traj.times):
+            u, v, a1, a2 = traj.snapshot_at(t)
+            np.testing.assert_array_equal(step.w, [u, v])
+            np.testing.assert_array_equal(step.moduli, np.abs([u, v]))
+            np.testing.assert_array_equal(step.traces, [a1, a2])
+        assert log.steps[0].sweeps == 0
+        assert max(step.sweeps for step in log.steps) == traj.max_fp_iterations
+        assert (traj.max_fp_iterations > 0) == (kind != "phase_split")
+
+    def test_views_are_read_only(self):
+        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
+        log = StepLog()
+        run(make_initial_data("gaussian", GAUSSIAN_PAIR, grid), ModelParams.gross_neveu(),
+            Scheme(), [], [log])
+        for view in (log.last.w, log.last.moduli, log.last.traces):
+            assert view.shape == (2, grid.n_cells)
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 1.0
+
+    def test_probes_from_a_generator_see_every_step(self):
+        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+        logs = [StepLog(), StepLog()]
+        run(data, ModelParams.gross_neveu(), Scheme(), [], (log for log in logs))
+        for log in logs:
+            assert [step.level for step in log.steps] == list(range(grid.n_steps + 1))
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "oracle4"])
+    def test_snapshot_keys_are_the_record_levels(self, kind):
+        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
+        data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+        traj = run(data, ModelParams.gross_neveu(), Scheme(kind), [0.5, 0.0, 0.25, 0.5])
+        assert traj.record_levels == {0, 8, 16, 32}
+        assert list(traj.snapshots) == sorted(traj.record_levels)
 
     @pytest.mark.parametrize("kind,model", [("phase_split", ModelParams.thirring()),
                                             ("trapezoidal", ModelParams.gross_neveu())])
@@ -805,10 +837,13 @@ class TestGuards:
     def test_record_time_off_lattice(self):
         grid = Grid.from_domain(-10.0, 10.0, 0.25, 1.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-        with pytest.raises(ValueError, match="record time"):
+        with pytest.raises(ValueError, match="t = 0.3 is not a multiple of h"):
             run(data, ModelParams.thirring(), Scheme(), [0.3])
-        with pytest.raises(ValueError, match="record time"):
+        with pytest.raises(ValueError, match="t = 2.0 outside the run horizon"):
             run(data, ModelParams.thirring(), Scheme(), [2.0])
+        # on the lattice, but an odd number of cells: between two oracle4 steps
+        with pytest.raises(ValueError, match=r"record time 0.75 \(cell level 3\).*evenly"):
+            run(data, ModelParams.thirring(), Scheme("oracle4"), [0.0, 0.75])
 
     def test_final_time_always_recorded(self):
         traj = gaussian_run(ModelParams.thirring(), 0.25, 1.0, record=())
