@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import InitialData, ModelParams, lattice_count
+from .fields import InitialData, ModelParams, time_level
 from .solver import Trajectory
 
 @dataclass
@@ -77,13 +77,10 @@ class ResidualReport:
 
 
 def _suffix_trapz(w: np.ndarray, h: float) -> np.ndarray:
-    """S[m] = trapezoid integral of w from node m to +inf (w is 0 past the array)."""
+    """S[m] = trapezoid integral of w from node m to +inf (w is 0 past the array).
+
+    Of w[::-1], reversed back, it is the integral from -inf to node m."""
     return h * (np.cumsum(w[::-1])[::-1] - 0.5 * w)
-
-
-def _prefix_trapz(w: np.ndarray, h: float) -> np.ndarray:
-    """P[m] = trapezoid integral of w from -inf (w is 0 before the array) to node m."""
-    return h * (np.cumsum(w) - 0.5 * w)
 
 
 def _scaled(const: float, x: float) -> float:
@@ -99,20 +96,17 @@ def tail_bound(data: InitialData, m: ModelParams, t: float) -> tuple[float, floa
             * int |u0(y)|^2 (int_{y+2t}^inf |v0(tau)|^2 dtau)^2 dy,
     evaluated by trapezoid rule with suffix cumulative sums; the v side swaps
     the roles of u0 and v0 and integrates the prefix below y - 2t.  Monotone
-    nonincreasing in t, which must be a multiple of h.
+    nonincreasing in t, which must be a cell level (`fields.time_level`).
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     h = data.grid.h
-    if (k := lattice_count(t, h)) is None:
-        raise ValueError(f"t = {t} is not a multiple of h = {h}")
+    k = time_level(t, h)
     mu0 = np.abs(data.u0) ** 2
     mv0 = np.abs(data.v0) ** 2
     n = min(2 * k, len(mu0))
     # the inner integral starts 2t = n cells past the outer label (ends n before)
     inner_u, inner_v = np.zeros_like(mu0), np.zeros_like(mv0)
     inner_u[:len(mu0) - n] = _suffix_trapz(mv0, h)[n:]
-    inner_v[n:] = _prefix_trapz(mu0, h)[:len(mv0) - n]
+    inner_v[n:] = _suffix_trapz(mu0[::-1], h)[::-1][:len(mv0) - n]
     with np.errstate(over="ignore"):
         const = m.c_star * m.c_star * 0.25 * float(np.exp(24.0 * abs(m.beta) * data.c0))
     return (_scaled(const, h * float(np.sum(mu0 * inner_u ** 2))),
@@ -153,7 +147,7 @@ def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
     mass = h * float(np.sum(mu0))
     # round the upper limit up a node: conservative (enlarges the bound)
     end = int(np.searchsorted(x, -split_point - 2.0 * t))
-    far_mass = float(_prefix_trapz(mu0, h)[end]) if end < len(x) else mass
+    far_mass = float(_suffix_trapz(mu0[::-1], h)[::-1][end]) if end < len(x) else mass
     bound_v = _scaled(const, max(sup_near * mass, float(np.sqrt(np.max(mv0))) * 0.5 * far_mass))
     return bound_u, bound_v
 

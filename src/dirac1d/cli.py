@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, conservation, solver
-from .fields import (FAMILIES, MAX_STEPS, Grid, ModelParams, TriangleRegion, at_nodes,
-                     lattice_count, make_initial_data)
+from .fields import (FAMILIES, MAX_STEPS, SHAPE_KEYS, Grid, ModelParams, TriangleRegion,
+                     at_nodes, lattice_count, make_initial_data, time_level)
 from .nonlinearity import charge_flux_defect
 from .solver import SCHEME_KINDS, Scheme, SolverError
 
@@ -52,8 +52,6 @@ IDENTITIES = {
     "identity": "Re(i conj(N1) u) + Re(i conj(N2) v) = 0",
 }
 
-_SHAPE_KEYS = tuple(f"{c}_{k}" for c in "uv" for k in ("center", "width", "amplitude", "phase"))
-
 
 class ConfigError(ValueError):
     """Carries the full list of validation violations, not just the first."""
@@ -66,8 +64,8 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     """The config keys, each declared once.  A field with a plain default is a
-    scalar key of that type; shape_params collects the {u,v}_{center,width,
-    amplitude,phase} keys present, and `_rules` reads the list keys."""
+    scalar key of that type; shape_params collects the shape keys present
+    (`fields.SHAPE_KEYS`), and `_rules` reads the list keys."""
 
     model: str = "thirring"
     alpha: float = 1.0
@@ -104,7 +102,7 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
 
 
-KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"shape_params"} | set(_SHAPE_KEYS)
+KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"shape_params"} | set(SHAPE_KEYS)
 
 # the JSON types a scalar key accepts, by the type of its default
 _JSON_TYPES = {float: (int, float), int: int, str: str}
@@ -167,16 +165,19 @@ def _rules(key: str, cfg: ExperimentConfig, raw: dict):
             if not isinstance(times, list):
                 yield f"record_times: expected a list, got {times!r}"
                 return
-            step = cfg.cells * cfg.h
+            # the rule `run` applies; with no horizon when T is off the lattice (listed under T)
+            n = lattice_count(cfg.T, cfg.h) if cfg.h > 0 else None
             for i, t in enumerate(times):
                 if not _is_number(t):
                     yield f"record_times[{i}]: not a finite number: {t!r}"
                     continue
                 t = float(t)
-                if cfg.h > 0 and (lattice_count(t, step) is None or not 0 <= t <= cfg.T):
-                    yield (f"record_times[{i}]: {t} is not a multiple of the time step "
-                           f"{step} within [0, {cfg.T}]")
                 cfg.record_times.append(t)
+                if cfg.h > 0:
+                    try:
+                        time_level(t, cfg.h, cfg.cells, math.inf if n is None else n)
+                    except ValueError as exc:
+                        yield f"record_times[{i}]: {exc}"
         case "checks":
             checks = raw.get("checks", cfg.checks)
             if not isinstance(checks, list):
@@ -238,7 +239,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if f.default is not MISSING:
             setattr(cfg, f.name, take(f.name, f.default))
         elif f.name == "shape_params":
-            cfg.shape_params = {key: take(key, 0.0) for key in _SHAPE_KEYS if key in raw}
+            cfg.shape_params = {key: take(key, 0.0) for key in SHAPE_KEYS if key in raw}
         errors += _rules(f.name, cfg, raw)
 
     # sample the data to validate its support; the triangles need the grid too
@@ -247,7 +248,7 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             make_initial_data(cfg.family, cfg.shape_params, grid)
         except ValueError as exc:  # a complaint about one shape key is listed under it
-            key = next((k for k in _SHAPE_KEYS if str(exc).startswith(k)), "family")
+            key = next((k for k in SHAPE_KEYS if str(exc).startswith(k)), "family")
             errors.append(f"{key}: {exc}")
         except MemoryError:  # below numpy's size limit, yet too large to sample
             errors.append(f"h: {cfg.h} cuts [{cfg.x_min}, {cfg.x_max}] into too many cells "
@@ -296,9 +297,9 @@ def _identity_sweep(seed: int, n: int = 10000) -> float:
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute the configured run and checks; write all artifact files.
 
-    Returns 0 iff every requested check passes, 1 on check failure,
-    2 on solver abort (the other reports are removed, a diagnostic
-    summary.json is written).
+    The reports of an earlier run in the directory are removed before the
+    solve.  Returns 0 iff every requested check passes, 1 on check failure,
+    2 on solver abort (a diagnostic summary.json is written, no other report).
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -334,11 +335,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     sides = ([conservation.TriangleSides(TriangleRegion(a, b, t0), tau, grid, scheme)
               for a, b, t0, tau in cfg.triangle_regions] if "triangle" in cfg.checks else [])
+    # a failed rerun into the directory must not leave stale reports
+    for name in ("snapshots.csv", "profiles.csv", "residuals.csv", "balance.json", "summary.json"):
+        (out / name).unlink(missing_ok=True)
     try:
         traj = solver.run(data, m, scheme, cfg.record_times, sides)
-    except SolverError as exc:  # a rerun into the directory must not leave stale reports
-        for name in ("snapshots.csv", "balance.json", "profiles.csv", "residuals.csv"):
-            (out / name).unlink(missing_ok=True)
+    except SolverError as exc:
         summary["error"] = str(exc)
         summary["status"] = 2
         _dump_json(out / "summary.json", summary)

@@ -7,11 +7,14 @@ the n_cells labels of the domain [x_min, x_max]: u by its label y = x - t and
 v by z = x + t, which at t = 0 are the nodes.  Data start inside the domain
 and each label keeps its support, so the whole-line problem needs no boundary
 modeling at all; a node whose label lies off the domain reads zero.  Times,
-coordinates and spans are whole numbers of cells, by one rule: `lattice_count`.
+coordinates and spans are whole numbers of cells, by one rule: `lattice_count`;
+a time is a cell level by one rule too: `time_level`.  The families' shape keys
+{u,v}_<name> and their defaults are one table: `SHAPE`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -22,6 +25,10 @@ import numpy as np
 UNDERFLOW_FLOOR = 1e-300
 
 FAMILIES = ("gaussian", "bump", "separated", "zero")
+
+# Per-component shape parameters of the families, the key {u,v}_<name>, with defaults
+SHAPE = {"center": 0.0, "width": 1.0, "amplitude": 1.0, "phase": 0.0}
+SHAPE_KEYS = tuple(f"{c}_{name}" for c in "uv" for name in SHAPE)
 
 # Steps per run stay below this: from 2**52 up every float T / h is a whole number
 MAX_STEPS = 2 ** 52
@@ -39,6 +46,21 @@ def lattice_count(value: float, h: float) -> int | None:
     if n is None or abs(r - n) > 1e-9 or (n == 0 and value != 0):
         return None
     return n
+
+
+def time_level(t: float, h: float, cells: int = 1, n_steps: float = math.inf) -> int:
+    """The cell level k of time t: t spans k cells of h (`lattice_count`),
+    0 <= k <= n_steps, and steps of `cells` cells reach k.  Raises ValueError
+    naming t otherwise."""
+    k = lattice_count(t, h)
+    if k is None:
+        raise ValueError(f"t = {t} is not a multiple of h = {h}")
+    if not 0 <= k <= n_steps:
+        raise ValueError(f"t = {t} outside the run horizon [0, {n_steps * h}]")
+    if k % cells:
+        raise ValueError(f"t = {t} is {k} cells of h = {h}, which steps of {cells} cells "
+                         "do not divide evenly")
+    return k
 
 
 def is_integer(n) -> bool:
@@ -127,14 +149,10 @@ class Grid:
             raise ValueError(f"x = {x} lies outside [{self.x_min}, {self.x_max}]")
         return j
 
-    def step_of(self, t: float) -> int:
-        """Step index (cell level) of time t; t must be a multiple of h within the run."""
-        k = lattice_count(t, self.h)
-        if k is None:
-            raise ValueError(f"t = {t} is not a multiple of h = {self.h}")
-        if not 0 <= k <= self.n_steps:
-            raise ValueError(f"t = {t} outside the run horizon {self.t_final}")
-        return k
+    def step_of(self, t: float, cells: int = 1) -> int:
+        """Cell level of time t, a whole number of steps of `cells` cells within
+        the run (`time_level`)."""
+        return time_level(t, self.h, cells, self.n_steps)
 
     @classmethod
     def from_domain(cls, x_min: float, x_max: float, h: float, t_final: float) -> "Grid":
@@ -228,20 +246,17 @@ class InitialData:
         return charge(self.u0, self.v0, self.grid.h)
 
 
-def _component_params(shape_params: Mapping, comp: str) -> tuple[float, float, float, float]:
-    p = shape_params
-    return (float(p.get(f"{comp}_center", 0.0)),
-            float(p.get(f"{comp}_width", 1.0)),
-            float(p.get(f"{comp}_amplitude", 1.0)),
-            float(p.get(f"{comp}_phase", 0.0)))
-
-
-def _check_shape(comp: str, center: float, width: float, amp: float, phase: float):
+def _shape(shape_params: Mapping, comp: str) -> tuple[float, ...]:
+    """Component comp's (center, width, amplitude, phase), `SHAPE`'s defaults
+    standing in for absent keys; raises ValueError naming a bad key."""
+    center, width, amp, phase = (float(shape_params.get(f"{comp}_{name}", default))
+                                 for name, default in SHAPE.items())
     if not width > 0:  # NaN too
         raise ValueError(f"{comp}_width must be positive, got {width}")
     for name, value in (("center", center), ("amplitude", amp), ("phase", phase)):
         if not np.isfinite(value):
             raise ValueError(f"{comp}_{name} must be finite, got {value}")
+    return center, width, amp, phase
 
 
 def _gaussian_samples(x, center, width, amp, phase):
@@ -274,8 +289,8 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
                is exact free transport
 
     Per-component shape parameters: {u,v}_center, {u,v}_width, {u,v}_amplitude,
-    {u,v}_phase.  Raises ValueError when the declared support does not fit
-    inside the domain.
+    {u,v}_phase (`SHAPE`).  Raises ValueError when the declared support does
+    not fit inside the domain.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -285,13 +300,9 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
         z = np.zeros(grid.n_cells, dtype=complex)
         return InitialData(grid, z, z.copy())
 
-    uc, uw, ua, up = _component_params(shape_params, "u")
-    vc, vw, va, vp = _component_params(shape_params, "v")
-    _check_shape("u", uc, uw, ua, up)
-    _check_shape("v", vc, vw, va, vp)
-
+    shapes = [_shape(shape_params, comp) for comp in "uv"]  # both checked before any support
     gaussian = family == "gaussian"
-    for comp, c, w, amp in (("u", uc, uw, ua), ("v", vc, vw, va)):
+    for comp, (c, w, amp, _) in zip("uv", shapes):
         far = max(c - grid.x_min, grid.x_max - c) / w
         if not far * far < np.inf:  # the samplers square (x - center) / width
             raise ValueError(f"{comp}_width = {w} with {comp}_center = {c}: ((x - center) / "
@@ -311,12 +322,9 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
             raise ValueError(
                 f"{comp}0 support [{c - r:.3g}, {c + r:.3g}] is wider than the "
                 f"grid [{grid.x_min:.3g}, {grid.x_max:.3g}]; enlarge the domain")
-    sampler = _gaussian_samples if gaussian else _bump_samples
-
-    u0 = sampler(x, uc, uw, ua, up)
-    v0 = sampler(x, vc, vw, va, vp)
 
     if family == "separated":
+        (uc, uw, ua, _), (vc, vw, va, _) = shapes
         if not (ua == 0.0 or va == 0.0 or uc - uw >= vc + vw):
             raise ValueError(
                 "separated family requires supp(u0) strictly to the right of "
@@ -324,4 +332,6 @@ def make_initial_data(family: str, shape_params: Mapping, grid: Grid) -> Initial
                 f"v support [{vc - vw}, {vc + vw}]"
             )
 
+    sampler = _gaussian_samples if gaussian else _bump_samples
+    u0, v0 = (sampler(x, *shape) for shape in shapes)
     return InitialData(grid, u0, v0)

@@ -516,21 +516,16 @@ def run(data: InitialData, m: ModelParams, s: Scheme, record_times: list[float],
         probes: Iterable = ()) -> Trajectory:
     """Run the scheme on data.grid for its n_steps steps, recording snapshots and traces.
 
-    record_times must be whole steps of the scheme within [0, n_steps * h];
-    the final time is always recorded (the profiles need the full trace
-    integrals).  Before the first step and after each step the trajectory,
-    then every probe, gets `p.on_step(step)`, with step the `Step` record of
-    that level.  Fields that stop being finite raise SolverError, not a
-    floating-point warning.
+    record_times, like the final time, must be whole steps of the scheme
+    within the run (`Grid.step_of`); the final time is always recorded (the
+    profiles need the full trace integrals).  Before the first step and after
+    each step the trajectory, then every probe, gets `p.on_step(step)`, with
+    step the `Step` record of that level.  Fields that stop being finite raise
+    SolverError, not a floating-point warning.
     """
-    grid, levels = data.grid, set()
-    for t in (*record_times, grid.t_final):  # Grid.step_of rejects a time off the lattice
-        levels.add(k := grid.step_of(t))
-        if k % s.cells:
-            raise ValueError(f"{s.kind} advances {s.cells} cells per step; record time {t} "
-                             f"(cell level {k}) does not divide evenly")
-
-    traj = Trajectory(params=m, data=data, record_levels=frozenset(levels))
+    grid = data.grid
+    levels = frozenset(grid.step_of(t, s.cells) for t in (*record_times, grid.t_final))
+    traj = Trajectory(params=m, data=data, record_levels=levels)
     probes = (traj, *probes)
     # overflow and NaN are caught by _fixed_point and the blow-up guard
     with np.errstate(over="ignore", invalid="ignore"):

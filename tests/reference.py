@@ -1,9 +1,13 @@
 """Reference formulas: the potential W and difference quotients of it, which
 the tests compare with `eval_N`, and the Thirring-type (beta = 0) state in
-closed form on the lattice, which they compare with phase_split."""
+closed form, on the lattice, which they compare with phase_split, and on the
+line, which they compare with every scheme."""
+
+import math
 
 import numpy as np
 
+from dirac1d.fields import SHAPE
 from dirac1d.nonlinearity import eval_N, pair_overlap
 
 
@@ -64,3 +68,26 @@ def thirring_lattice(u0, v0, m, h, level):
         s_u += 0.5 * (mv[2 * k:2 * k + n] + mv[2 * k + 2:2 * k + 2 + n])
         s_v += 0.5 * (mu[pad - 2 * k:pad - 2 * k + n] + mu[pad - 2 * k - 2:pad - 2 * k - 2 + n])
     return u0 * np.exp(-1j * m.alpha * h * s_u), v0 * np.exp(-1j * m.alpha * h * s_v)
+
+
+def _gaussian_mass(y, t, shape, comp, sign):
+    """int_0^t |g(y + 2 sign s)|^2 ds for the Gaussian g of component comp of the
+    shape keys: |g|^2 = a^2 exp(-2 ((x - c) / w)^2) makes it a difference of erf."""
+    c, w, a = (shape.get(f"{comp}_{k}", SHAPE[k]) for k in ("center", "width", "amplitude"))
+    erf, r = np.vectorize(math.erf), math.sqrt(2.0) / w
+    ends = erf(r * (y + 2.0 * sign * t - c)) - erf(r * (y - c))
+    return sign * a * a * w * math.sqrt(math.pi / 32.0) * ends
+
+
+def thirring_continuum(data, shape, m, t):
+    """(u, v) by label at time t for beta = 0 and the Gaussian data of the shape
+    keys `shape`, in the continuous closed form
+
+        u(y + t, t) = u0(y) exp(-i alpha int_0^t |v0(y + 2s)|^2 ds),
+        v(z - t, t) = v0(z) exp(-i alpha int_0^t |u0(z - 2s)|^2 ds):
+
+    the moduli are transported, so each mover only turns by the charge of the
+    other that its characteristic crosses."""
+    y = data.grid.x()
+    return (data.u0 * np.exp(-1j * m.alpha * _gaussian_mass(y, t, shape, "v", 1.0)),
+            data.v0 * np.exp(-1j * m.alpha * _gaussian_mass(y, t, shape, "u", -1.0)))

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dirac1d
-from dirac1d import Grid
-from dirac1d.cli import (ALL_CHECKS, CHUNK_ROWS, KNOWN_KEYS, ConfigError, ExperimentConfig,
-                         _identity_sweep, _is_number, _write_table, main, parse_config,
-                         run_experiment, sweep)
+from dirac1d import Grid, Scheme, make_initial_data, solver
+from dirac1d.cli import (ALL_CHECKS, CHUNK_ROWS, KNOWN_KEYS, MODELS, ConfigError,
+                         ExperimentConfig, _identity_sweep, _is_number, _write_table, main,
+                         parse_config, run_experiment, sweep)
+from dirac1d.fields import FAMILIES, SHAPE, SHAPE_KEYS
 
 NAN, INF = float("nan"), float("inf")
 
@@ -27,6 +28,10 @@ SMALL = {
 }
 
 
+# oracle4 at h = 1/128 with a record time that check once passed and run rejected
+DRIFT = {"scheme": "oracle4", "checks": ["charge"], "record_times": [0.0, 0.0156250000109375]}
+
+
 def write_config(tmp_path, extra=None, **overrides):
     cfg = {**SMALL, **overrides}
     if extra:
@@ -34,6 +39,15 @@ def write_config(tmp_path, extra=None, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _accepts(call, error) -> bool:
+    """Whether call() returns without raising error."""
+    try:
+        call()
+    except error:
+        return False
+    return True
 
 
 class TestParseConfig:
@@ -144,10 +158,11 @@ class TestParseConfig:
         ({"u_amplitude": 1e200, "u_width": 0.125}, "family:", "charge"),
         # 8e300 steps: from 2**52 up every T / h is a whole number
         ({"h": 0.125, "T": 1e300}, "T:", "2**52"),
+        # 2.0000000014 cells of h: one oracle4 step of 2h within 1e-9, yet no cell level
+        (DRIFT, "record_times[1]:", "multiple"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                        overrides, prefix, fragment):
-        from dirac1d import solver
         monkeypatch.setattr(solver, "run", lambda *a, **k: pytest.fail("solver ran"))
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -156,6 +171,22 @@ class TestParseConfig:
         assert main(["check", str(path)]) == 1
         assert main(["run", str(path)]) == 1
         assert f"  {prefix}" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(solver.SCHEME_KINDS), k=st.integers(-1, 9),
+           drift=st.floats(-2e-9, 2e-9))
+    @example(kind="oracle4", k=2, drift=7e-10)  # the DRIFT case on this lattice
+    def test_check_accepts_a_record_time_iff_run_does(self, kind, k, drift):
+        # on the fuzzer's lattice (97 nodes, 8 steps), near cell level k and past T
+        raw = {**FUZZ_BASE, "model": "thirring", "scheme": kind, "checks": ["charge"]}
+        cfg, t = parse_config(json.dumps(raw)), k * FUZZ_BASE["h"] * (1.0 + drift)
+        data = make_initial_data(cfg.family, cfg.shape_params,
+                                 Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, cfg.T))
+        checked = _accepts(lambda: parse_config(json.dumps({**raw, "record_times": [t]})),
+                           ConfigError)
+        ran = _accepts(lambda: solver.run(data, cfg.model_params(), Scheme(kind), [t]),
+                       ValueError)
+        assert checked == ran, (t, checked, ran)
 
     def test_lattice_too_large_to_sample(self, tmp_path, capsys, monkeypatch):
         # 2^34 nodes are below numpy's size limit; a real allocation that size can be
@@ -215,9 +246,8 @@ EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-12, 
 WRONG_TYPES = ["", "1.0", None, True, [], [1.0], {}]
 NUMBERS = (st.sampled_from(EXTREMES) | st.sampled_from([-6.0, -1.0, 0.125, 0.5, 1.0, 2.0, 4.0])
            | st.integers(-3, 60) | st.floats(-20.0, 20.0))
-WORDS = {"model": ["thirring", "gross_neveu", "custom"],
-         "family": ["gaussian", "bump", "separated", "zero"],
-         "scheme": ["trapezoidal", "phase_split", "oracle4"], "output_dir": ["out"]}
+WORDS = {"model": [*MODELS, "custom"], "family": FAMILIES, "scheme": solver.SCHEME_KINDS,
+         "output_dir": ["out"]}
 # check samples the data, so a drawn lattice between these cell counts is skipped;
 # past sys.maxsize cells check rejects h before it samples anything
 MAX_CHECKED_CELLS = 100_000
@@ -233,7 +263,7 @@ def _values(key):
         return st.lists(st.sampled_from([*ALL_CHECKS, "bogus", 3]), max_size=4) | wrong
     if key == "triangle_regions":
         return st.lists(st.lists(NUMBERS, min_size=3, max_size=5), max_size=2) | wrong
-    default = getattr(ExperimentConfig, key, 0.0)  # the shape keys are floats
+    default = SHAPE[key[2:]] if key in SHAPE_KEYS else getattr(ExperimentConfig, key)
     if isinstance(default, str):
         return st.sampled_from([*WORDS.get(key, []), "bogus"]) | wrong
     if isinstance(default, int):
@@ -281,6 +311,8 @@ class TestConfigFuzzer:
              drop=[], unknown=False)
     @example(patch={"v_amplitude": 10.0, "v_phase": -1.0}, drop=[], unknown=False)
     @example(patch={"u_amplitude": 20.0, "v_amplitude": 0.0}, drop=[], unknown=False)
+    # and the record time that check passed and run rejected, before they shared one rule
+    @example(patch={**DRIFT, "h": 0.0078125, "T": 0.03125}, drop=[], unknown=False)
     def test_config_is_rejected_or_runs(self, tmp_path_factory, patch, drop, unknown):
         raw = {k: v for k, v in FUZZ_BASE.items() if k not in drop} | patch
         if unknown:
@@ -376,6 +408,16 @@ class TestRunExperiment:
             status = run_experiment(cfg)
         assert status == 2
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["summary.json"]
+
+    def test_failed_run_leaves_no_earlier_reports(self, tmp_path, monkeypatch):
+        # any failure of the solve, not only a SolverError, finds the directory cleared
+        cfg = parse_config(write_config(tmp_path).read_text())
+        cfg.output_dir = str(tmp_path / "out")
+        assert run_experiment(cfg) == 0
+        monkeypatch.setattr(solver, "run", lambda *a, **k: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(cfg)
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_failing_check_reports_status_1(self, tmp_path):
         # the trapezoid update overshoots the saturated beta = 0 envelope by

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dirac1d import (Grid, InitialData, ModelParams, ModulusDrift, Scheme, SolverError,
-                     TriangleRegion, TriangleSides, make_initial_data)
+                     TriangleRegion, TriangleSides, compute_profile, make_initial_data)
 from dirac1d.cli import parse_config, run_experiment
 from dirac1d.nonlinearity import eval_N
 from dirac1d.solver import (_KERNELS, MARGIN, QUIET_EXP, _loud_pairs, l2_diff, quiet_bound,
                             restrict, run)
-from reference import thirring_lattice
+from dirac1d.fields import charge
+from reference import thirring_continuum, thirring_lattice
 from test_mutants import left_endpoint, scaled_angle
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
@@ -726,6 +727,44 @@ class TestThirringClosedForm:
         assert worst > bound
 
 
+class TestThirringContinuum:
+    """Every scheme against the continuous closed form of the beta = 0 states
+    (`reference.thirring_continuum`): Gaussian pair, v_phase 0.3, [-10, 10],
+    T = 2.  The L2 error over both movers, of the states at T and of the
+    profiles G = u(T) - u0 truncated at T, falls at the scheme's order from
+    h = 1/32 to 1/64 to 1/128 (2.00, 4.00 and 2.00 for both)."""
+
+    SHAPE, T = {**GAUSSIAN_PAIR, "v_phase": 0.3}, 2.0
+    ORDERS = {"trapezoidal": 2.0, "oracle4": 4.0, "phase_split": 2.0}
+
+    def orders(self, kind):
+        """The two orders read from the states' errors, then the profiles'."""
+        m, errors = ModelParams.thirring(), []
+        for h in (1 / 32, 1 / 64, 1 / 128):
+            grid = Grid.from_domain(-10.0, 10.0, h, self.T)
+            data = make_initial_data("gaussian", self.SHAPE, grid)
+            traj = run(data, m, Scheme(kind), [])
+            u, v = thirring_continuum(data, self.SHAPE, m, self.T)
+            got_u, got_v = traj.snapshot_at(self.T)[:2]
+            g_u, g_v = compute_profile(traj)
+            errors.append((math.sqrt(charge(got_u - u, got_v - v, h)),
+                           math.sqrt(charge(g_u.values - (u - data.u0),
+                                            g_v.values - (v - data.v0), h))))
+        return [math.log2(a / b) for coarse, fine in zip(errors, errors[1:])
+                for a, b in zip(coarse, fine)]
+
+    def nominal(self, kind):
+        return all(abs(p - self.ORDERS[kind]) <= 0.1 for p in self.orders(kind))
+
+    @pytest.mark.parametrize("kind", sorted(ORDERS))
+    def test_states_and_profiles_converge_at_the_nominal_order(self, kind):
+        assert self.nominal(kind), self.orders(kind)
+
+    def test_left_endpoint_phase_misses_the_order(self, monkeypatch):
+        left_endpoint(monkeypatch)
+        assert not self.nominal("phase_split")
+
+
 class TestConvergence:
     def test_trapezoidal_is_second_order(self):
         m = ModelParams.thirring()
@@ -842,7 +881,7 @@ class TestGuards:
         with pytest.raises(ValueError, match="t = 2.0 outside the run horizon"):
             run(data, ModelParams.thirring(), Scheme(), [2.0])
         # on the lattice, but an odd number of cells: between two oracle4 steps
-        with pytest.raises(ValueError, match=r"record time 0.75 \(cell level 3\).*evenly"):
+        with pytest.raises(ValueError, match=r"t = 0.75 is 3 cells of h = 0.25.*evenly"):
             run(data, ModelParams.thirring(), Scheme("oracle4"), [0.0, 0.75])
 
     def test_final_time_always_recorded(self):
