@@ -6,6 +6,11 @@ Configs are flat JSON objects.  Verbs:
     dirac1d check <config.json>          parse and validate only
     dirac1d sweep <config.json> -k N     refinement study with N halvings of h
 
+Every verb parses the config with one rule pass (`parse_config`); `sweep`
+also checks every level's lattice by the rule `check` applies to h
+(`_lattice`) before its first solve.  A run's grid, couplings, data and
+scheme come from one helper (`_setup`).
+
 `run` writes snapshots.csv, profiles.csv, residuals.csv, balance.json and
 summary.json into the configured output directory and exits 0 iff every
 requested check passes its declared tolerance.  All numbers are serialized
@@ -20,16 +25,16 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import asymptotics, conservation, solver
-from .fields import (FAMILIES, MAX_STEPS, SHAPE_KEYS, Grid, ModelParams, TriangleRegion,
-                     at_nodes, lattice_count, make_initial_data, time_level)
+from .fields import (FAMILIES, MAX_STEPS, SHAPE_KEYS, Grid, InitialData, ModelParams,
+                     TriangleRegion, at_nodes, lattice_count, make_initial_data, time_level)
 from .nonlinearity import charge_flux_defect
-from .solver import SCHEME_KINDS, Scheme, SolverError
+from .solver import Scheme, SolverError
 
 ALL_CHECKS = ("charge", "triangle", "pointwise", "profile", "residual", "tails")
 
@@ -65,7 +70,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """The config keys, each declared once.  A field with a plain default is a
     scalar key of that type; shape_params collects the shape keys present
-    (`fields.SHAPE_KEYS`), and `_rules` reads the list keys."""
+    (`fields.SHAPE_KEYS`), and `parse_config` reads the list keys."""
 
     model: str = "thirring"
     alpha: float = 1.0
@@ -91,11 +96,6 @@ class ExperimentConfig:
             return ModelParams(self.alpha, self.beta)
         return MODELS[self.model]()
 
-    @property
-    def cells(self) -> int:
-        """Cells one step of the scheme advances; 1 for an unknown scheme."""
-        return Scheme(self.scheme).cells if self.scheme in SCHEME_KINDS else 1
-
     def digest(self) -> str:
         # where the reports land is not part of the experiment's identity
         d = {k: v for k, v in asdict(self).items() if k != "output_dir"}
@@ -114,108 +114,47 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _rules(key: str, cfg: ExperimentConfig, raw: dict):
-    """Yield the violations due once `key` is set, reading `key` if it is a
-    list.  Each check runs once the last key it reads is set, so the messages
-    come in field order."""
-    match key:
-        case "model" if cfg.model not in (*MODELS, "custom"):
-            yield f"model: unknown model {cfg.model!r}"
-        case "beta" if cfg.model == "custom" and not ("alpha" in raw and "beta" in raw):
-            yield "model: custom model requires explicit alpha and beta"
-        case "family" if cfg.family not in FAMILIES:
-            yield f"family: unknown family {cfg.family!r}"
-        case "T":  # x_max - x_min and T are whole numbers of cells of h
-            if cfg.h <= 0:
-                yield f"h: must be positive, got {cfg.h}"
-            elif cfg.h * cfg.h == math.inf:
-                yield f"h: {cfg.h} is too large: the check tolerances scale with h^2"
-            if cfg.x_max <= cfg.x_min:
-                yield f"x_max: must exceed x_min, got [{cfg.x_min}, {cfg.x_max}]"
-            if cfg.h > 0:
-                n = lattice_count(cfg.x_max - cfg.x_min, cfg.h)
-                if n is None:
-                    yield "x_max: x_max - x_min not a multiple of h"
-                elif n > sys.maxsize // 16:  # numpy's size limit for complex samples
-                    yield f"h: {cfg.h} cuts [{cfg.x_min}, {cfg.x_max}] into too many cells ({n})"
-                if cfg.T < 0 or lattice_count(cfg.T, cfg.h) is None:
-                    yield f"T: not a nonnegative multiple of h (T={cfg.T}, h={cfg.h})"
-                elif cfg.T / cfg.h >= MAX_STEPS:
-                    yield f"T: T / h = {cfg.T / cfg.h:.3g} steps; a run takes fewer than 2**52"
-        case "fixed_point_max_iter":
-            # each scheme field checked alone, so every bad one is reported
-            for name, arg in (("scheme", "kind"), ("fixed_point_tol", "fixed_point_tol"),
-                              ("fixed_point_max_iter", "fixed_point_max_iter")):
-                try:
-                    Scheme(**{arg: getattr(cfg, name)})
-                except ValueError as exc:
-                    yield f"{name}: {exc}"
-            if cfg.scheme == "phase_split" and cfg.model in (*MODELS, "custom"):
-                if beta := cfg.model_params().beta:
-                    yield f"scheme: phase_split needs beta = 0, got {beta}"
-            n = lattice_count(cfg.T, cfg.h) if cfg.h > 0 and cfg.T > 0 else None
-            if n and n % cfg.cells:
-                yield (f"T: {cfg.scheme} advances {cfg.cells} cells per step; "
-                       f"T / h = {n} is not a multiple of {cfg.cells}")
-        case "record_times":
-            times = raw.get("record_times", None)
-            if times is None:
-                cfg.record_times = [0.0, cfg.T]
-                return
-            if not isinstance(times, list):
-                yield f"record_times: expected a list, got {times!r}"
-                return
-            # the rule `run` applies; with no horizon when T is off the lattice (listed under T)
-            n = lattice_count(cfg.T, cfg.h) if cfg.h > 0 else None
-            for i, t in enumerate(times):
-                if not _is_number(t):
-                    yield f"record_times[{i}]: not a finite number: {t!r}"
-                    continue
-                t = float(t)
-                cfg.record_times.append(t)
-                if cfg.h > 0:
-                    try:
-                        time_level(t, cfg.h, cfg.cells, math.inf if n is None else n)
-                    except ValueError as exc:
-                        yield f"record_times[{i}]: {exc}"
-        case "checks":
-            checks = raw.get("checks", cfg.checks)
-            if not isinstance(checks, list):
-                yield f"checks: expected a list, got {checks!r}"
-                return
-            cfg.checks = [c for c in checks if c in ALL_CHECKS]
-            yield from (f"checks[{i}]: unknown check {c!r}" for i, c in enumerate(checks)
-                        if c not in ALL_CHECKS)
-        case "triangle_regions":
-            regions = raw.get("triangle_regions", None)
-            if regions is None:
-                n = lattice_count(cfg.x_max - cfg.x_min, cfg.h) if cfg.h > 0 else None
-                if "triangle" in cfg.checks and n and n > 0:
-                    # default region: middle half of the domain from t0 = 0 up to mid-height
-                    q = round(n / 4)
-                    a, b = cfg.x_min + q * cfg.h, cfg.x_max - q * cfg.h
-                    cfg.triangle_regions = [[a, b, 0.0, min(cfg.T, round((n - 2 * q) / 4) * cfg.h)]]
-                return
-            if not isinstance(regions, list):
-                yield "triangle_regions: expected a list of [a, b, t0, tau]"
-                return
-            for i, r in enumerate(regions):
-                if not isinstance(r, list) or len(r) != 4 or not all(map(_is_number, r)):
-                    yield f"triangle_regions[{i}]: expected [a, b, t0, tau], got {r!r}"
-                    continue
-                a, b, t0, tau = map(float, r)
-                cfg.triangle_regions.append([a, b, t0, tau])
-                try:
-                    TriangleRegion(a, b, t0)
-                except ValueError as exc:
-                    yield f"triangle_regions[{i}]: {exc}"
-        case "seed" if cfg.seed < 0:
-            yield f"seed: must be >= 0, got {cfg.seed}"
+def _lattice(cfg: ExperimentConfig, cells: int) -> tuple[list[str], int | None, int | None]:
+    """The lattice rule, applied by `check` and by `sweep` at each level: h is
+    positive with a finite square, x_max - x_min spans a whole number of cells
+    of h (`lattice_count`) that an array holds, and T is a cell level that steps
+    of `cells` cells reach (`time_level`, the rule `run` applies to T), below
+    2**52 steps.  Returns the violations and the cell counts of the span and
+    of T, None where a count is not a whole number."""
+    errors, span, steps = [], None, None
+    if cfg.h <= 0:
+        errors.append(f"h: must be positive, got {cfg.h}")
+    elif cfg.h * cfg.h == math.inf:
+        errors.append(f"h: {cfg.h} is too large: the check tolerances scale with h^2")
+    if cfg.x_max <= cfg.x_min:
+        errors.append(f"x_max: must exceed x_min, got [{cfg.x_min}, {cfg.x_max}]")
+    if cfg.h <= 0:
+        return errors, span, steps
+    span = lattice_count(cfg.x_max - cfg.x_min, cfg.h)
+    if span is None:
+        errors.append("x_max: x_max - x_min not a multiple of h")
+    elif span > sys.maxsize // 16:  # numpy's size limit for complex samples
+        errors.append(f"h: {cfg.h} cuts [{cfg.x_min}, {cfg.x_max}] into too many cells ({span})")
+    try:
+        steps = time_level(cfg.T, cfg.h, cells)
+    except ValueError as exc:
+        errors.append(f"T: {exc} (scheme {cfg.scheme})")
+    else:
+        if steps >= MAX_STEPS:
+            errors.append(f"T: T / h = {cfg.T / cfg.h:.3g} steps; a run takes fewer than 2**52")
+    return errors, span, steps
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat JSON config; raises ConfigError listing
-    every violation found, each prefixed by the offending key."""
+    every violation found, each prefixed by the offending key.
+
+    One pass: the unknown keys, then each key's type in field order, then the
+    rules in field order, except that the scheme's come before the lattice's,
+    which take its step (`_lattice`).  Only a config that passes all of them
+    has its data sampled, to validate their support, and its triangles placed
+    on the lattice.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -240,20 +179,91 @@ def parse_config(text: str) -> ExperimentConfig:
             setattr(cfg, f.name, take(f.name, f.default))
         elif f.name == "shape_params":
             cfg.shape_params = {key: take(key, 0.0) for key in SHAPE_KEYS if key in raw}
-        errors += _rules(f.name, cfg, raw)
 
-    # sample the data to validate its support; the triangles need the grid too
-    if not errors:
-        grid = Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, cfg.T)
+    known_model = cfg.model in (*MODELS, "custom")
+    if not known_model:
+        errors.append(f"model: unknown model {cfg.model!r}")
+    elif cfg.model == "custom" and not ("alpha" in raw and "beta" in raw):
+        errors.append("model: custom model requires explicit alpha and beta")
+    if cfg.family not in FAMILIES:
+        errors.append(f"family: unknown family {cfg.family!r}")
+    # each scheme field checked alone, so every bad one is reported
+    scheme = None
+    try:
+        scheme = Scheme(cfg.scheme)
+        if known_model:
+            scheme.check_couplings(cfg.model_params())
+    except ValueError as exc:
+        errors.append(f"scheme: {exc}")
+    for name in ("fixed_point_tol", "fixed_point_max_iter"):
         try:
-            make_initial_data(cfg.family, cfg.shape_params, grid)
+            Scheme(**{name: getattr(cfg, name)})
+        except ValueError as exc:
+            errors.append(f"{name}: {exc}")
+    cells = scheme.cells if scheme else 1
+    found, span, steps = _lattice(cfg, cells)
+    errors += found
+
+    times = raw.get("record_times", None)
+    if times is None:
+        cfg.record_times = [0.0, cfg.T]
+    elif not isinstance(times, list):
+        errors.append(f"record_times: expected a list, got {times!r}")
+    else:
+        for i, t in enumerate(times):
+            if not _is_number(t):
+                errors.append(f"record_times[{i}]: not a finite number: {t!r}")
+                continue
+            cfg.record_times.append(float(t))
+            if cfg.h > 0:  # the rule `run` applies; no horizon when T is off the lattice
+                try:
+                    time_level(float(t), cfg.h, cells, math.inf if steps is None else steps)
+                except ValueError as exc:
+                    errors.append(f"record_times[{i}]: {exc}")
+
+    checks = raw.get("checks", cfg.checks)
+    if not isinstance(checks, list):
+        errors.append(f"checks: expected a list, got {checks!r}")
+    else:
+        cfg.checks = [c for c in checks if c in ALL_CHECKS]
+        errors += (f"checks[{i}]: unknown check {c!r}" for i, c in enumerate(checks)
+                   if c not in ALL_CHECKS)
+
+    regions = raw.get("triangle_regions", None)
+    if regions is None:
+        if "triangle" in cfg.checks and span and span > 0:
+            # default region: middle half of the domain from t0 = 0 up to mid-height
+            q = round(span / 4)
+            a, b = cfg.x_min + q * cfg.h, cfg.x_max - q * cfg.h
+            cfg.triangle_regions = [[a, b, 0.0, min(cfg.T, round((span - 2 * q) / 4) * cfg.h)]]
+    elif not isinstance(regions, list):
+        errors.append("triangle_regions: expected a list of [a, b, t0, tau]")
+    else:
+        for i, r in enumerate(regions):
+            if not isinstance(r, list) or len(r) != 4 or not all(map(_is_number, r)):
+                errors.append(f"triangle_regions[{i}]: expected [a, b, t0, tau], got {r!r}")
+                continue
+            a, b, t0, tau = map(float, r)
+            cfg.triangle_regions.append([a, b, t0, tau])
+            try:
+                TriangleRegion(a, b, t0)
+            except ValueError as exc:
+                errors.append(f"triangle_regions[{i}]: {exc}")
+
+    if cfg.seed < 0:
+        errors.append(f"seed: must be >= 0, got {cfg.seed}")
+
+    if not errors:
+        try:
+            _setup(cfg)
         except ValueError as exc:  # a complaint about one shape key is listed under it
             key = next((k for k in SHAPE_KEYS if str(exc).startswith(k)), "family")
             errors.append(f"{key}: {exc}")
         except MemoryError:  # below numpy's size limit, yet too large to sample
             errors.append(f"h: {cfg.h} cuts [{cfg.x_min}, {cfg.x_max}] into too many cells "
-                          f"({grid.n_cells - 1}) for memory")
-        scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
+                          f"({span}) for memory")
+        # placed on the lattice the rules counted, so listed whether or not the data fit
+        grid = Grid(cfg.x_min, cfg.h, span + 1, steps)
         for i, (a, b, t0, tau) in enumerate(cfg.triangle_regions):
             try:
                 conservation.TriangleSides(TriangleRegion(a, b, t0), tau, grid, scheme)
@@ -263,6 +273,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
     return cfg
+
+
+def _setup(cfg: ExperimentConfig) -> tuple[Grid, ModelParams, InitialData, Scheme]:
+    """The objects of a run of a config that passes the rules: its grid,
+    couplings, sampled initial data and scheme."""
+    grid = Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, cfg.T)
+    return (grid, cfg.model_params(), make_initial_data(cfg.family, cfg.shape_params, grid),
+            Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter))
 
 
 CHUNK_ROWS = 1024  # CSV rows formatted at once
@@ -303,10 +321,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, cfg.T)
-    m = cfg.model_params()
-    data = make_initial_data(cfg.family, cfg.shape_params, grid)
-    scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
+    grid, m, data, scheme = _setup(cfg)
 
     summary = {
         "config_hash": cfg.digest(),
@@ -428,23 +443,29 @@ def sweep(cfg: ExperimentConfig, halvings: int) -> list[dict]:
     """Refinement study: run at h, h/2, ..., h/2^halvings and estimate orders.
 
     Reports the charge drift at each level and the Richardson L2 difference
-    between consecutive levels, with log2 order estimates.  A level whose
-    solve aborts raises SolverError naming its h.
+    between consecutive levels, with log2 order estimates.  Before the first
+    solve every level's lattice passes the rule `check` applies to h
+    (`_lattice`), or ConfigError names the first level that does not.  A level
+    whose solve aborts, or whose lattice is too large for memory, raises
+    SolverError naming its h.
     """
-    m = cfg.model_params()
-    scheme = Scheme(cfg.scheme, cfg.fixed_point_tol, cfg.fixed_point_max_iter)
-    rows, coarse = [], None  # only the previous level's run is kept
+    cells = Scheme(cfg.scheme).cells
+    levels = []
     for j in range(halvings + 1):
-        h = cfg.h / 2 ** j
-        grid = Grid.from_domain(cfg.x_min, cfg.x_max, h, cfg.T)
-        data = make_initial_data(cfg.family, cfg.shape_params, grid)
+        level = replace(cfg, h=math.ldexp(cfg.h, -j))  # h / 2**j, which fails past 2**1023
+        if found := _lattice(level, cells)[0]:
+            raise ConfigError([f"level h = {level.h!r}: {v}" for v in found])
+        levels.append(level)
+    rows, coarse = [], None  # only the previous level's run is kept
+    for level in levels:
         try:
+            _, m, data, scheme = _setup(level)
             traj = solver.run(data, m, scheme, [0.0, cfg.T])
-        except SolverError as exc:
-            raise SolverError(f"level h = {h!r}: {exc}") from exc
+        except (SolverError, MemoryError) as exc:
+            raise SolverError(f"level h = {level.h!r}: {exc}") from exc
         if coarse is not None:
             rows[-1]["l2_diff_to_next"] = solver.l2_diff(coarse, traj, cfg.T)
-        rows.append({"h": h, "charge_drift": conservation.total_charge_drift(traj)})
+        rows.append({"h": level.h, "charge_drift": conservation.total_charge_drift(traj)})
         coarse = traj
     for prev, cur in zip(rows, rows[1:]):
         if "l2_diff_to_next" in prev and "l2_diff_to_next" in cur and cur["l2_diff_to_next"] > 0:
@@ -470,11 +491,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config.read_text())
+        rows = sweep(cfg, args.halvings) if args.verb == "sweep" else []
     except ConfigError as exc:
         print("configuration invalid:", file=sys.stderr)
         for v in exc.violations:
             print(f"  {v}", file=sys.stderr)
         return 1
+    except SolverError as exc:
+        print(f"sweep aborted at {exc}", file=sys.stderr)
+        return 2
 
     if args.verb == "check":
         print("configuration OK")
@@ -484,11 +509,6 @@ def main(argv=None) -> int:
         print(f"run finished with status {status}; reports in {cfg.output_dir}/")
         return status
 
-    try:
-        rows = sweep(cfg, args.halvings)
-    except SolverError as exc:
-        print(f"sweep aborted at {exc}", file=sys.stderr)
-        return 2
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     keys = ["h", "charge_drift", "l2_diff_to_next", "order_estimate", "drift_ratio"]

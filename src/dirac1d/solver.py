@@ -94,6 +94,13 @@ class Scheme:
         """Lattice cells one step advances: the time step is cells * h."""
         return _KERNELS[self.kind][1]
 
+    def check_couplings(self, m: ModelParams) -> None:
+        """Raise ValueError unless the scheme is exact for couplings m:
+        phase_split needs beta = 0, where the nonlinearity is a pure phase
+        rotation."""
+        if self.kind == "phase_split" and m.beta != 0.0:
+            raise ValueError(f"phase_split needs beta = 0, got {m.beta}")
+
 
 class Step(NamedTuple):
     """What every probe sees before the first step and after each step: the
@@ -164,8 +171,7 @@ class _Labels:
     """
 
     def __init__(self, data: InitialData, m: ModelParams, s: Scheme):
-        if s.kind == "phase_split" and m.beta != 0.0:
-            raise ValueError("phase_split scheme is only valid for beta = 0")
+        s.check_couplings(m)
         self.level, self.m, self.s, self.grid, self.h = 0, m, s, data.grid, data.grid.h
         self.w = np.pad(np.stack((data.u0, data.v0)), ((0, 0), (MARGIN, MARGIN)))
         self.w += 0.0  # -0 -> +0, every other value kept (see trim)

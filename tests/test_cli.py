@@ -174,19 +174,39 @@ class TestParseConfig:
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(solver.SCHEME_KINDS), k=st.integers(-1, 9),
-           drift=st.floats(-2e-9, 2e-9))
-    @example(kind="oracle4", k=2, drift=7e-10)  # the DRIFT case on this lattice
-    def test_check_accepts_a_record_time_iff_run_does(self, kind, k, drift):
-        # on the fuzzer's lattice (97 nodes, 8 steps), near cell level k and past T
+           drift=st.floats(-2e-9, 2e-9), final=st.booleans())
+    @example(kind="oracle4", k=2, drift=7e-10, final=False)  # the DRIFT case on this lattice
+    @example(kind="oracle4", k=3, drift=0.0, final=True)  # T at an odd level
+    def test_check_accepts_a_record_time_iff_run_does(self, kind, k, drift, final):
+        # on the fuzzer's lattice (97 nodes, 8 steps), near cell level k and past T;
+        # with final, T itself near level k
         raw = {**FUZZ_BASE, "model": "thirring", "scheme": kind, "checks": ["charge"]}
         cfg, t = parse_config(json.dumps(raw)), k * FUZZ_BASE["h"] * (1.0 + drift)
+        T, times = (t, [0.0]) if final else (cfg.T, [t])
+        checked = _accepts(lambda: parse_config(json.dumps({**raw, "T": T, "record_times": times})),
+                           ConfigError)
+
+        def run():
+            grid = Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, T)
+            data = make_initial_data(cfg.family, cfg.shape_params, grid)
+            solver.run(data, cfg.model_params(), Scheme(kind), times)
+        assert checked == _accepts(run, ValueError), (T, times, checked)
+
+    @pytest.mark.parametrize("couplings", [
+        *({"model": name} for name in MODELS),
+        {"model": "custom", "alpha": 1.0, "beta": -0.5},
+        {"model": "custom", "alpha": 0.9, "beta": 0.0},
+    ])
+    def test_check_accepts_phase_split_iff_run_does(self, couplings):
+        raw = {**FUZZ_BASE, **couplings, "checks": ["charge"]}
+        cfg = parse_config(json.dumps(raw))
+        checked = _accepts(lambda: parse_config(json.dumps({**raw, "scheme": "phase_split"})),
+                           ConfigError)
         data = make_initial_data(cfg.family, cfg.shape_params,
                                  Grid.from_domain(cfg.x_min, cfg.x_max, cfg.h, cfg.T))
-        checked = _accepts(lambda: parse_config(json.dumps({**raw, "record_times": [t]})),
-                           ConfigError)
-        ran = _accepts(lambda: solver.run(data, cfg.model_params(), Scheme(kind), [t]),
+        ran = _accepts(lambda: solver.run(data, cfg.model_params(), Scheme("phase_split"), []),
                        ValueError)
-        assert checked == ran, (t, checked, ran)
+        assert checked == ran == (cfg.model_params().beta == 0.0)
 
     def test_lattice_too_large_to_sample(self, tmp_path, capsys, monkeypatch):
         # 2^34 nodes are below numpy's size limit; a real allocation that size can be
@@ -553,6 +573,34 @@ class TestMain:
         _write_cells(tmp_path / "old.csv", header.split(","),
                      [tuple(map(float, r.split(","))) for r in rows])
         assert (tmp_path / "old.csv").read_text().splitlines() == lines
+
+    @pytest.mark.parametrize("halvings", [70, 1100])
+    def test_sweep_checks_every_level_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                       halvings):
+        # h / 2**1100 overflowed, and from h / 2**45 on T / h is 2**52 steps or more
+        monkeypatch.setattr(solver, "run", lambda *a, **k: pytest.fail("solver ran"))
+        path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        assert main(["sweep", str(path), "--halve-h", str(halvings)]) == 1
+        err = capsys.readouterr().err
+        assert f"  level h = {2.0 ** -52!r}: T: " in err and "2**52" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_sweep_verb_reports_a_level_too_large_for_memory(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the finer level's samples cannot be allocated; see test_lattice_too_large_to_sample
+        x = Grid.x
+
+        def x_or_no_memory(grid):
+            if grid.n_cells > 3000:
+                raise MemoryError(f"cannot allocate {grid.n_cells} nodes")
+            return x(grid)
+
+        monkeypatch.setattr(Grid, "x", x_or_no_memory)
+        path = write_config(tmp_path, output_dir=str(tmp_path / "out"), record_times=[0.0, 1.0])
+        assert main(["sweep", str(path), "--halve-h", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "sweep aborted at level h = 0.00390625: cannot allocate 5121 nodes" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_sweep_verb_reports_a_solver_abort(self, tmp_path, capsys):
         # the fixed point diverges at the coarse level, as `run` would report it
