@@ -13,9 +13,12 @@ scheme come from one helper (`_setup`).
 
 `run` writes snapshots.csv, profiles.csv, residuals.csv, balance.json and
 summary.json into the configured output directory and exits 0 iff every
-requested check passes its declared tolerance.  All numbers are serialized
-with 17 significant digits ('.' decimal, no locale), so identical configs
-produce byte-identical outputs on one platform.
+requested check passes its declared tolerance.  Each check's name, the
+identity it certifies and its pass rule are stated once, in `CHECKS`; a rule
+reads the facts `run_experiment` derives once from the solve, so it can also
+be called on facts made by hand.  All numbers are serialized with 17
+significant digits ('.' decimal, no locale), so identical configs produce
+byte-identical outputs on one platform.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from .fields import (FAMILIES, MAX_STEPS, SHAPE_KEYS, Grid, InitialData, ModelPa
 from .nonlinearity import charge_flux_defect
 from .solver import Scheme, SolverError
 
-ALL_CHECKS = ("charge", "triangle", "pointwise", "profile", "residual", "tails")
-
 MODELS = {"thirring": ModelParams.thirring, "gross_neveu": ModelParams.gross_neveu}
 
 # Declared tolerances, embedded next to every reported value.
@@ -46,16 +47,8 @@ POINTWISE_TOL = 1e-8
 IDENTITY_TOL = 1e-12
 TRIANGLE_TOL_COEFF = 10.0  # |defect| <= coeff * h^2 * max(1, initial charge)
 
-IDENTITIES = {
-    "charge": "(|u|^2+|v|^2)_t + (|u|^2-|v|^2)_x = 0",
-    "triangle": ("int_{a-t0+tau}^{b+t0-tau}(|u|^2+|v|^2)dx + 2 int_{t0}^{tau}|u(b+t0-s,s)|^2 ds"
-                 " + 2 int_{t0}^{tau}|v(a-t0+s,s)|^2 ds = int_a^b(|u|^2+|v|^2)dx"),
-    "pointwise": "|u(x,t)|^2 <= exp(8|beta| C0) |u0(x-t)|^2 (and mirrored in v)",
-    "profile": "G1(y) = -i int_0^inf N1(u(y+s,s), v(y+s,s)) ds (truncated, tail certified)",
-    "residual": "int |u(x,t) - u0(x-t) - G1(x-t)|^2 dx -> 0 as t -> inf",
-    "tails": "int |u0(y)|^2 (int_{y+2t}^inf |v0|^2)^2 dy nonincreasing in t",
-    "identity": "Re(i conj(N1) u) + Re(i conj(N2) v) = 0",
-}
+# the identity the preflight certifies; each requested check's is in CHECKS
+IDENTITY = "Re(i conj(N1) u) + Re(i conj(N2) v) = 0"
 
 
 class ConfigError(ValueError):
@@ -312,17 +305,92 @@ def _identity_sweep(seed: int, n: int = 10000) -> float:
     return float(np.max(np.abs(d) / (1.0 + np.abs(u) ** 2 * np.abs(v) ** 2)))
 
 
+def _charge(traj, **_):
+    drift = conservation.total_charge_drift(traj)
+    return drift, CHARGE_DRIFT_TOL, drift <= CHARGE_DRIFT_TOL, {}
+
+
+def _triangle(balance, triangle_tol, **_):
+    worst = max((abs(r.defect) for r in balance), default=0.0)
+    return worst, triangle_tol, worst <= triangle_tol, {"regions": len(balance)}
+
+
+def _pointwise(traj, **_):
+    violation = conservation.check_pointwise_bound(traj)
+    return violation, POINTWISE_TOL, violation <= POINTWISE_TOL, {}
+
+
+def _profile(profiles, h, **_):
+    p_u, p_v = profiles
+    finite = bool(np.all(np.isfinite(p_u.values)) and np.all(np.isfinite(p_v.values)))
+    return (max(p_u.tail_certificate, p_v.tail_certificate), None, finite,
+            {"l2_G1": p_u.l2_norm(h), "l2_G2": p_v.l2_norm(h)})
+
+
+def _residual(residuals, residual_k, h, **_):
+    """Each squared residual within its tail bound plus residual_k * h^2, and
+    the residuals nonincreasing in t."""
+    slack = residual_k * h ** 2
+    bounded = all(r.l2_u ** 2 <= r.analytic_bound_u + slack
+                  and r.l2_v ** 2 <= r.analytic_bound_v + slack for r in residuals)
+    decreasing = all(n.l2_u <= p.l2_u and n.l2_v <= p.l2_v
+                     for p, n in zip(residuals, residuals[1:]))
+    worst = max((max(r.l2_u ** 2 - r.analytic_bound_u, r.l2_v ** 2 - r.analytic_bound_v)
+                 for r in residuals), default=0.0)
+    return worst, slack, bounded and decreasing, {"nonincreasing": decreasing}
+
+
+def _tails(traj, **_):
+    """Each side's tail bound nonincreasing over the recorded times."""
+    ts = traj.times
+    bounds = [asymptotics.tail_bound(traj.data, traj.params, t) for t in ts]
+    bounds_u, bounds_v = ([b[i] for b in bounds] for i in (0, 1))
+    rise = 0.0
+    for seq in (bounds_u, bounds_v):
+        rise = max(rise, max((b - a for a, b in zip(seq, seq[1:])), default=0.0))
+    return rise, 0.0, rise <= 0.0, {"times": ts, "bounds_u": bounds_u, "bounds_v": bounds_v}
+
+
+# Each check a config can request: the identity it certifies and its rule, in
+# the order summary.json lists them.  A rule takes the run's facts (see
+# run_experiment) as keywords and returns (value, tolerance, pass, extra keys).
+CHECKS = {
+    "charge": ("(|u|^2+|v|^2)_t + (|u|^2-|v|^2)_x = 0", _charge),
+    "triangle": ("int_{a-t0+tau}^{b+t0-tau}(|u|^2+|v|^2)dx + 2 int_{t0}^{tau}|u(b+t0-s,s)|^2 ds"
+                 " + 2 int_{t0}^{tau}|v(a-t0+s,s)|^2 ds = int_a^b(|u|^2+|v|^2)dx", _triangle),
+    "pointwise": ("|u(x,t)|^2 <= exp(8|beta| C0) |u0(x-t)|^2 (and mirrored in v)", _pointwise),
+    "profile": ("G1(y) = -i int_0^inf N1(u(y+s,s), v(y+s,s)) ds (truncated, tail certified)",
+                _profile),
+    "residual": ("int |u(x,t) - u0(x-t) - G1(x-t)|^2 dx -> 0 as t -> inf", _residual),
+    "tails": ("int |u0(y)|^2 (int_{y+2t}^inf |v0|^2)^2 dy nonincreasing in t", _tails),
+}
+ALL_CHECKS = tuple(CHECKS)
+
+
+def _entry(name, identity, value, tolerance, passed, extra) -> dict:
+    return {"name": name, "value": value, "tolerance": tolerance, "pass": bool(passed),
+            "identity": identity, **extra}
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute the configured run and checks; write all artifact files.
 
-    The reports of an earlier run in the directory are removed before the
-    solve.  Returns 0 iff every requested check passes, 1 on check failure,
-    2 on solver abort (a diagnostic summary.json is written, no other report).
+    The identity preflight runs first.  The reports of an earlier run in the
+    directory are removed before the solve.  After it, and after the
+    snapshots are written, the run's facts are derived once: the trajectory
+    `traj`, h, residual_k, the triangle `balance` reports and their
+    `triangle_tol`, the `profiles` (G1, G2) and the `residuals` at the
+    recorded times t > 0.  The other reports are written from them, then each
+    requested check's rule reads them, in `CHECKS` order.
+    Returns 0 iff every requested check passes, 1 on check failure, 2 on
+    solver abort (a diagnostic summary.json is written, no other report).
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid, m, data, scheme = _setup(cfg)
 
+    # algebraic identity preflight, always on (cheap, seeded)
+    defect = _identity_sweep(cfg.seed)
     summary = {
         "config_hash": cfg.digest(),
         "model": cfg.model,
@@ -334,19 +402,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "T": cfg.T,
         "seed": cfg.seed,
         "initial_charge": data.c0,
-        "checks": [],
+        "checks": [_entry("identity", IDENTITY, defect, IDENTITY_TOL, defect <= IDENTITY_TOL, {})],
     }
-
-    def add_check(name, value, tolerance, passed, extra=None):
-        entry = {"name": name, "value": value, "tolerance": tolerance,
-                 "pass": bool(passed), "identity": IDENTITIES[name]}
-        if extra:
-            entry.update(extra)
-        summary["checks"].append(entry)
-
-    # algebraic identity preflight, always on (cheap, seeded)
-    defect = _identity_sweep(cfg.seed)
-    add_check("identity", defect, IDENTITY_TOL, defect <= IDENTITY_TOL)
 
     sides = ([conservation.TriangleSides(TriangleRegion(a, b, t0), tau, grid, scheme)
               for a, b, t0, tau in cfg.triangle_regions] if "triangle" in cfg.checks else [])
@@ -372,60 +429,23 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     _write_table(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"],
                  snapshot_blocks())
 
-    if "charge" in cfg.checks:
-        drift = conservation.total_charge_drift(traj)
-        add_check("charge", drift, CHARGE_DRIFT_TOL, drift <= CHARGE_DRIFT_TOL)
-
-    # sides is empty unless the triangle check is on
     tol = TRIANGLE_TOL_COEFF * cfg.h ** 2 * max(1.0, data.c0)
-    reps = [conservation.triangle_balance(s) for s in sides]
+    facts = {"traj": traj, "h": cfg.h, "residual_k": cfg.residual_k, "triangle_tol": tol,
+             "balance": [conservation.triangle_balance(s) for s in sides],
+             "profiles": asymptotics.compute_profile(traj),
+             "residuals": [asymptotics.residual(traj, t) for t in traj.times if t > 0]}
     _dump_json(out / "balance.json", [{**asdict(r), "tolerance": tol,
-                                       "pass": abs(r.defect) <= tol} for r in reps])
-    if "triangle" in cfg.checks:
-        worst = max((abs(r.defect) for r in reps), default=0.0)
-        add_check("triangle", worst, tol, worst <= tol, {"regions": len(reps)})
-
-    if "pointwise" in cfg.checks:
-        violation = conservation.check_pointwise_bound(traj)
-        add_check("pointwise", violation, POINTWISE_TOL, violation <= POINTWISE_TOL)
-
-    p_u, p_v = asymptotics.compute_profile(traj)
-    if "profile" in cfg.checks:
-        finite = bool(np.all(np.isfinite(p_u.values)) and np.all(np.isfinite(p_v.values)))
-        add_check("profile", max(p_u.tail_certificate, p_v.tail_certificate),
-                  None, finite,
-                  {"l2_G1": p_u.l2_norm(cfg.h), "l2_G2": p_v.l2_norm(cfg.h)})
+                                       "pass": abs(r.defect) <= tol} for r in facts["balance"]])
     _write_table(out / "profiles.csv", ["side", "y", "re", "im"],
                  [(f"{side},", np.column_stack((x, prof.values.real, prof.values.imag)))
-                  for side, prof in (("u", p_u), ("v", p_v))])
-
-    reports = [asymptotics.residual(traj, t) for t in traj.times if t > 0]
+                  for side, prof in zip("uv", facts["profiles"])])
     _write_table(out / "residuals.csv",
                  ["t", "l2_u", "sup_u", "l2_v", "sup_v", "bound_u", "bound_v"],
                  [("", np.reshape([(r.t, r.l2_u, r.sup_u, r.l2_v, r.sup_v, r.analytic_bound_u,
-                                    r.analytic_bound_v) for r in reports], (-1, 7)))])
+                                    r.analytic_bound_v) for r in facts["residuals"]], (-1, 7)))])
 
-    if "residual" in cfg.checks:
-        slack = cfg.residual_k * cfg.h ** 2
-        bounded = all(r.l2_u ** 2 <= r.analytic_bound_u + slack
-                      and r.l2_v ** 2 <= r.analytic_bound_v + slack for r in reports)
-        decreasing = all(n.l2_u <= p.l2_u and n.l2_v <= p.l2_v
-                         for p, n in zip(reports, reports[1:]))
-        worst = max((max(r.l2_u ** 2 - r.analytic_bound_u, r.l2_v ** 2 - r.analytic_bound_v)
-                     for r in reports), default=0.0)
-        add_check("residual", worst, slack, bounded and decreasing,
-                  {"nonincreasing": decreasing})
-
-    if "tails" in cfg.checks:
-        ts = traj.times
-        bounds = [asymptotics.tail_bound(data, m, t) for t in ts]
-        bounds_u, bounds_v = ([b[i] for b in bounds] for i in (0, 1))
-        rise = 0.0
-        for seq in (bounds_u, bounds_v):
-            rise = max(rise, max((b - a for a, b in zip(seq, seq[1:])), default=0.0))
-        add_check("tails", rise, 0.0, rise <= 0.0,
-                  {"times": ts, "bounds_u": bounds_u, "bounds_v": bounds_v})
-
+    summary["checks"] += [_entry(name, identity, *rule(**facts))
+                          for name, (identity, rule) in CHECKS.items() if name in cfg.checks]
     status = 0 if all(c["pass"] for c in summary["checks"]) else 1
     summary["status"] = status
     summary["max_fixed_point_iterations"] = traj.max_fp_iterations

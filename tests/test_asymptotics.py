@@ -103,6 +103,14 @@ class TestSupTailBound:
         assert sup_tail_bound(data, m, 2.0, -5.0)[0] == pytest.approx(
             sup_tail_bound(swapped, m, 2.0, -5.0)[1], rel=1e-3)
 
+    def test_scaling_in_the_envelope_constant(self):
+        # the same c_star = 1 with beta 0 and 1/4: the bounds differ by exp(12|beta| C0)
+        data = gaussian_data(1.0 / 64.0)
+        plain = sup_tail_bound(data, ModelParams(1.0, 0.0), 1.0, -5.0)
+        quartic = sup_tail_bound(data, ModelParams(0.0, 0.25), 1.0, -5.0)
+        for p, q in zip(plain, quartic):
+            assert q == pytest.approx(np.exp(3.0 * data.c0) * p, rel=1e-12)
+
     def test_overflowing_constant(self):
         # C0 = 250.7 here, so exp(12|beta| C0) overflows: the bound is inf over a
         # nonzero envelope and 0 over a zero one, never NaN, and no warning is raised

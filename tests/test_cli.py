@@ -1,24 +1,29 @@
 """Config parsing, report files, exit codes and the command-line verbs."""
 
+import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dirac1d
-from dirac1d import Grid, Scheme, make_initial_data, solver
-from dirac1d.cli import (ALL_CHECKS, CHUNK_ROWS, KNOWN_KEYS, MODELS, ConfigError,
+from dirac1d import Grid, Scheme, asymptotics, conservation, make_initial_data, solver
+from dirac1d.asymptotics import ResidualReport
+from dirac1d.cli import (ALL_CHECKS, CHECKS, CHUNK_ROWS, KNOWN_KEYS, MODELS, ConfigError,
                          ExperimentConfig, _identity_sweep, _is_number, _write_table, main,
                          parse_config, run_experiment, sweep)
 from dirac1d.fields import FAMILIES, SHAPE, SHAPE_KEYS
 
 NAN, INF = float("nan"), float("inf")
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL = {
     "model": "gross_neveu",
@@ -160,6 +165,8 @@ class TestParseConfig:
         ({"h": 0.125, "T": 1e300}, "T:", "2**52"),
         # 2.0000000014 cells of h: one oracle4 step of 2h within 1e-9, yet no cell level
         (DRIFT, "record_times[1]:", "multiple"),
+        # an unhashable entry is no check name, not a TypeError
+        ({"checks": [["charge"]]}, "checks[0]:", "unknown check"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                        overrides, prefix, fragment):
@@ -467,6 +474,148 @@ class TestRunExperiment:
                             lambda *a: calls.append(1) or original(*a))
         _identity_sweep(seed=0)
         assert calls
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _report(l2_u, l2_v, bound_u=0.0, bound_v=0.0, t=1.0):
+    return ResidualReport(t=t, l2_u=l2_u, sup_u=0.0, l2_v=l2_v, sup_v=0.0,
+                          analytic_bound_u=bound_u, analytic_bound_v=bound_v)
+
+
+def _straddle(edge: float) -> tuple[float, float]:
+    """The adjacent floats lo < hi with lo**2 <= edge < hi**2."""
+    lo = math.sqrt(edge)
+    while lo ** 2 > edge:
+        lo = math.nextafter(lo, 0.0)
+    while math.nextafter(lo, INF) ** 2 <= edge:
+        lo = math.nextafter(lo, INF)
+    return lo, math.nextafter(lo, INF)
+
+
+class TestChecks:
+    """Each rule of `cli.CHECKS` at its edge, on facts made by hand with no run."""
+
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_residual_that_rises_by_one_ulp_fails(self, side):
+        rule = CHECKS["residual"][1]
+        flat = [_report(0.5, 0.5, 1.0, 1.0, t) for t in (1.0, 2.0)]
+        assert rule(residuals=flat, residual_k=10.0, h=1.0 / 64.0)[2:] == (
+            True, {"nonincreasing": True})
+        l2 = {"l2_u": 0.5, "l2_v": 0.5, f"l2_{side}": math.nextafter(0.5, INF)}
+        risen = [flat[0], _report(**l2, bound_u=1.0, bound_v=1.0, t=2.0)]
+        assert rule(residuals=risen, residual_k=10.0, h=1.0 / 64.0)[2:] == (
+            False, {"nonincreasing": False})
+
+    @pytest.mark.parametrize("side", ["u", "v"])
+    @pytest.mark.parametrize("bound", [0.0, 0.75])
+    def test_residual_at_the_edge_of_its_slack(self, side, bound):
+        h, k = 1.0 / 64.0, 10.0
+        slack = k * h ** 2
+        lo, hi = _straddle(bound + slack)
+        for l2, expected in ((lo, True), (hi, False)):
+            report = _report(**{"l2_u": 0.0, "l2_v": 0.0, f"l2_{side}": l2,
+                                f"bound_{side}": bound})
+            value, tol, passed, _ = CHECKS["residual"][1](residuals=[report], residual_k=k, h=h)
+            assert (tol, passed) == (slack, expected)
+            assert value == l2 ** 2 - bound
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_tail_bound_that_rises_by_one_ulp_fails(self, monkeypatch, side):
+        flat = {0.0: 2.0, 1.0: 0.5, 2.0: 0.5}
+        risen = {**flat, 2.0: math.nextafter(0.5, INF)}
+        traj = SimpleNamespace(times=list(flat), data="data", params="params")
+        for bounds, expected in ((flat, True), (risen, False)):
+            calls = []
+
+            def tail_bound(data, m, t):
+                calls.append((data, m, t))
+                pair = [flat[t], flat[t]]
+                pair[side] = bounds[t]
+                return tuple(pair)
+            monkeypatch.setattr(asymptotics, "tail_bound", tail_bound)
+            value, tol, passed, extra = CHECKS["tails"][1](traj=traj)
+            assert calls == [("data", "params", t) for t in flat]
+            assert (tol, passed) == (0.0, expected)
+            assert value == (0.0 if expected else math.nextafter(0.5, INF) - 0.5)
+            assert extra["times"] == list(flat)
+
+    def test_triangle_defect_one_ulp_past_its_tolerance_fails(self):
+        rule, tol = CHECKS["triangle"][1], 1e-3
+        for defect, expected in ((tol, True), (-tol, True), (math.nextafter(tol, INF), False),
+                                 (-math.nextafter(tol, INF), False)):
+            balance = [SimpleNamespace(defect=0.0), SimpleNamespace(defect=defect)]
+            assert rule(balance=balance, triangle_tol=tol) == (
+                abs(defect), tol, expected, {"regions": 2})
+
+    @pytest.mark.parametrize("name,layer", [("charge", "total_charge_drift"),
+                                            ("pointwise", "check_pointwise_bound")])
+    def test_value_one_ulp_past_its_tolerance_fails(self, monkeypatch, name, layer):
+        rule = CHECKS[name][1]
+        monkeypatch.setattr(conservation, layer, lambda traj: 0.0)
+        tol = rule(traj=None)[1]
+        for value, expected in ((tol, True), (math.nextafter(tol, INF), False)):
+            monkeypatch.setattr(conservation, layer, lambda traj: value)
+            assert rule(traj=None) == (value, tol, expected, {})
+
+    @pytest.mark.parametrize("workload", ["gn_reference", "thirring_triangle",
+                                          "oracle4_crossval"])
+    def test_declared_tolerances_match_the_benchmark_record(self, tmp_path, workload):
+        # perfbench/check.py's bound on every recorded value
+        close = lambda got, ref: abs(got - ref) <= 1e-12 + 1e-9 * abs(ref)
+        workloads = _perfbench_workloads()
+        cfg = parse_config(json.dumps(workloads.make_config(workload, 0, ROOT)))
+        cfg.output_dir = str(tmp_path)
+        assert run_experiment(cfg) == 0
+        record = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+        ref = record[workload][cfg.digest()]
+        got = json.loads((tmp_path / "summary.json").read_text())["checks"]
+        assert [c["name"] for c in got] == [c["name"] for c in ref["summary"]["checks"]]
+        for c, r in zip(got, ref["summary"]["checks"]):
+            if r["tolerance"] is None:
+                assert c["tolerance"] is None, c["name"]
+            else:
+                assert close(c["tolerance"], r["tolerance"]), c["name"]
+        balance = json.loads((tmp_path / "balance.json").read_text())
+        assert len(balance) == len(ref["balance"])
+        assert all(close(b["tolerance"], r["tolerance"]) for b, r in zip(balance, ref["balance"]))
+
+    @pytest.mark.parametrize("checks,calls", [
+        (list(ALL_CHECKS), {"total_charge_drift": 1, "triangle_balance": 2,
+                            "check_pointwise_bound": 1, "compute_profile": 1, "residual": 2,
+                            "tail_bound": 6}),
+        # profiles.csv and residuals.csv are always written; tails adds one bound per time
+        (["charge", "residual"], {"total_charge_drift": 1, "compute_profile": 1,
+                                  "residual": 2, "tail_bound": 3}),
+    ])
+    def test_layers_called_through_their_modules(self, tmp_path, monkeypatch, checks, calls):
+        # the benchmark's tracer wraps these module attributes: each must be
+        # looked up at call time, once per fact, and only for a requested check
+        layers = {conservation: ["total_charge_drift", "triangle_balance",
+                                 "check_pointwise_bound"],
+                  asymptotics: ["compute_profile", "residual", "tail_bound"]}
+        counts = {}
+        for module, names in layers.items():
+            for name in names:
+                counts[name] = 0
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        regions = [[-6.0, 6.0, 0.0, 0.5], [-4.0, 4.0, 0.0, 1.0]]
+        cfg = parse_config(write_config(tmp_path, checks=checks,
+                                        triangle_regions=regions).read_text())
+        cfg.output_dir = str(tmp_path / "out")
+        assert run_experiment(cfg) == 0
+        assert counts == {**dict.fromkeys(counts, 0), **calls}
 
 
 class TestSweep:

@@ -9,6 +9,7 @@ import pytest
 from dirac1d import (Grid, ModelParams, Scheme, TriangleRegion, TriangleSides,
                      check_pointwise_bound, make_initial_data, total_charge_drift,
                      triangle_balance)
+from dirac1d.fields import charge
 from dirac1d.solver import run
 
 GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
@@ -45,6 +46,19 @@ class TestChargeDrift:
         bare = type(gn_small)(params=gn_small.params, data=gn_small.data)
         with pytest.raises(ValueError):
             total_charge_drift(bare)
+
+    @pytest.mark.parametrize("drifting", [0, 1, 2])
+    def test_every_snapshot_is_judged(self, gn_small, drifting):
+        # one snapshot of three holds u scaled by 1 + 1e-3, the others the data
+        data, h, levels = gn_small.data, gn_small.grid.h, (0, 64, 128)
+        zero = np.zeros_like(data.u0)
+        snapshots = {level: (data.u0 * (1.0 + 1e-3 * (i == drifting)), data.v0, zero, zero)
+                     for i, level in enumerate(levels)}
+        traj = type(gn_small)(params=gn_small.params, data=data, snapshots=snapshots)
+        u, v, *_ = snapshots[levels[drifting]]
+        expected = abs(charge(u, v, h) - data.c0) / data.c0
+        assert expected > 1e-4
+        assert total_charge_drift(traj) == expected
 
 
 def seed_triangle_balance(moduli, grid, pad, region, tau):
@@ -194,3 +208,17 @@ class TestPointwiseBound:
         # beta = 0 makes the envelope factor exactly 1, so the bound is
         # saturated and only roundoff can show up
         assert check_pointwise_bound(thirring_phase_small) <= 1e-12
+
+    @pytest.mark.parametrize("scale,over", [(1.0 + 1e-6, True), (1.0 - 1e-6, False)])
+    def test_edge_of_the_envelope(self, gn_small, scale, over):
+        # u at the envelope exp(8|beta| C0) |u0|^2 times scale^2, v at its data
+        data = gn_small.data
+        factor = np.exp(8.0 * abs(gn_small.params.beta) * data.c0)
+        zero = np.zeros_like(data.u0)
+        u = data.u0 * np.sqrt(factor) * scale
+        traj = type(gn_small)(params=gn_small.params, data=data,
+                              snapshots={0: (data.u0, data.v0, zero, zero),
+                                         128: (u, data.v0, zero, zero)})
+        expected = float(np.max(np.abs(u) ** 2 - factor * np.abs(data.u0) ** 2))
+        assert (expected > 1e-6 * factor * np.max(np.abs(data.u0) ** 2)) == over
+        assert check_pointwise_bound(traj) == (expected if over else 0.0)
