@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -107,10 +108,16 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+# Bytes a run holds per label at the least: the data's u0, v0 and x, the solver's
+# (2, L) pairs (state, sources and traces complex, moduli real) and its scratch rows
+LABEL_BYTES = 2 * 16 + 8 + 3 * 32 + 16 + solver.WORK_ROWS * 16
+
+
 def _lattice(cfg: ExperimentConfig, cells: int) -> tuple[list[str], int | None, int | None]:
     """The lattice rule, applied by `check` and by `sweep` at each level: h is
     positive with a finite square, x_max - x_min spans a whole number of cells
-    of h (`lattice_count`) that an array holds, and T is a cell level that steps
+    of h (`lattice_count`) that an array holds and whose labels' `LABEL_BYTES`
+    fit in the machine's physical memory, and T is a cell level that steps
     of `cells` cells reach (`time_level`, the rule `run` applies to T), below
     2**52 steps.  Returns the violations and the cell counts of the span and
     of T, None where a count is not a whole number."""
@@ -128,6 +135,9 @@ def _lattice(cfg: ExperimentConfig, cells: int) -> tuple[list[str], int | None, 
         errors.append("x_max: x_max - x_min not a multiple of h")
     elif span > sys.maxsize // 16:  # numpy's size limit for complex samples
         errors.append(f"h: {cfg.h} cuts [{cfg.x_min}, {cfg.x_max}] into too many cells ({span})")
+    elif span * LABEL_BYTES > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        errors.append(f"h: {cfg.h} cuts [{cfg.x_min}, {cfg.x_max}] into too many cells "
+                      f"({span}) for memory")
     try:
         steps = time_level(cfg.T, cfg.h, cells)
     except ValueError as exc:

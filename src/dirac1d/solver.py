@@ -61,6 +61,9 @@ BLOWUP_LIMIT = 1e6
 # Labels the widest window (oracle4's half level) reaches past the supports
 MARGIN = 4
 
+# Rows of a run's scratch array, each a complex row as long as the label arrays
+WORK_ROWS = 21
+
 # A pair of stored moduli (a, b) is quiet when c_star * a * b * max(a, b) is
 # below 2**QUIET_EXP, 2**-10 times half the smallest subnormal (_Labels.trim
 # spends the margin).  The product is formed on moduli lifted by 2**LIFT_EXP,
@@ -193,14 +196,15 @@ class _Labels:
         first use and sliced to a window.  A pair takes two rows; a real (boolean) pair
         is one complex row's float (bool) view.  0 `_fixed_point`'s move, 1 its modulus
         (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool), which
-        phase_split, never trimmed, takes for |theta| and its flags; 4-5 `commit`'s new
-        sources, 6-7 the trace panel; from 8 on the kernel's.  trapezoidal: 8-9 the
-        constant part, 10-11 the products i h/2 N, 12-13 and 14-15 the iterates of
-        alternate sweeps.  phase_split: 8 the squared moduli, 9 the midpoints (real),
-        10-11 the rotations.  oracle4: 8-9 f0, 10-11 the half level's sources, 12-13
-        the new sources on the half level, 14-17 and 18-21 the (full, half) stages of
-        alternate sweeps, 22 a Lobatto term."""
-        return np.empty((23, self.w.shape[1]), complex)
+        phase_split, never trimmed, takes for |theta| and its flags, and `_fixed_point`,
+        run after `trim`, row 2 for its moved flags (bool); 4-5 `commit`'s new sources,
+        6-7 the trace panel; from 8 on the kernel's.  trapezoidal: 8-9 the constant
+        part, 10-11 the products i h/2 N, 12-13 and 14-15 the iterates of alternate
+        sweeps.  phase_split: 8 the squared moduli, 9 the midpoints (real), 10-11 the
+        rotations.  oracle4: 8-9 the half level's sources, 10-11 the new sources on the
+        half level, 12-15 and 16-19 the (full, half) stages of alternate sweeps, 20 a
+        Lobatto term."""
+        return np.empty((WORK_ROWS, self.w.shape[1]), complex)
 
     def advance(self) -> int:
         """One step of the scheme; returns its fixed-point sweeps."""
@@ -377,27 +381,63 @@ def _last(mask: np.ndarray) -> int:
     return len(mask) - 1 - _first(mask[::-1])
 
 
-def _fixed_point(sweep, start: tuple, lab: _Labels, firsts: tuple):
-    """Iterate x <- sweep(*x) from start, a tuple of (2, .) stages whose column k
-    sits at node firsts[i] + k, until no component moves by more than
-    tol * (1 + max(max|u|, max|v|)), or raise at the first sweep whose move is
-    not finite; returns the last iterate and the sweeps.  An error names the
-    step and the node that moved most in the last sweep."""
-    s, x = lab.s, start
+def _fixed_point(sweep, start: tuple, lab: _Labels, firsts: tuple, shifts: tuple):
+    """Iterate x <- sweep(cols, *x) from start until no component moves by more than
+    tol * (1 + max(max|u|, max|v|)), or raise at the first sweep whose move is not
+    finite; returns the last iterate, the sweeps and the columns its last sweep moved.
+    An error names the step and the node that moved most in the last sweep.
+
+    start is a tuple of (2, .) stages; column k of stage i sits at node firsts[i] + k,
+    and its u and v rows at columns k + shifts[i][0] and k + shifts[i][1] of the
+    sweep's columns.  The first sweep gets every column; from the second on, `cols`
+    is the span of the columns the previous sweep moved (|new - old| > 0), widened by
+    the kernel's reach (`_KERNELS`): the columns whose value a moved column can
+    change.  The sweep evaluates only `cols` and leaves its output slot as it is
+    elsewhere, and the iterate is the same bits as a sweep over every column:
+
+    * Outside `cols` nothing that a column reads moved, so a full sweep would give
+      the previous iterate's value there.  The slot of sweep 2 is filled there from
+      sweep 1's iterate.  From sweep 3 on the slot holds the iterate of two sweeps
+      back, whose columns outside `cols` did not move in the previous sweep, so they
+      equal the previous iterate in value.  No stage holds a -0 (a stage adds a value
+      to the state, which holds none; see `_Labels.trim`), so equal values are equal
+      bits.
+    * Inside `cols` the sweep reads the sources of the previous iterate: by
+      induction over sweeps, a source row the sweep keeps, where `cols` does not
+      reach, holds the sources of a column that has not moved since they were made.
+
+    So the moves outside `cols` are exactly 0: the stop test and the sweep count,
+    which form the moves over `cols` only, and the node an error names are those of
+    full sweeps.
+    """
+    s, x, reach = lab.s, start, _KERNELS[lab.s.kind][2]
     scale = 1.0 + np.max(lab.moduli)
-    move, modulus = lab.work[0], lab.work[1].view(float)
+    move, modulus, moved = (lab.work[k].view(t) for k, t in ((0, complex), (1, float), (2, bool)))
+    lo, hi = 0, lab.w.shape[1]  # the sweep's columns
     for iters in range(1, s.fixed_point_max_iter + 1):
-        new = sweep(*x)
+        new = sweep(slice(lo, hi), *x)
+        deltas, ends = [], []
         # row by row: at fine h one row's move stays in a core's cache, a pair's does not
-        deltas = [np.abs(np.subtract(a, b, out=move[:a.size]), out=modulus[:a.size]).max()
-                  for stage, last in zip(new, x) for a, b in zip(stage, last)]
+        for stage, last, shift in zip(new, x, shifts):
+            for a, b, k in zip(stage, last, shift):
+                i = min(max(lo - k, 0), a.size)
+                j = min(max(hi - k, i), a.size)
+                if iters == 2:
+                    a[:i], a[j:] = b[:i], b[j:]
+                d = np.abs(np.subtract(a[i:j], b[i:j], out=move[:j - i]), out=modulus[:j - i])
+                deltas.append(d.max(initial=0.0))
+                if deltas[-1] > 0.0:  # then a flag is set: its first and last column
+                    flags = np.greater(d, 0.0, out=moved[:j - i])
+                    ends += [i + k + flags.argmax(), j + k - flags[::-1].argmax()]
         if not all(map(math.isfinite, deltas)):
             raise SolverError(f"fixed-point iteration diverged at t = {lab.level * lab.h:.6g}: "
                               f"sweep {iters} moved the iterate by {np.max(deltas):.3g} "
                               f"({lab.at(_worst(new, x, firsts))})")
         x, old = new, x
+        span = slice(min(ends, default=0), max(ends, default=0))
         if max(deltas) <= s.fixed_point_tol * scale:
-            return x, iters
+            return x, iters, span
+        lo, hi = max(span.start - reach, 0), span.stop + reach
     raise SolverError(
         f"fixed-point iteration did not converge in {s.fixed_point_max_iter} iterations "
         f"({lab.at(_worst(x, old, firsts))}); the time step is too large for the data amplitude")
@@ -411,18 +451,21 @@ def _worst(new: tuple, old: tuple, firsts: tuple) -> int:
 
 
 def _step_trapezoidal(lab: _Labels, iu: int, iv: int, n: int):
-    """Unit-CFL implicit trapezoid on the window's labels; returns (W, panel, sweeps)."""
+    """Unit-CFL implicit trapezoid on the window's labels; returns (W, panel, sweeps).
+    A node's new value reads its own pair alone: its reach is 0."""
     h, m = lab.h, lab.m
     base, half_step, *iterates = lab.work[8:16, :n].reshape(4, 2, -1)
     np.multiply(0.5j * h, _pair(lab.sources, iu, iv, n), out=half_step)
     np.subtract(start := _pair(lab.w, iu, iv, n), half_step, out=base)
     slots = itertools.cycle(iterates)  # a sweep never writes over its input
 
-    def sweep(W):
-        N = eval_N(W, m, out=half_step)
-        return (np.subtract(base, np.multiply(N, 0.5j * h, out=N), out=next(slots)),)
+    def sweep(cols, W):
+        N = eval_N(W[:, cols], m, out=half_step[:, cols])
+        out = next(slots)
+        np.subtract(base[:, cols], np.multiply(N, 0.5j * h, out=N), out=out[:, cols])
+        return (out,)
 
-    (W,), iters = _fixed_point(sweep, (start,), lab, (lab.node(iu),))
+    (W,), iters, _ = _fixed_point(sweep, (start,), lab, (lab.node(iu),), ((0, 0),))
     return W, lab.trapezoid_panel, iters
 
 
@@ -474,15 +517,37 @@ def _step_oracle4(lab: _Labels, iu: int, iv: int, n: int):
     (v: to its left).  By label, that adds two u labels after the full window
     and two v labels before it.  The panel is the order-4 quadrature of the
     source over each segment.  Returns (W, panel, sweeps) at the full level.
+
+    A sweep's column c holds u label iu + c and v label iv - 2 + c, both
+    stages: the half level's pair c and the full level's u of pair c and v of
+    pair c - 2.  Its reach is 2: column c reads the half level's sources at c
+    and the full level's N1 of pair c and N2 of pair c - 2, and the full pair
+    c is (u at column c, v at column c + 2), so a moved column c changes the
+    sources that columns c - 2, c and c + 2 read.
+
+    The sweep sums -i N with the complex weights -1j * w on plain sources N,
+    where the dynamics is w * (-1j * N).  The two agree in value: with
+    N = a + bi, both are w b - (w a) i up to terms 0 * a, 0 * b, which are
+    +-0, so only the sign of a zero component can differ.  Sums and the
+    product by dt keep that (x + (+-0) is x unless x is a zero), and a stage
+    adds the sum to the state, which holds no -0 (`_Labels.trim`), so every
+    stage keeps its bits.  The trace panel keeps the real weights.
+
+    After the fixed point the half level's sources of the converged iterate
+    are needed for the panel.  The last sweep read the sources of the
+    iterate before it (`_fixed_point`), which equals the converged one in
+    every column the last sweep did not move, so only the moved columns are
+    evaluated again.
     """
     m, dt = lab.m, 2.0 * lab.h
     base = _pair(lab.w, iu, iv - 2, n + 2)  # the state on the half level's labels
-    f0, fh, f1 = lab.work[8:14, :n + 2].reshape(3, 2, -1)
-    new_f1, half = (_pair(lab.work[k:k + 2], 0, 2, n) for k in (12, 10))  # full-level nodes
-    term = lab.work[22]
-    np.multiply(-1j, _pair(lab.sources, iu, iv - 2, n + 2), out=f0)
+    fh, f1 = lab.work[8:12, :n + 2].reshape(2, 2, -1)
+    new_f1, half = (_pair(lab.work[k:k + 2], 0, 2, n) for k in (10, 8))  # full-level nodes
+    term = lab.work[20]
+    weights = [tuple(-1j * w for w in lw) for lw in (_L_FULL, _L_HALF)]
+    f0 = _pair(lab.sources, iu, iv - 2, n + 2)
     f1[0, n:], f1[1, :2] = 0, 0  # the new sources on the half level: zero past the window
-    slots = itertools.cycle(lab.work[14:22].reshape(2, 2, 2, -1))  # never over the input
+    slots = itertools.cycle(lab.work[12:20].reshape(2, 2, 2, -1))  # never over the input
 
     def lobatto(w: tuple, f0, fh, f1, out):
         """out <- dt * (w[0] f0 + w[1] fh + w[2] f1), term by term, row by row (at fine
@@ -494,22 +559,25 @@ def _step_oracle4(lab: _Labels, iu: int, iv: int, n: int):
             np.multiply(dt, o, out=o)
         return out
 
-    def sweep(Wf, Wh):
-        np.multiply(-1j, eval_N(Wh, m, out=fh), out=fh)
-        np.multiply(-1j, eval_N(Wf, m, out=new_f1), out=new_f1)
+    def sweep(cols, Wf, Wh):
+        eval_N(Wh[:, cols], m, out=fh[:, cols])
+        eval_N(Wf[:, cols], m, out=new_f1[:, cols])
         stages = next(slots)  # the full-level stage, too, over the half level's labels
-        for stage, w in zip(stages[..., :n + 2], (_L_FULL, _L_HALF)):
-            np.add(base, lobatto(w, f0, fh, f1, stage), out=stage)
+        for stage, w in zip(stages[..., :n + 2][..., cols], weights):
+            np.add(base[:, cols], lobatto(w, f0[:, cols], fh[:, cols], f1[:, cols], stage),
+                   out=stage)
         return _pair(stages[0], 0, 2, n), stages[1, :, :n + 2]
 
-    (Wf, Wh), iters = _fixed_point(sweep, (_pair(lab.w, iu, iv, n), base), lab,
-                                   (lab.node(iu), lab.node(iu) - 1))
-    eval_N(Wh, m, out=fh)  # the half level's sources, read at the full level's nodes by half
+    (Wf, Wh), iters, moved = _fixed_point(sweep, (_pair(lab.w, iu, iv, n), base), lab,
+                                          (lab.node(iu), lab.node(iu) - 1), ((0, 2), (0, 0)))
+    eval_N(Wh[:, moved], m, out=fh[:, moved])  # the half level's sources, read by `half`
     return Wf, lambda old, new: lobatto(_L_FULL, old, half, new, lab.work[6:8, :n]), iters
 
 
 # kind -> (kernel for a nonempty window, cells per step = window widening,
-#          half-level reach of the quiet rule, or None to step the hull window)
+#          reach: labels past a node's own pair that its step reads, which the
+#          quiet rule (at the half level) and the sweeps' spans take, or None
+#          to step the hull window)
 _KERNELS = {
     "trapezoidal": (_step_trapezoidal, 1, 0),
     "phase_split": (_step_phase_split, 1, None),

@@ -1,7 +1,9 @@
-"""The statistics `tools/ab.py` prints, CPU time's included, on fixed inputs, and its
-path-length rule."""
+"""The statistics `tools/ab.py` prints, CPU time's included, on fixed inputs, its
+path-length rule and its counts of one run."""
 
 import importlib.util
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,33 @@ def test_refuses_paths_of_unequal_length(ab, tmp_path, capsys):
         ab.main([str(tmp_path / name)])
     assert exc.value.code == 2
     assert "path length" in capsys.readouterr().err
+
+
+def test_counts_repeat_and_match_an_in_process_run(ab, monkeypatch):
+    # a small oracle4 run: several sweeps a step, and every eval_N call counted
+    from dirac1d import cli, solver
+    raw = {"model": "gross_neveu", "scheme": "oracle4", "x_min": -6.0, "x_max": 6.0,
+           "h": 0.0625, "T": 1.0, "record_times": [0.0, 1.0], "checks": ["charge"]}
+    counts = ab.count(ab.ROOT, raw)
+    assert counts == ab.count(ab.ROOT, raw)
+
+    seen = {"status": None, "sweeps": 0, "eval_N_calls": 0, "eval_N_nodes": 0}
+    eval_N, run, steps = solver.eval_N, solver.run, []
+
+    def counted(w, *args, **kwargs):
+        seen["eval_N_calls"] += 1
+        seen["eval_N_nodes"] += w.shape[1]
+        return eval_N(w, *args, **kwargs)
+
+    class Sweeps:
+        def on_step(self, step):
+            seen["sweeps"] += step.sweeps
+            steps.append(step.level)
+
+    monkeypatch.setattr(solver, "eval_N", counted)
+    monkeypatch.setattr(solver, "run", lambda data, m, s, times, probes=(): run(
+        data, m, s, times, (*probes, Sweeps())))
+    with tempfile.TemporaryDirectory() as tmp:
+        seen["status"] = cli.run_experiment(cli.parse_config(json.dumps(
+            {**raw, "output_dir": tmp})))
+    assert counts == seen and counts["sweeps"] > len(steps) - 1 > 0

@@ -726,13 +726,33 @@ class TestMain:
     @pytest.mark.parametrize("halvings", [70, 1100])
     def test_sweep_checks_every_level_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                        halvings):
-        # h / 2**1100 overflowed, and from h / 2**45 on T / h is 2**52 steps or more
+        # h / 2**1100 overflowed, and from h / 2**45 on T / h is 2**52 steps or more;
+        # the memory rule, which stops far coarser levels, is set aside here and tested
+        # by test_sweep_rejects_a_level_no_run_can_hold
         monkeypatch.setattr(solver, "run", lambda *a, **k: pytest.fail("solver ran"))
+        monkeypatch.setattr(dirac1d.cli, "LABEL_BYTES", 0)
         path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
         assert main(["sweep", str(path), "--halve-h", str(halvings)]) == 1
         err = capsys.readouterr().err
         assert f"  level h = {2.0 ** -52!r}: T: " in err and "2**52" in err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_sweep_rejects_a_level_no_run_can_hold(self, tmp_path, capsys, monkeypatch):
+        # each level passes the array and step limits down to h / 2**40, but from some
+        # level on its labels need more bytes than the machine has: named before any solve
+        from dirac1d.cli import LABEL_BYTES
+        monkeypatch.setattr(solver, "run", lambda *a, **k: pytest.fail("solver ran"))
+        raw = json.loads((ROOT / "configs" / "triangle_balance.json").read_text())
+        path = tmp_path / "triangle_balance.json"
+        path.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "out")}))
+        assert main(["sweep", str(path), "-k", "40"]) == 1
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        j = next(j for j in range(41) if 3072 * 2 ** j * LABEL_BYTES > memory)  # 24 / h cells
+        h = raw["h"] / 2 ** j
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            f"  level h = {h!r}: h: {h} cuts [-12.0, 12.0] into too many cells "
+            f"({3072 * 2 ** j}) for memory"]
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_verb_reports_a_level_too_large_for_memory(self, tmp_path, capsys,
                                                              monkeypatch):

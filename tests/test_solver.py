@@ -850,12 +850,12 @@ class TestGuards:
         fixed_point, grid = solver._fixed_point, Grid.from_domain(-30.0, 30.0, 1.0 / 16.0, 1.0)
         bad = grid.index_of(0.5)
 
-        def breaking(sweep, start, lab, firsts):
+        def breaking(sweep, start, lab, firsts, shifts):
             def broken(*x):
                 new = sweep(*x)
                 new[stage][1, bad - firsts[stage]] = np.nan
                 return new
-            return fixed_point(broken, start, lab, firsts)
+            return fixed_point(broken, start, lab, firsts, shifts)
         monkeypatch.setattr(solver, "_fixed_point", breaking)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         with pytest.raises(SolverError, match=rf"sweep 1 .* \(step 1, node {bad} at x = 0.5\)"):
@@ -985,3 +985,138 @@ def test_memory_bounded_in_T():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def full_window_fixed_point(sweep, start, lab, firsts, shifts):
+    """`solver._fixed_point` with every sweep on the full window: the reference the
+    settled-node span must reproduce bit for bit (its data never diverge)."""
+    x, every = start, slice(None)
+    scale = 1.0 + np.max(lab.moduli)
+    for iters in range(1, lab.s.fixed_point_max_iter + 1):
+        new = sweep(every, *x)
+        delta = max(np.max(np.abs(a - b)) for a, b in zip(new, x))
+        x = new
+        if delta <= lab.s.fixed_point_tol * scale:
+            return x, iters, every
+    raise SolverError("no fixed point")
+
+
+def recording(fixed_point, log):
+    """fixed_point, logging every iterate (the input of each sweep, then the last)
+    as bytes, the sweeps and the columns each sweep was handed."""
+    def fp(sweep, start, lab, firsts, shifts):
+        def recorded(cols, *x):
+            log["iterates"].append([a.tobytes() for a in x])
+            log["cols"].append(cols.indices(lab.w.shape[1])[:2])
+            return sweep(cols, *x)
+        x, iters, moved = fixed_point(recorded, start, lab, firsts, shifts)
+        log["iterates"].append([a.tobytes() for a in x])
+        log["sweeps"].append(iters)
+        return x, iters, moved
+    return fp
+
+
+def logged(monkeypatch, full_window, call):
+    """The log of call() with the solver's fixed point, or with full-window sweeps."""
+    from dirac1d import solver
+    log = {"iterates": [], "cols": [], "sweeps": []}
+    fixed_point = full_window_fixed_point if full_window else solver._fixed_point
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_fixed_point", recording(fixed_point, log))
+        call()
+    return log
+
+
+COUPLINGS = {"gross_neveu": ModelParams.gross_neveu(), "thirring": ModelParams.thirring(),
+             "custom": ModelParams(0.9, 0.35)}
+
+
+class TestSweepSpan:
+    """From its second sweep on, `_fixed_point` hands a sweep only the columns
+    whose inputs moved; every iterate and sweep count is that of full sweeps."""
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "oracle4"])
+    @pytest.mark.parametrize("model", list(COUPLINGS))
+    def test_span_changes_no_iterate(self, kind, model, monkeypatch):
+        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 16.0, 2.0)
+        shape = {**PHASED_PAIR, "u_amplitude": 1.5, "v_amplitude": -1.2}
+        data = make_initial_data("gaussian", shape, grid)
+        logs = [logged(monkeypatch, full, lambda: run(data, COUPLINGS[model], Scheme(kind), []))
+                for full in (False, True)]
+        assert logs[0]["sweeps"] == logs[1]["sweeps"] and max(logs[0]["sweeps"]) > 2
+        assert logs[0]["iterates"] == logs[1]["iterates"]
+        # the span did skip settled columns
+        assert any(lo > 0 for lo, _ in logs[0]["cols"])
+
+    @staticmethod
+    def crafted_step(mover: int):
+        """One oracle4 double step from a state built by hand: the other mover is
+        0.5 + 0.2i on every label, this mover 0 on every label, and its stored
+        source is zero but at one label of column C.  So sweep 1 moves this
+        mover at column C alone, and sweep 2 moves the full-level pair that it
+        shares with the other mover, whose row sits 2 labels away."""
+        from dirac1d import solver
+        grid = Grid(x_min=-2.0, h=1.0 / 16.0, n_cells=65, n_steps=4)
+        lab = solver._Labels(InitialData(grid, np.ones(65, complex), np.ones(65, complex)),
+                             COUPLINGS["custom"], Scheme("oracle4"))
+        lab.level = 2
+        iu, iv, n = lab.labels(20, 40, lab.level)
+        lab.w[...], lab.sources[...] = 0.0, 0.0
+        lab.w[1 - mover] = 0.5 + 0.2j
+        lab.sources[mover, (iu, iv - 2)[mover] + TestSweepSpan.C] = 3.0 + 1.0j
+        lab.moduli[...] = np.abs(lab.w)
+        return lambda: solver._step_oracle4(lab, iu, iv, n)
+
+    C = 10
+
+    @pytest.mark.parametrize("mover", [0, 1])
+    def test_span_reaches_a_pair_whose_one_mover_moved(self, mover, monkeypatch):
+        logs = [logged(monkeypatch, full, self.crafted_step(mover)) for full in (False, True)]
+        # sweep 2 is handed the columns C - 2 .. C + 2: the moved column C widened by 2
+        assert logs[0]["cols"][1] == (self.C - 2, self.C + 3)
+        assert logs[0]["sweeps"] == logs[1]["sweeps"]
+        assert logs[0]["iterates"] == logs[1]["iterates"]
+
+
+class TestFoldedWeights:
+    """oracle4 sums -i N with the weights -1j * w where the dynamics has w * (-i N)."""
+
+    def test_folded_weight_agrees_in_value(self):
+        from dirac1d.solver import _L_FULL, _L_HALF
+        rng = np.random.default_rng(11)
+        parts = np.concatenate([rng.normal(size=40_000), rng.normal(size=20_000) * 1e-310,
+                                rng.normal(size=20_000) * 1e300, [0.0, -0.0, 5e-324, -5e-324]])
+        parts[rng.choice(parts.size, 20_000, replace=False)] = 0.0
+        parts[rng.choice(parts.size, 20_000, replace=False)] = -0.0
+        N = rng.choice(parts, 200_000) + 1j * rng.choice(parts, 200_000)
+        signs = 0
+        with np.errstate(over="ignore"):
+            for w in (*_L_FULL, *_L_HALF):
+                folded, plain = np.multiply(-1j * w, N), np.multiply(w, np.multiply(-1j, N))
+                for a, b in ((folded.real, plain.real), (folded.imag, plain.imag)):
+                    assert np.array_equal(a, b)  # in value: -0 == +0
+                    differ = a.view(np.uint64) != b.view(np.uint64)
+                    assert not a[differ].any()  # bits differ only in the sign of a zero
+                    signs += np.count_nonzero(differ)
+        assert signs  # the two forms do differ there
+
+    def test_oracle4_stores_no_negative_zero(self):
+        # the lemma the fold rests on: from negative amplitudes at a phase of pi/2,
+        # whose real parts are tiny negative numbers, no step stores a -0
+        class NoNegativeZero:
+            steps = 0
+
+            def on_step(self, step):
+                for part in (step.w.real, step.w.imag):
+                    assert not np.signbit(part[part == 0]).any(), step.level
+                self.steps += 1
+
+        grid = Grid.from_domain(-12.0, 12.0, 1.0 / 16.0, 4.0)
+        shape = {**GAUSSIAN_PAIR, "u_amplitude": -1.5, "v_amplitude": -1.0,
+                 "u_phase": math.pi / 2, "v_phase": math.pi / 2}
+        data = make_initial_data("gaussian", shape, grid)
+        assert (data.u0.real < 0).any() and (data.v0.imag < 0).any()
+        probe = NoNegativeZero()
+        for m in COUPLINGS.values():
+            run(data, m, Scheme("oracle4"), [], [probe])
+        assert probe.steps == 3 * (grid.n_steps // 2 + 1)

@@ -10,7 +10,11 @@ end-to-end metric of BENCHMARK.json, and for the child's CPU time (user plus
 system, from RUSAGE_CHILDREN), it prints each side's median and Q1-Q3, the
 pairs this tree won (ties count for neither side) and a two-sided sign-test p,
 then each side's median minor page faults, and every pair's run_s and minor
-faults.
+faults.  Last, per tree, it prints counts of one run of the workload that repeat
+exactly, so they resolve a change that timings cannot: the fixed-point sweeps
+of all its steps, and the `eval_N` calls and node evaluations (the columns of
+the pairs passed to `dirac1d.solver.eval_N`).  A counting launcher imports
+that tree's `src`, wraps `eval_N` and hands `run` one more probe.
 
 Each child is spawned by a short-lived launcher process that calls
 `perfbench/run.py`'s `_execute`.  Linux carries a process's maximum resident
@@ -31,6 +35,7 @@ import math
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,6 +57,31 @@ ex = _execute(Path(sys.argv[2]), sys.argv[3], False, _references(sys.argv[4]))
 usage = resource.getrusage(resource.RUSAGE_CHILDREN)
 print(json.dumps({"reasons": ex.reasons, "result": ex.result,
                   "cpu_s": usage.ru_utime + usage.ru_stime}))
+"""
+
+# argv: tree, config.  Runs `dirac1d run` on the config with the tree's src and
+# prints its exit status, the sweeps of all its steps and its eval_N calls and nodes.
+COUNTER = """
+import contextlib, json, sys
+sys.path.insert(0, sys.argv[1] + "/src")
+from dirac1d import cli, solver
+counts = {"sweeps": 0, "eval_N_calls": 0, "eval_N_nodes": 0}
+eval_N, run = solver.eval_N, solver.run
+
+def counted(w, *args, **kwargs):
+    counts["eval_N_calls"] += 1
+    counts["eval_N_nodes"] += w.shape[-1]
+    return eval_N(w, *args, **kwargs)
+
+class Sweeps:
+    def on_step(self, step):
+        counts["sweeps"] += step.sweeps
+
+solver.eval_N = counted
+solver.run = lambda data, m, s, times, probes=(): run(data, m, s, times, (*probes, Sweeps()))
+with contextlib.redirect_stdout(sys.stderr):
+    status = cli.main(["run", sys.argv[2]])
+print(json.dumps({"status": status, **counts}))
 """
 
 # compared like the end-to-end metrics of BENCHMARK.json
@@ -95,6 +125,18 @@ def launch(tree: Path, workload: str) -> dict:
     return {"setup_s": res["setup_s"], "run_s": res["run_s"],
             "peak_rss_mb": res["peak_rss_mb"], "minor_faults": res["minor_faults"],
             "cpu_s": out["cpu_s"]}
+
+
+def count(tree: Path, cfg: dict) -> dict:
+    """The exit status, total sweeps and eval_N calls and nodes of one `dirac1d run`
+    of the raw config `cfg` with `tree`'s src, its reports written to a temporary
+    directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({**cfg, "output_dir": str(Path(tmp) / "out")}))
+        proc = subprocess.run([sys.executable, "-B", "-c", COUNTER, str(tree), str(config)],
+                              cwd=tree, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def measure_pairs(workload: str, seed: int, pairs: int, trees: dict[str, Path]) -> list:
@@ -165,6 +207,10 @@ def main(argv=None) -> int:
     trees = {"this": ROOT, "parent": parent}
     for workload in WORKLOADS if args.workload == "all" else [args.workload]:
         report(workload, measure_pairs(workload, args.seed, args.pairs, trees))
+        cfg = make_config(workload, args.seed, ROOT)
+        for side, tree in reversed(trees.items()):
+            print(f"  one run in {side}: " + ", ".join(
+                f"{key} {value:,}" for key, value in count(tree, cfg).items()))
     return 0
 
 

@@ -6,7 +6,8 @@ Runs the three shipped configs (`configs/*.json`), perfbench seeds 0, 3 and
 6 of each workload (`perfbench/workloads.py`), the implicit schemes on every
 path of the sources (`IMPLICIT`: Thirring and a custom coupling with alpha and
 beta both nonzero, on the trapezoid and on oracle4), acceptance criterion 9's
-trapezoid run (h = 1/256, T = 10) and the refinement sweep
+trapezoid run (h = 1/256, T = 10), the same setup on oracle4 with record times
+[0, 5, 10], whose double steps take many sweeps each, and the refinement sweep
 `dirac1d sweep configs/triangle_balance.json -k 2`, once with this tree's
 `src` and once with PARENT_CHECKOUT's.  Both trees run the same config,
 written from this tree, with PYTHONDONTWRITEBYTECODE=1 and their outputs
@@ -53,6 +54,9 @@ def cases():
             yield f"{name}_{scheme}", {**reference, **model, "scheme": scheme}, ("run",), REPORTS
     yield ("criterion09_trapezoid", {**reference, "h": 1.0 / 256.0, "T": 10.0,
                                      "record_times": [0.0, 10.0]}, ("run",), REPORTS)
+    yield ("gross_neveu_oracle4_h256", {**reference, "scheme": "oracle4", "h": 1.0 / 256.0,
+                                        "T": 10.0, "record_times": [0.0, 5.0, 10.0]},
+           ("run",), REPORTS)
     yield "triangle_balance_sweep", configs["triangle_balance"], SWEEP, ("sweep.csv",)
 
 
