@@ -108,9 +108,8 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-# Bytes a run holds per label at the least: the data's u0, v0 and x, the solver's
-# (2, L) pairs (state, sources and traces complex, moduli real) and its scratch rows
-LABEL_BYTES = 2 * 16 + 8 + 3 * 32 + 16 + solver.WORK_ROWS * 16
+# Bytes a run holds per label at the least: the data's u0, v0 and x, and the solver's
+LABEL_BYTES = 2 * 16 + 8 + solver.LABEL_BYTES
 
 
 def _lattice(cfg: ExperimentConfig, cells: int) -> tuple[list[str], int | None, int | None]:
@@ -434,8 +433,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     def snapshot_blocks():
         for level, (u, v, *_) in traj.snapshots.items():
             u, v = at_nodes(u, v, 0, grid.n_cells - 1, level)
-            yield "", np.column_stack((np.full(len(x), level * grid.h), x, u.real, u.imag,
-                                       v.real, v.imag))
+            yield "%.17g," % (level * grid.h), np.column_stack((x, u.real, u.imag, v.real, v.imag))
     _write_table(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"],
                  snapshot_blocks())
 

@@ -43,11 +43,9 @@ first probe and keeps the snapshots; the per-step certificates are the others
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +59,23 @@ BLOWUP_LIMIT = 1e6
 # Labels the widest window (oracle4's half level) reaches past the supports
 MARGIN = 4
 
-# Rows of a run's scratch array, each a complex row as long as the label arrays
+# Rows of a run's scratch array `_Labels.work`, each a complex row as long as the
+# label arrays and sliced to a window.  A pair takes two rows; a real (boolean) pair
+# is one complex row's float (bool) view.  0 `_fixed_point`'s move, 1 its modulus
+# (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool), which
+# phase_split, never trimmed, takes for |theta| and its flags, and `_fixed_point`,
+# run after `trim`, row 2 for its moved flags (bool); 4-5 `commit`'s new sources,
+# 6-7 the trace panel; from 8 on the kernel's.  trapezoidal: 8-9 the constant
+# part, 10-11 the products i h/2 N, 12-13 and 14-15 the iterates of alternate
+# sweeps.  phase_split: 8 the squared moduli, 9 the midpoints (real), 10-11 the
+# rotations.  oracle4: 8-9 the half level's sources, 10-11 the new sources on the
+# half level, 12-15 and 16-19 the (full, half) stages of alternate sweeps, 20 a
+# Lobatto term.
 WORK_ROWS = 21
+
+# Bytes a run's `_Labels` holds per label: the (2, L) pairs w, sources and traces
+# (complex), moduli (real), and the scratch rows
+LABEL_BYTES = 3 * 32 + 16 + WORK_ROWS * 16
 
 # A pair of stored moduli (a, b) is quiet when c_star * a * b * max(a, b) is
 # below 2**QUIET_EXP, 2**-10 times half the smallest subnormal (_Labels.trim
@@ -167,10 +180,10 @@ class _Labels:
     At cell level s, u's label i sits at node i + s and v's label i at node
     i - s.  Each pair is one (2, L) array, u's row over v's, indexed by label
     + MARGIN: the state `w` = (u, v), its `moduli` (|u|, |v|), the `sources`
-    (N1, N2) at the current level and the `traces` (A1, A2).  The zero margin
-    holds the labels a window reaches past the domain.  A step addresses its
-    window (iu, iv, n), the u and v labels of its first node and its node
-    count, through `_pair` views.
+    (N1, N2) at the current level and the `traces` (A1, A2); `work` holds every
+    scratch row (`WORK_ROWS`).  The zero margin holds the labels a window
+    reaches past the domain.  A step addresses its window (iu, iv, n), the u
+    and v labels of its first node and its node count, through `_pair` views.
     """
 
     def __init__(self, data: InitialData, m: ModelParams, s: Scheme):
@@ -180,6 +193,7 @@ class _Labels:
         self.w += 0.0  # -0 -> +0, every other value kept (see trim)
         self.moduli = np.abs(self.w)
         self.sources, self.traces = np.zeros_like(self.w), np.zeros_like(self.w)
+        self.work = np.empty((WORK_ROWS, self.w.shape[1]), complex)
         # A label's support never grows (N1 vanishes where u does, N2 where v
         # does), so the initial supports bound every later overlap.
         iu, iv = np.flatnonzero(data.u0), np.flatnonzero(data.v0)
@@ -189,22 +203,6 @@ class _Labels:
         if (win := self.window(0)) is not None:
             win = self.labels(*win, 0)
             eval_N(_pair(self.w, *win), m, out=_pair(self.sources, *win))
-
-    @cached_property
-    def work(self) -> np.ndarray:
-        """Every scratch row of a run: complex rows as long as the label arrays, made on
-        first use and sliced to a window.  A pair takes two rows; a real (boolean) pair
-        is one complex row's float (bool) view.  0 `_fixed_point`'s move, 1 its modulus
-        (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool), which
-        phase_split, never trimmed, takes for |theta| and its flags, and `_fixed_point`,
-        run after `trim`, row 2 for its moved flags (bool); 4-5 `commit`'s new sources,
-        6-7 the trace panel; from 8 on the kernel's.  trapezoidal: 8-9 the constant
-        part, 10-11 the products i h/2 N, 12-13 and 14-15 the iterates of alternate
-        sweeps.  phase_split: 8 the squared moduli, 9 the midpoints (real), 10-11 the
-        rotations.  oracle4: 8-9 the half level's sources, 10-11 the new sources on the
-        half level, 12-15 and 16-19 the (full, half) stages of alternate sweeps, 20 a
-        Lobatto term."""
-        return np.empty((WORK_ROWS, self.w.shape[1]), complex)
 
     def advance(self) -> int:
         """One step of the scheme; returns its fixed-point sweeps."""
@@ -293,12 +291,12 @@ class _Labels:
         k_lo, k_hi = _first(loud), _last(loud)
 
         src = _pair(self.sources, iu, iv, n).view(float)  # (real, imaginary) pairs
-        if np.count_nonzero(flank := src[:, :2 * k_lo]):  # the labels of nodes 0..k_lo - 1
+        if (flank := src[:, :2 * k_lo]).any():  # the labels of nodes 0..k_lo - 1
             k_lo = _first(flank.any(axis=0)) // 2
         if k_lo == n:
             return None
         k_hi = max(k_hi, k_lo)
-        if np.count_nonzero(flank := src[:, 2 * (k_hi + 1):]):  # of nodes k_hi + 1..n - 1
+        if (flank := src[:, 2 * (k_hi + 1):]).any():  # of nodes k_hi + 1..n - 1
             k_hi += 1 + _last(flank.any(axis=0)) // 2
         return lo + k_lo, lo + k_hi
 
@@ -381,23 +379,24 @@ def _last(mask: np.ndarray) -> int:
     return len(mask) - 1 - _first(mask[::-1])
 
 
-def _fixed_point(sweep, start: tuple, lab: _Labels, firsts: tuple, shifts: tuple):
-    """Iterate x <- sweep(cols, *x) from start until no component moves by more than
-    tol * (1 + max(max|u|, max|v|)), or raise at the first sweep whose move is not
+def _fixed_point(sweep, start: tuple, slots, lab: _Labels, firsts: tuple, shifts: tuple):
+    """Iterate x <- sweep(cols, out, *x) from start until no component moves by more
+    than tol * (1 + max(max|u|, max|v|)), or raise at the first sweep whose move is not
     finite; returns the last iterate, the sweeps and the columns its last sweep moved.
-    An error names the step and the node that moved most in the last sweep.
+    An error names the step and the node that moved most in the last sweep.  Sweep k
+    writes its iterate into out = slots[k % 2], so no sweep writes over its input.
 
     start is a tuple of (2, .) stages; column k of stage i sits at node firsts[i] + k,
     and its u and v rows at columns k + shifts[i][0] and k + shifts[i][1] of the
     sweep's columns.  The first sweep gets every column; from the second on, `cols`
     is the span of the columns the previous sweep moved (|new - old| > 0), widened by
     the kernel's reach (`_KERNELS`): the columns whose value a moved column can
-    change.  The sweep evaluates only `cols` and leaves its output slot as it is
+    change.  The sweep evaluates only `cols` and leaves its slot `out` as it is
     elsewhere, and the iterate is the same bits as a sweep over every column:
 
     * Outside `cols` nothing that a column reads moved, so a full sweep would give
-      the previous iterate's value there.  The slot of sweep 2 is filled there from
-      sweep 1's iterate.  From sweep 3 on the slot holds the iterate of two sweeps
+      the previous iterate's value there.  Sweep 2's slot, slots[0], is filled there
+      from sweep 1's iterate.  From sweep 3 on the slot holds the iterate of two sweeps
       back, whose columns outside `cols` did not move in the previous sweep, so they
       equal the previous iterate in value.  No stage holds a -0 (a stage adds a value
       to the state, which holds none; see `_Labels.trim`), so equal values are equal
@@ -415,7 +414,7 @@ def _fixed_point(sweep, start: tuple, lab: _Labels, firsts: tuple, shifts: tuple
     move, modulus, moved = (lab.work[k].view(t) for k, t in ((0, complex), (1, float), (2, bool)))
     lo, hi = 0, lab.w.shape[1]  # the sweep's columns
     for iters in range(1, s.fixed_point_max_iter + 1):
-        new = sweep(slice(lo, hi), *x)
+        new = sweep(slice(lo, hi), slots[iters % 2], *x)
         deltas, ends = [], []
         # row by row: at fine h one row's move stays in a core's cache, a pair's does not
         for stage, last, shift in zip(new, x, shifts):
@@ -454,18 +453,16 @@ def _step_trapezoidal(lab: _Labels, iu: int, iv: int, n: int):
     """Unit-CFL implicit trapezoid on the window's labels; returns (W, panel, sweeps).
     A node's new value reads its own pair alone: its reach is 0."""
     h, m = lab.h, lab.m
-    base, half_step, *iterates = lab.work[8:16, :n].reshape(4, 2, -1)
+    base, half_step, *slots = lab.work[8:16, :n].reshape(4, 2, -1)
     np.multiply(0.5j * h, _pair(lab.sources, iu, iv, n), out=half_step)
     np.subtract(start := _pair(lab.w, iu, iv, n), half_step, out=base)
-    slots = itertools.cycle(iterates)  # a sweep never writes over its input
 
-    def sweep(cols, W):
+    def sweep(cols, out, W):
         N = eval_N(W[:, cols], m, out=half_step[:, cols])
-        out = next(slots)
         np.subtract(base[:, cols], np.multiply(N, 0.5j * h, out=N), out=out[:, cols])
         return (out,)
 
-    (W,), iters, _ = _fixed_point(sweep, (start,), lab, (lab.node(iu),), ((0, 0),))
+    (W,), iters, _ = _fixed_point(sweep, (start,), slots, lab, (lab.node(iu),), ((0, 0),))
     return W, lab.trapezoid_panel, iters
 
 
@@ -547,7 +544,6 @@ def _step_oracle4(lab: _Labels, iu: int, iv: int, n: int):
     weights = [tuple(-1j * w for w in lw) for lw in (_L_FULL, _L_HALF)]
     f0 = _pair(lab.sources, iu, iv - 2, n + 2)
     f1[0, n:], f1[1, :2] = 0, 0  # the new sources on the half level: zero past the window
-    slots = itertools.cycle(lab.work[12:20].reshape(2, 2, 2, -1))  # never over the input
 
     def lobatto(w: tuple, f0, fh, f1, out):
         """out <- dt * (w[0] f0 + w[1] fh + w[2] f1), term by term, row by row (at fine
@@ -559,16 +555,16 @@ def _step_oracle4(lab: _Labels, iu: int, iv: int, n: int):
             np.multiply(dt, o, out=o)
         return out
 
-    def sweep(cols, Wf, Wh):
+    def sweep(cols, stages, Wf, Wh):  # the full-level stage, too, over the half level's labels
         eval_N(Wh[:, cols], m, out=fh[:, cols])
         eval_N(Wf[:, cols], m, out=new_f1[:, cols])
-        stages = next(slots)  # the full-level stage, too, over the half level's labels
         for stage, w in zip(stages[..., :n + 2][..., cols], weights):
             np.add(base[:, cols], lobatto(w, f0[:, cols], fh[:, cols], f1[:, cols], stage),
                    out=stage)
         return _pair(stages[0], 0, 2, n), stages[1, :, :n + 2]
 
-    (Wf, Wh), iters, moved = _fixed_point(sweep, (_pair(lab.w, iu, iv, n), base), lab,
+    (Wf, Wh), iters, moved = _fixed_point(sweep, (_pair(lab.w, iu, iv, n), base),
+                                          lab.work[12:20].reshape(2, 2, 2, -1), lab,
                                           (lab.node(iu), lab.node(iu) - 1), ((0, 2), (0, 0)))
     eval_N(Wh[:, moved], m, out=fh[:, moved])  # the half level's sources, read by `half`
     return Wf, lambda old, new: lobatto(_L_FULL, old, half, new, lab.work[6:8, :n]), iters

@@ -850,12 +850,12 @@ class TestGuards:
         fixed_point, grid = solver._fixed_point, Grid.from_domain(-30.0, 30.0, 1.0 / 16.0, 1.0)
         bad = grid.index_of(0.5)
 
-        def breaking(sweep, start, lab, firsts, shifts):
-            def broken(*x):
-                new = sweep(*x)
+        def breaking(sweep, start, slots, lab, firsts, shifts):
+            def broken(cols, out, *x):
+                new = sweep(cols, out, *x)
                 new[stage][1, bad - firsts[stage]] = np.nan
                 return new
-            return fixed_point(broken, start, lab, firsts, shifts)
+            return fixed_point(broken, start, slots, lab, firsts, shifts)
         monkeypatch.setattr(solver, "_fixed_point", breaking)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
         with pytest.raises(SolverError, match=rf"sweep 1 .* \(step 1, node {bad} at x = 0.5\)"):
@@ -987,13 +987,25 @@ def test_memory_bounded_in_T():
     assert peak < 2e6
 
 
-def full_window_fixed_point(sweep, start, lab, firsts, shifts):
+def test_label_bytes_count_the_arrays_a_run_holds():
+    # the memory rule of `check` and `sweep` (cli.LABEL_BYTES) counts the solver's
+    # arrays per label through solver.LABEL_BYTES
+    from dirac1d import solver
+    grid = Grid.from_domain(-10.0, 10.0, 0.25, 1.0)
+    lab = solver._Labels(make_initial_data("gaussian", GAUSSIAN_PAIR, grid),
+                         ModelParams.gross_neveu(), Scheme())
+    arrays = (lab.w, lab.moduli, lab.sources, lab.traces, lab.work)
+    assert all(a.shape[1] == lab.w.shape[1] for a in arrays)
+    assert solver.LABEL_BYTES == sum(a.itemsize * a.shape[0] for a in arrays)
+
+
+def full_window_fixed_point(sweep, start, slots, lab, firsts, shifts):
     """`solver._fixed_point` with every sweep on the full window: the reference the
     settled-node span must reproduce bit for bit (its data never diverge)."""
     x, every = start, slice(None)
     scale = 1.0 + np.max(lab.moduli)
     for iters in range(1, lab.s.fixed_point_max_iter + 1):
-        new = sweep(every, *x)
+        new = sweep(every, slots[iters % 2], *x)
         delta = max(np.max(np.abs(a - b)) for a, b in zip(new, x))
         x = new
         if delta <= lab.s.fixed_point_tol * scale:
@@ -1004,12 +1016,12 @@ def full_window_fixed_point(sweep, start, lab, firsts, shifts):
 def recording(fixed_point, log):
     """fixed_point, logging every iterate (the input of each sweep, then the last)
     as bytes, the sweeps and the columns each sweep was handed."""
-    def fp(sweep, start, lab, firsts, shifts):
-        def recorded(cols, *x):
+    def fp(sweep, start, slots, lab, firsts, shifts):
+        def recorded(cols, out, *x):
             log["iterates"].append([a.tobytes() for a in x])
             log["cols"].append(cols.indices(lab.w.shape[1])[:2])
-            return sweep(cols, *x)
-        x, iters, moved = fixed_point(recorded, start, lab, firsts, shifts)
+            return sweep(cols, out, *x)
+        x, iters, moved = fixed_point(recorded, start, slots, lab, firsts, shifts)
         log["iterates"].append([a.tobytes() for a in x])
         log["sweeps"].append(iters)
         return x, iters, moved
@@ -1076,6 +1088,28 @@ class TestSweepSpan:
         assert logs[0]["cols"][1] == (self.C - 2, self.C + 3)
         assert logs[0]["sweeps"] == logs[1]["sweeps"]
         assert logs[0]["iterates"] == logs[1]["iterates"]
+
+    @pytest.mark.parametrize("kind", ["trapezoidal", "oracle4"])
+    def test_no_sweep_writes_over_its_input(self, kind, monkeypatch):
+        # the span proof reads the previous iterate outside `cols` while the sweep
+        # writes its slot: `_fixed_point` must alternate the slots it hands out
+        from dirac1d import solver
+        fixed_point, seen = solver._fixed_point, {"sweeps": [], "spans": 0, "shared": 0}
+
+        def spy(sweep, start, slots, lab, firsts, shifts):
+            def checked(cols, out, *x):
+                seen["shared"] += any(np.shares_memory(out, stage) for stage in x)
+                seen["spans"] += cols.indices(lab.w.shape[1])[:2] != (0, lab.w.shape[1])
+                return sweep(cols, out, *x)
+            x, iters, moved = fixed_point(checked, start, slots, lab, firsts, shifts)
+            seen["sweeps"].append(iters)
+            return x, iters, moved
+        monkeypatch.setattr(solver, "_fixed_point", spy)
+        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 16.0, 2.0)
+        shape = {**PHASED_PAIR, "u_amplitude": 1.5, "v_amplitude": -1.2}
+        run(make_initial_data("gaussian", shape, grid), COUPLINGS["custom"], Scheme(kind), [])
+        assert seen["shared"] == 0
+        assert max(seen["sweeps"]) > 2 and seen["spans"]  # multi-sweep steps and spans
 
 
 class TestFoldedWeights:
