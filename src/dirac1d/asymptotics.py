@@ -21,16 +21,20 @@ residual from the traces avoids the catastrophic cancellation of subtracting
 two O(1) fields whose difference decays below machine epsilon.
 
 The discarded tail beyond t_max, and the residual at any t, are certified by
-fully explicit bounds assembled from the pointwise envelope and the exact
-light-cone charge balance:
+fully explicit bounds assembled from the exact light-cone charge balance and
+the pointwise envelope E = exp(4|beta| C0) (`ModelParams.envelope`):
 
-    |u(y + s, s)|   <= exp(4|beta| C0) |u0(y)|
-    |v(y + s, s)|^2 <= exp(8|beta| C0) |v0(y + 2s)|^2
+    |u(y + s, s)|   <= E |u0(y)|
+    |v(y + s, s)|^2 <= E^2 |v0(y + 2s)|^2
 
-which give, after the substitution tau = y + 2s,
+so along the u characteristic |N1| <= c_star |u||v|^2 <= c_star E^3 |u0(y)|
+|v0(y + 2s)|^2.  That makes c_star E^3 the sup bound's constant and, integrated
+over s >= t and squared with tau = y + 2s, c_star^2 (1/4) E^6 the L2 bound's:
 
     int |int_t^inf |u||v|^2 ds|^2 dy
-        <= (1/4) exp(24|beta| C0) int |u0(y)|^2 (int_{y+2t}^inf |v0|^2)^2 dy.
+        <= (1/4) E^6 int |u0(y)|^2 (int_{y+2t}^inf |v0|^2)^2 dy.
+
+An infinite constant bounds a zero integral by 0 (`fields.scaled`).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import InitialData, ModelParams, time_level
+from .fields import InitialData, ModelParams, scaled, time_level
 from .solver import Trajectory
 
 @dataclass
@@ -83,34 +87,26 @@ def _suffix_trapz(w: np.ndarray, h: float) -> np.ndarray:
     return h * (np.cumsum(w[::-1])[::-1] - 0.5 * w)
 
 
-def _scaled(const: float, x: float) -> float:
-    """const * x, where an infinite const bounds a zero integral by 0."""
-    return const * x if x else 0.0
-
-
 def tail_bound(data: InitialData, m: ModelParams, t: float) -> tuple[float, float]:
     """Explicit L2 tail bounds (u side, v side) on the remainder integrals past time t.
 
     For the u side:
-        c_star^2 * (1/4) * exp(24|beta| C0)
-            * int |u0(y)|^2 (int_{y+2t}^inf |v0(tau)|^2 dtau)^2 dy,
+        c_star^2 * (1/4) * E^6 * int |u0(y)|^2 (int_{y+2t}^inf |v0(tau)|^2 dtau)^2 dy,
     evaluated by trapezoid rule with suffix cumulative sums; the v side swaps
     the roles of u0 and v0 and integrates the prefix below y - 2t.  Monotone
     nonincreasing in t, which must be a cell level (`fields.time_level`).
     """
     h = data.grid.h
     k = time_level(t, h)
-    mu0 = np.abs(data.u0) ** 2
-    mv0 = np.abs(data.v0) ** 2
+    mu0, mv0 = np.abs(data.u0) ** 2, np.abs(data.v0) ** 2
     n = min(2 * k, len(mu0))
     # the inner integral starts 2t = n cells past the outer label (ends n before)
     inner_u, inner_v = np.zeros_like(mu0), np.zeros_like(mv0)
     inner_u[:len(mu0) - n] = _suffix_trapz(mv0, h)[n:]
     inner_v[n:] = _suffix_trapz(mu0[::-1], h)[::-1][:len(mv0) - n]
-    with np.errstate(over="ignore"):
-        const = m.c_star * m.c_star * 0.25 * float(np.exp(24.0 * abs(m.beta) * data.c0))
-    return (_scaled(const, h * float(np.sum(mu0 * inner_u ** 2))),
-            _scaled(const, h * float(np.sum(mv0 * inner_v ** 2))))
+    const = m.c_star * m.c_star * 0.25 * m.envelope(data.c0, 6)
+    return (scaled(const, h * float(np.sum(mu0 * inner_u ** 2))),
+            scaled(const, h * float(np.sum(mv0 * inner_v ** 2))))
 
 
 def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
@@ -120,8 +116,8 @@ def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
     For the u side, split the characteristic labels at M = split_point:
     labels y <= M contribute at most sup_{y<=M} |u0(y)| * ||v0||_{L2}^2, and
     labels y >= M at most ||u0||_inf * (1/2) int_{M+2t}^inf |v0|^2, both times
-    c_star * exp(12|beta| C0).  The v side is the mirror image: its split sits
-    at -split_point with the far field toward +inf.
+    c_star * E^3.  The v side is the mirror image: its split sits at
+    -split_point with the far field toward +inf.
     """
     if not t >= 0:  # NaN too
         raise ValueError(f"t must be >= 0, got {t}")
@@ -129,10 +125,8 @@ def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
         raise ValueError("split_point must not be NaN")
     h = data.grid.h
     x = data.grid.x()
-    mu0 = np.abs(data.u0) ** 2
-    mv0 = np.abs(data.v0) ** 2
-    with np.errstate(over="ignore"):
-        const = m.c_star * float(np.exp(12.0 * abs(m.beta) * data.c0))
+    mu0, mv0 = np.abs(data.u0) ** 2, np.abs(data.v0) ** 2
+    const = m.c_star * m.envelope(data.c0, 3)
 
     near = x <= split_point
     sup_near = float(np.sqrt(np.max(mu0[near]))) if np.any(near) else 0.0
@@ -140,7 +134,7 @@ def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
     # round the lower limit down a node: conservative (enlarges the bound)
     start = int(np.searchsorted(x, split_point + 2.0 * t)) - 1
     far_mass = float(_suffix_trapz(mv0, h)[start]) if start >= 0 else mass
-    bound_u = _scaled(const, max(sup_near * mass, float(np.sqrt(np.max(mu0))) * 0.5 * far_mass))
+    bound_u = scaled(const, max(sup_near * mass, float(np.sqrt(np.max(mu0))) * 0.5 * far_mass))
 
     near = x >= -split_point
     sup_near = float(np.sqrt(np.max(mv0[near]))) if np.any(near) else 0.0
@@ -148,7 +142,7 @@ def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
     # round the upper limit up a node: conservative (enlarges the bound)
     end = int(np.searchsorted(x, -split_point - 2.0 * t))
     far_mass = float(_suffix_trapz(mu0[::-1], h)[::-1][end]) if end < len(x) else mass
-    bound_v = _scaled(const, max(sup_near * mass, float(np.sqrt(np.max(mv0))) * 0.5 * far_mass))
+    bound_v = scaled(const, max(sup_near * mass, float(np.sqrt(np.max(mv0))) * 0.5 * far_mass))
     return bound_u, bound_v
 
 

@@ -48,8 +48,10 @@ POINTWISE_TOL = 1e-8
 IDENTITY_TOL = 1e-12
 TRIANGLE_TOL_COEFF = 10.0  # |defect| <= coeff * h^2 * max(1, initial charge)
 
-# the identity the preflight certifies; each requested check's is in CHECKS
+# the identity the preflight certifies, on this many seeded samples; each
+# requested check's is in CHECKS
 IDENTITY = "Re(i conj(N1) u) + Re(i conj(N2) v) = 0"
+IDENTITY_SAMPLES = 10000
 
 
 class ConfigError(ValueError):
@@ -299,17 +301,18 @@ def _write_table(path: Path, header: list[str], blocks) -> None:
                 fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def _identity_sweep(seed: int, n: int = 10000) -> float:
-    """Max normalized charge-flux defect over seeded random states and couplings.
+def _identity_sweep(seed: int) -> float:
+    """Max normalized charge-flux defect over `IDENTITY_SAMPLES` seeded random
+    states and couplings.
 
     The production N1/N2 are elementwise, so each sample carries its own
-    (alpha, beta) through charge_flux_defect as arrays.
+    (alpha, beta) through charge_flux_defect as arrays.  The draws come in the
+    order Re u, Im u, Re v, Im v, alpha, beta.
     """
     rng = np.random.default_rng(seed)
-    u = (rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n))
-    v = (rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n))
-    alpha = rng.uniform(-2, 2, n)
-    beta = rng.uniform(-2, 2, n)
+    (ur, ui), (vr, vi) = rng.uniform(-10, 10, (2, 2, IDENTITY_SAMPLES))
+    alpha, beta = rng.uniform(-2, 2, (2, IDENTITY_SAMPLES))
+    u, v = ur + 1j * ui, vr + 1j * vi
     d = charge_flux_defect(u, v, ModelParams(alpha, beta))
     return float(np.max(np.abs(d) / (1.0 + np.abs(u) ** 2 * np.abs(v) ** 2)))
 

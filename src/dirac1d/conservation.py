@@ -6,8 +6,9 @@
 * the characteristic-triangle balance law: interior charge at time tau plus
   twice the outflow through the two slanted sides equals the charge on the
   base segment;
-* the pointwise exponential envelope |u(x,t)|^2 <= exp(8|beta| C0) |u0(x-t)|^2
-  (and the v analogue), with C0 taken as the exact initial charge of the run;
+* the pointwise envelope squared, |u(x,t)|^2 <= E^2 |u0(x-t)|^2 (and the v
+  analogue), with E = exp(4|beta| C0) of `ModelParams.envelope` and C0 the
+  exact initial charge of the run;
 * for beta = 0, exact transport of |u| and |v| along the characteristics.
 
 `TriangleSides` and `ModulusDrift` are probes for `solver.run`: they gather
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, InitialData, TriangleRegion, at_nodes, charge
+from .fields import Grid, InitialData, TriangleRegion, at_nodes, charge, scaled
 from .solver import Scheme, Step, Trajectory
 
 
@@ -128,15 +129,14 @@ def check_pointwise_bound(traj: Trajectory) -> float:
     """Worst violation of the exponential pointwise envelope over all snapshots.
 
     Returns max over recorded snapshots and the whole line of
-    |u(x,t)|^2 - exp(8|beta| C0) |u0(x-t)|^2 and the mirrored v expression,
-    read label by label, with C0 the run's exact initial charge
-    `traj.data.c0`.  It is never below 0, the value wherever both sides
-    vanish; 0 means the bound holds everywhere.
+    |u(x,t)|^2 - E^2 |u0(x-t)|^2 and the mirrored v expression, read label by
+    label, with E the envelope of the run's exact initial charge `traj.data.c0`.
+    It is never below 0, the value wherever both sides vanish (an infinite E^2
+    bounds a zero label by 0, `fields.scaled`); 0 means the bound holds
+    everywhere.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite factor times 0 bounds by 0
-        factor = float(np.exp(8.0 * abs(traj.params.beta) * traj.data.c0))
-        bu, bv = (np.nan_to_num(factor * np.abs(a) ** 2, nan=0.0, posinf=np.inf)
-                  for a in (traj.data.u0, traj.data.v0))
+    factor = traj.params.envelope(traj.data.c0, 2)
+    bu, bv = (scaled(factor, np.abs(a) ** 2) for a in (traj.data.u0, traj.data.v0))
     worst = 0.0
     for u, v, *_ in traj.snapshots.values():
         worst = max(worst, float(np.max(np.abs(u) ** 2 - bu)),

@@ -9,7 +9,9 @@ and each label keeps its support, so the whole-line problem needs no boundary
 modeling at all; a node whose label lies off the domain reads zero.  Times,
 coordinates and spans are whole numbers of cells, by one rule: `lattice_count`;
 a time is a cell level by one rule too: `time_level`.  The families' shape keys
-{u,v}_<name> and their defaults are one table: `SHAPE`.
+{u,v}_<name> and their defaults are one table: `SHAPE`.  Every certified bound
+is a power of the pointwise envelope, `ModelParams.envelope`, times a quantity
+of the data, and an infinite factor bounds a zero quantity by 0: `scaled`.
 """
 
 from __future__ import annotations
@@ -87,6 +89,16 @@ class ModelParams:
         """
         return abs(self.alpha) + 4.0 * abs(self.beta)
 
+    def envelope(self, c0: float, k: int) -> float:
+        """E^k for the pointwise envelope E = exp(4|beta| C0) of charge C0:
+
+            |u(y + s, s)| <= E |u0(y)|,   |v(z - s, s)| <= E |v0(z)|.
+
+        Every certified bound is a power of E; past the float range E^k is inf.
+        """
+        with np.errstate(over="ignore"):
+            return float(np.exp(4.0 * k * abs(self.beta) * c0))
+
     @classmethod
     def thirring(cls) -> "ModelParams":
         return cls(alpha=1.0, beta=0.0)
@@ -94,6 +106,14 @@ class ModelParams:
     @classmethod
     def gross_neveu(cls) -> "ModelParams":
         return cls(alpha=0.0, beta=0.25)
+
+
+def scaled(factor: float, x):
+    """factor * x for x >= 0, a float or an array, where an infinite factor
+    bounds a zero x by 0; a product past the float range is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(np.equal(x, 0.0), 0.0, np.multiply(factor, x))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,40 @@
 """Reference formulas: the potential W and difference quotients of it, which
 the tests compare with `eval_N`, and the Thirring-type (beta = 0) state in
 closed form, on the lattice, which they compare with phase_split, and on the
-line, which they compare with every scheme."""
+line, which they compare with every scheme.  Also the acceptance suite's
+reference runs, and the ones of them that `conftest.py` starts in a worker
+process: `reference_run` and `CHILD_RUNS`."""
 
 import math
 
 import numpy as np
 
+from dirac1d import Grid, ModelParams, Scheme, make_initial_data, run
 from dirac1d.fields import SHAPE
 from dirac1d.nonlinearity import eval_N, pair_overlap
+
+GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
+RECORD = [0.0, 2.5, 5.0, 10.0, 20.0]
+
+# reference_run's arguments of the runs that conftest.py starts in its one worker
+# process when a selected test reads them, by the name of the session fixture that
+# returns the run's future: they run while the rest of the suite does
+CHILD_RUNS = {
+    # acceptance criterion 9's 4th-order reference at h / 4
+    "oracle_future": {"model": "gross_neveu", "h": 1.0 / 1024.0, "scheme": "oracle4",
+                      "T": 10.0, "record": [10.0]},
+    # a small one, which a test compares with the same run made in-process
+    "small_oracle_future": {"model": "gross_neveu", "h": 1.0 / 64.0, "scheme": "oracle4",
+                            "T": 4.0, "span": 12.0, "record": [2.0, 4.0]},
+}
+
+
+def reference_run(model, h, scheme="trapezoidal", T=20.0, span=40.0, record=RECORD):
+    """The Gaussian pair on [-span, span] up to T, with the model's preset couplings."""
+    m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
+    grid = Grid.from_domain(-span, span, h, T)
+    data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
+    return run(data, m, Scheme(scheme), list(record))
 
 
 def eval_W(u, v, m):

@@ -1,5 +1,5 @@
 """The statistics `tools/ab.py` prints, CPU time's included, on fixed inputs, its
-path-length rule and its counts of one run."""
+path-length rule, its counts of one run and its line on whether they moved."""
 
 import importlib.util
 import json
@@ -45,6 +45,21 @@ def test_cpu_seconds_compared_like_wall_time(ab):
     # 3 pairs won, 1 lost, 1 tied: p = 2 * 5 / 16
     assert ab.row(ab.CPU, this, parent).split() == [
         "cpu_s", "s", "1.1", "[1-1.2]", "1", "[1-1.1]", "3/5", "0.625"]
+
+
+def test_count_moves(ab):
+    parent = {"status": 0, "sweeps": 3776, "eval_N_calls": 3776, "eval_N_nodes": 19316053}
+    assert ab.count_moves(dict(parent), parent) == (
+        "counts equal: sweeps, eval_N_calls, eval_N_nodes")
+    # one more eval_N call per sweep, as a scratch defect makes it; status is no count
+    this = {**parent, "status": 1, "eval_N_calls": 7552, "eval_N_nodes": 21247658}
+    assert ab.count_moves(this, parent) == (
+        "counts differ: eval_N_calls 3,776 -> 7,552 (+100.0 %); "
+        "eval_N_nodes 19,316,053 -> 21,247,658 (+10.0 %)")
+    assert ab.count_moves({**parent, "sweeps": 0}, parent) == (
+        "counts differ: sweeps 3,776 -> 0 (-100.0 %)")
+    assert ab.count_moves(parent, {**parent, "sweeps": 0}) == (
+        "counts differ: sweeps 0 -> 3,776 (from 0)")
 
 
 def test_refuses_paths_of_unequal_length(ab, tmp_path, capsys):

@@ -27,10 +27,9 @@ from dirac1d import (Grid, ModelParams, ModulusDrift, Scheme, TriangleRegion, Tr
 from dirac1d.cli import parse_config, run_experiment
 from dirac1d.nonlinearity import charge_flux_defect, eval_N
 from dirac1d.solver import l2_diff, restrict
-from reference import first_variation, first_variation_fd, wirtinger_fd
+from reference import (GAUSSIAN_PAIR, RECORD, first_variation, first_variation_fd,
+                       reference_run, wirtinger_fd)
 
-GAUSSIAN_PAIR = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
-RECORD = [0.0, 2.5, 5.0, 10.0, 20.0]
 LATE = (5.0, 10.0, 20.0)
 
 TRIANGLE_C = 1.0
@@ -41,13 +40,6 @@ SUP_K = 0.0
 def report(num, title, ok, detail):
     print(f"[criterion {num:2d}] {title}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} failed: {detail}"
-
-
-def reference_run(model, h, scheme="trapezoidal", T=20.0, span=40.0, record=RECORD):
-    m = ModelParams.thirring() if model == "thirring" else ModelParams.gross_neveu()
-    grid = Grid.from_domain(-span, span, h, T)
-    data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
-    return run(data, m, Scheme(scheme), list(record))
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +75,11 @@ def triangles():
 
 
 @pytest.fixture(scope="module")
-def oracle_pair():
+def oracle_pair(oracle_future):
+    # the oracle4 run at h = 1/1024 is CHILD_RUNS["oracle_future"], made in conftest's
+    # worker while the suite ran
     trap = reference_run("gross_neveu", 1.0 / 256.0, T=10.0, record=[10.0])
-    oracle = reference_run("gross_neveu", 1.0 / 1024.0, scheme="oracle4",
-                           T=10.0, record=[10.0])
-    return trap, oracle
+    return trap, oracle_future.result()
 
 
 def test_criterion_01_algebraic_identities():

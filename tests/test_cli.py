@@ -218,11 +218,14 @@ class TestParseConfig:
     def test_lattice_too_large_to_sample(self, tmp_path, capsys, monkeypatch):
         # 2^34 nodes are below numpy's size limit; a real allocation that size can be
         # granted by overcommit and the process killed while filling it, so Grid.x
-        # raises the MemoryError numpy would
+        # raises the MemoryError numpy would.  The byte rule, which would stop this
+        # lattice first, is set aside, as where a process limit sits below physical
+        # memory: the MemoryError then comes from sampling the data in _setup
         def no_memory(grid):
             raise MemoryError(f"cannot allocate {grid.n_cells} nodes")
 
         monkeypatch.setattr(Grid, "x", no_memory)
+        monkeypatch.setattr(dirac1d.cli, "LABEL_BYTES", 0)
         path = write_config(tmp_path, h=2.0 ** -30)
         with pytest.raises(ConfigError) as exc:
             parse_config(path.read_text())

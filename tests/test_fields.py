@@ -36,6 +36,66 @@ class TestModelParams:
         ModelParams(np.full(2, 0.5), np.zeros(2))  # one coupling per sample is fine
 
 
+def _parent_scaled(const, x):
+    """The tail bounds' rule before `scaled`: an infinite const bounds a zero by 0."""
+    return const * x if x else 0.0
+
+
+class TestEnvelope:
+    """The bounds built on `ModelParams.envelope` and `scaled` keep the bits of the
+    literal expressions each of them once spelled out, overflow and inf * 0 included."""
+
+    # (u, v) amplitudes of the Gaussian pair on [-12, 12]: C0 from 0.23 to 4.0e3,
+    # and data with one or both components zero
+    AMPLITUDES = [(0.3, 0.3), (1.0, 1.0), (5.0, 5.0), (12.0, 12.0), (40.0, 40.0),
+                  (0.0, 12.0), (12.0, 0.0), (0.0, 0.0)]
+
+    @pytest.mark.parametrize("amplitudes", AMPLITUDES)
+    @pytest.mark.parametrize("beta", [0.0, 0.25, -0.35, 1e3])
+    def test_bounds_keep_their_bits(self, beta, amplitudes):
+        from dirac1d import Trajectory, check_pointwise_bound, sup_tail_bound, tail_bound
+        grid = Grid.from_domain(-12.0, 12.0, 1.0 / 16.0, 2.0)
+        shape = {**GAUSSIAN_PAIR, "u_amplitude": amplitudes[0], "v_amplitude": amplitudes[1]}
+        data = make_initial_data("gaussian", shape, grid)
+        m, c0 = ModelParams(0.7, beta), data.c0
+        zero = np.zeros_like(data.u0)
+        traj = Trajectory(m, data, snapshots={0: (data.u0, data.v0, zero, zero),
+                                              32: (1.01 * data.u0, 0.5 * data.v0, zero, zero)})
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = float(np.exp(8.0 * abs(beta) * c0))
+            bu, bv = (np.nan_to_num(factor * np.abs(a) ** 2, nan=0.0, posinf=np.inf)
+                      for a in (data.u0, data.v0))
+            l2_const = m.c_star * m.c_star * 0.25 * float(np.exp(24.0 * abs(beta) * c0))
+            sup_const = m.c_star * float(np.exp(12.0 * abs(beta) * c0))
+        worst = 0.0
+        for u, v, *_ in traj.snapshots.values():
+            worst = max(worst, float(np.max(np.abs(u) ** 2 - bu)),
+                        float(np.max(np.abs(v) ** 2 - bv)))
+        assert repr(check_pointwise_bound(traj)) == repr(worst)
+
+        # couplings with a unit constant (c_star 2 and 1, beta 0) return the sums alone
+        for t in (0.0, 1.0, 2.0):
+            sums = tail_bound(data, ModelParams(2.0, 0.0), t)
+            expected = tuple(_parent_scaled(l2_const, x) for x in sums)
+            assert repr(tail_bound(data, m, t)) == repr(expected)
+            for split in (-20.0, 0.5, 20.0):
+                sums = sup_tail_bound(data, ModelParams(1.0, 0.0), t, split)
+                expected = tuple(_parent_scaled(sup_const, x) for x in sums)
+                assert repr(sup_tail_bound(data, m, t, split)) == repr(expected)
+        if np.isinf(factor) and 0.0 in amplitudes:  # an infinite factor bounds a zero by 0
+            side = amplitudes.index(0.0)
+            assert tail_bound(data, m, 0.0)[side] == sup_tail_bound(data, m, 0.0, 0.5)[side] == 0.0
+
+    def test_cases_reach_overflow(self):
+        # the largest C0 above overflows every power the bounds take, at beta = 0.25
+        data = make_initial_data("gaussian", {**GAUSSIAN_PAIR, "u_amplitude": 40.0,
+                                              "v_amplitude": 40.0},
+                                 Grid.from_domain(-12.0, 12.0, 1.0 / 16.0, 2.0))
+        m = ModelParams(0.7, 0.25)
+        assert [m.envelope(data.c0, k) for k in (2, 3, 6)] == [np.inf] * 3
+        assert m.envelope(0.0, 6) == ModelParams(0.7, 0.0).envelope(data.c0, 6) == 1.0
+
+
 class TestGrid:
     def test_from_domain_counts(self):
         g = Grid.from_domain(-10.0, 10.0, 0.25, 2.0)

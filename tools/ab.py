@@ -14,7 +14,9 @@ faults.  Last, per tree, it prints counts of one run of the workload that repeat
 exactly, so they resolve a change that timings cannot: the fixed-point sweeps
 of all its steps, and the `eval_N` calls and node evaluations (the columns of
 the pairs passed to `dirac1d.solver.eval_N`).  A counting launcher imports
-that tree's `src`, wraps `eval_N` and hands `run` one more probe.
+that tree's `src`, wraps `eval_N` and hands `run` one more probe.  A last line
+says whether those counts are equal in the two trees or which of them moved,
+and by what percentage of the parent's count.
 
 Each child is spawned by a short-lived launcher process that calls
 `perfbench/run.py`'s `_execute`.  Linux carries a process's maximum resident
@@ -87,6 +89,9 @@ print(json.dumps({"status": status, **counts}))
 # compared like the end-to-end metrics of BENCHMARK.json
 CPU = {"name": "cpu_s", "unit": "s", "better": "lower"}
 
+# the counts of one run that repeat exactly, as COUNTER prints them
+COUNTS = ("sweeps", "eval_N_calls", "eval_N_nodes")
+
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
     """(Q1, median, Q3) of a sample of at least two values."""
@@ -107,6 +112,20 @@ def sign_test(won: int, lost: int) -> float:
     if n == 0:
         return 1.0
     return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2.0 ** n)
+
+
+def count_moves(this: dict, parent: dict) -> str:
+    """Whether `COUNTS` are equal in the two trees' runs, or which differ and by
+    what percentage of the parent's count."""
+    moved = []
+    for key in COUNTS:
+        a, b = this[key], parent[key]
+        if a != b:
+            change = f"{100.0 * (a - b) / b:+.1f} %" if b else "from 0"
+            moved.append(f"{key} {b:,} -> {a:,} ({change})")
+    if not moved:
+        return "counts equal: " + ", ".join(COUNTS)
+    return "counts differ: " + "; ".join(moved)
 
 
 def launch(tree: Path, workload: str) -> dict:
@@ -208,9 +227,11 @@ def main(argv=None) -> int:
     for workload in WORKLOADS if args.workload == "all" else [args.workload]:
         report(workload, measure_pairs(workload, args.seed, args.pairs, trees))
         cfg = make_config(workload, args.seed, ROOT)
-        for side, tree in reversed(trees.items()):
+        counts = {side: count(tree, cfg) for side, tree in reversed(trees.items())}
+        for side, counted in counts.items():
             print(f"  one run in {side}: " + ", ".join(
-                f"{key} {value:,}" for key, value in count(tree, cfg).items()))
+                f"{key} {value:,}" for key, value in counted.items()))
+        print("  " + count_moves(counts["this"], counts["parent"]))
     return 0
 
 
