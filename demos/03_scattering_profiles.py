@@ -12,7 +12,7 @@ the integral beyond the simulated horizon.
 
 import numpy as np
 
-from dirac1d import (Grid, ModelParams, Scheme, compute_profile, make_initial_data,
+from dirac1d import (Grid, ModelParams, Scheme, compute_profile, l2_norm, make_initial_data,
                      residual, run, sup_tail_bound, tail_bound)
 
 SHAPE = {"u_center": 0.0, "u_width": 1.0, "v_center": 1.0, "v_width": 1.0}
@@ -22,14 +22,14 @@ data = make_initial_data("gaussian", SHAPE, grid)
 m = ModelParams.thirring()
 traj = run(data, m, Scheme(), [0.0, 1.0, 2.0, 4.0, 8.0])
 
-p_u, p_v = compute_profile(traj)   # (G1, G2): both movers in one call
-print(f"profile norms:  |G1| = {p_u.l2_norm(grid.h):.6f}   "
-      f"|G2| = {p_v.l2_norm(grid.h):.6f}")
-print(f"truncation-tail certificates: {p_u.tail_certificate:.2e} (u), "
-      f"{p_v.tail_certificate:.2e} (v)")
+g1, g2 = compute_profile(traj)   # (G1, G2) by label: both movers in one call
+print(f"profile norms:  |G1| = {l2_norm(g1, grid.h):.6f}   "
+      f"|G2| = {l2_norm(g2, grid.h):.6f}")
+cert_u, cert_v = np.sqrt(tail_bound(data, m, grid.t_final))  # L2 bounds on the truncated tail
+print(f"truncation-tail certificates: {cert_u:.2e} (u), {cert_v:.2e} (v)")
 
-j = np.argmax(np.abs(p_u.values))
-print(f"G1 peaks at y = {grid.x()[j]:+.3f} with |G1| = {abs(p_u.values[j]):.4f}")
+j = np.argmax(np.abs(g1))
+print(f"G1 peaks at y = {grid.x()[j]:+.3f} with |G1| = {abs(g1[j]):.4f}")
 
 print("\nresidual against the settled profiles:")
 print(f"  {'t':>4}  {'l2_u':>9}  {'sup_u':>9}  {'tail bound':>10}  {'sup bound':>9}")

@@ -42,9 +42,9 @@ from .conservation import (
     triangle_balance,
 )
 from .asymptotics import (
-    Profile,
     ResidualReport,
     compute_profile,
+    l2_norm,
     residual,
     sup_tail_bound,
     tail_bound,
@@ -53,9 +53,9 @@ from .asymptotics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceReport", "Grid", "InitialData", "ModelParams", "ModulusDrift", "Profile",
-    "ResidualReport", "Scheme", "SolverError", "Trajectory", "TriangleRegion",
-    "TriangleSides", "charge", "charge_flux_defect", "check_pointwise_bound", "compute_profile",
-    "eval_N", "l2_diff", "make_initial_data", "residual", "restrict", "run", "sup_tail_bound",
+    "BalanceReport", "Grid", "InitialData", "ModelParams", "ModulusDrift", "ResidualReport",
+    "Scheme", "SolverError", "Trajectory", "TriangleRegion", "TriangleSides", "charge",
+    "charge_flux_defect", "check_pointwise_bound", "compute_profile", "eval_N", "l2_diff",
+    "l2_norm", "make_initial_data", "residual", "restrict", "run", "sup_tail_bound",
     "tail_bound", "total_charge_drift", "triangle_balance",
 ]

@@ -6,7 +6,11 @@ For large times the right-mover approaches u0(x - t) + G1(x - t) with
 
 and the left-mover approaches v0(x + t) + G2(x + t) with the mirrored
 integral.  Each function here treats both movers in one call: profiles and
-bounds come back as a (u side, v side) pair.  The solver records the
+bounds come back as a (u side, v side) pair.  The functions come in two
+kinds, each with one input: `compute_profile` and `residual` read only the
+trajectory's traces, and the bounds `tail_bound` and `sup_tail_bound` read
+only the initial data, so a caller pairs a residual at t with the bounds at
+t.  The solver records the
 trapezoid integrals A1(y, t), A2(y, t) of the sources along every lattice
 characteristic, so the truncated profile is just -i * A(y, t_max), and the
 remainder at a recorded time t,
@@ -46,38 +50,22 @@ import numpy as np
 from .fields import InitialData, ModelParams, scaled, time_level
 from .solver import Trajectory
 
-@dataclass
-class Profile:
-    """Truncated scattering profile on the characteristic labels `Grid.x()`.
-
-    The u side holds G1 on labels y = x - t, the v side G2 on y = x + t.
-    tail_certificate is a rigorous L2 bound on the integral discarded past the
-    run's final time t_max, monotone nonincreasing in t_max.
-    """
-
-    values: np.ndarray
-    tail_certificate: float
-
-    def l2_norm(self, h: float) -> float:
-        return _l2(self.values, h)
-
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Residual norms against the truncated profiles at one recorded time.
-
-    analytic_bound_u / analytic_bound_v bound the *squared* L2 residuals
-    (tail_bound values at this t); l2 and sup columns are the norms
-    themselves.
-    """
+    """L2 and sup norms of the residuals against the truncated profiles at one
+    recorded time.  Their bounds are `tail_bound` and `sup_tail_bound` at t."""
 
     t: float
     l2_u: float
     sup_u: float
     l2_v: float
     sup_v: float
-    analytic_bound_u: float
-    analytic_bound_v: float
+
+
+def l2_norm(a: np.ndarray, h: float) -> float:
+    """The lattice L2 norm sqrt(h * sum |a|^2)."""
+    return float(np.sqrt(h * np.sum(np.abs(a) ** 2)))
 
 
 def _suffix_trapz(w: np.ndarray, h: float) -> np.ndarray:
@@ -146,17 +134,14 @@ def sup_tail_bound(data: InitialData, m: ModelParams, t: float,
     return bound_u, bound_v
 
 
-def compute_profile(traj: Trajectory) -> tuple[Profile, Profile]:
-    """Truncated scattering profiles (G1, G2) from the trajectory's characteristic traces.
+def compute_profile(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated scattering profiles (G1, G2) by label from the trajectory's traces.
 
-    values = -i * (trapezoid of the traced source over [0, t_max]) per lattice
-    label, t_max = traj.grid.t_final; each side's truncation-tail certificate
-    is the root of its tail_bound(t_max), the bound `residual` reports at t_max.
+    G = -i * (trapezoid of the traced source over [0, t_max]) per lattice
+    label, t_max = traj.grid.t_final; tail_bound(t_max) bounds the squared
+    L2 norm of what the truncation discards.
     """
-    t_max = traj.grid.t_final
-    bounds = tail_bound(traj.data, traj.params, t_max)
-    return tuple(Profile(values=-1j * a, tail_certificate=float(np.sqrt(b)))
-                 for a, b in zip(traj.snapshot_at(t_max)[2:], bounds))
+    return tuple(-1j * a for a in traj.snapshot_at(traj.grid.t_final)[2:])
 
 
 def residual(traj: Trajectory, t: float) -> ResidualReport:
@@ -165,26 +150,12 @@ def residual(traj: Trajectory, t: float) -> ResidualReport:
     Uses the exact discrete remainder identity: the residual per label equals
     i * (A(t_max) - A(t)) where A is the trace integral, which is free of the
     cancellation that the direct field difference suffers once the remainder
-    decays below machine epsilon relative to the fields.  It reads the traces
-    alone, not the profiles -i * A(t_max).
+    decays below machine epsilon relative to the fields.
     """
     *_, a1_t, a2_t = traj.snapshot_at(t)
     *_, a1_T, a2_T = traj.snapshot_at(traj.grid.t_final)
     h = traj.grid.h
     r_u = 1j * (a1_T - a1_t)
     r_v = 1j * (a2_T - a2_t)
-    bound_u, bound_v = tail_bound(traj.data, traj.params, t)
-    return ResidualReport(
-        t=t,
-        l2_u=_l2(r_u, h),
-        sup_u=float(np.max(np.abs(r_u))),
-        l2_v=_l2(r_v, h),
-        sup_v=float(np.max(np.abs(r_v))),
-        analytic_bound_u=bound_u,
-        analytic_bound_v=bound_v,
-    )
-
-
-def _l2(a: np.ndarray, h: float) -> float:
-    """The lattice L2 norm sqrt(h * sum |a|^2)."""
-    return float(np.sqrt(h * np.sum(np.abs(a) ** 2)))
+    return ResidualReport(t=t, l2_u=l2_norm(r_u, h), sup_u=float(np.max(np.abs(r_u))),
+                          l2_v=l2_norm(r_v, h), sup_v=float(np.max(np.abs(r_v))))

@@ -332,35 +332,34 @@ def _pointwise(traj, **_):
     return violation, POINTWISE_TOL, violation <= POINTWISE_TOL, {}
 
 
-def _profile(profiles, h, **_):
-    p_u, p_v = profiles
-    finite = bool(np.all(np.isfinite(p_u.values)) and np.all(np.isfinite(p_v.values)))
-    return (max(p_u.tail_certificate, p_v.tail_certificate), None, finite,
-            {"l2_G1": p_u.l2_norm(h), "l2_G2": p_v.l2_norm(h)})
+def _profile(traj, profiles, bounds, h, **_):
+    """The profiles finite; the value is the larger root of the two tail bounds at T."""
+    finite = bool(all(np.all(np.isfinite(g)) for g in profiles))
+    return (math.sqrt(max(bounds[traj.grid.t_final])), None, finite,
+            {f"l2_G{i}": asymptotics.l2_norm(g, h) for i, g in enumerate(profiles, 1)})
 
 
-def _residual(residuals, residual_k, h, **_):
+def _residual(residuals, bounds, residual_k, h, **_):
     """Each squared residual within its tail bound plus residual_k * h^2, and
     the residuals nonincreasing in t."""
     slack = residual_k * h ** 2
-    bounded = all(r.l2_u ** 2 <= r.analytic_bound_u + slack
-                  and r.l2_v ** 2 <= r.analytic_bound_v + slack for r in residuals)
+    bounded = all(r.l2_u ** 2 <= bounds[r.t][0] + slack
+                  and r.l2_v ** 2 <= bounds[r.t][1] + slack for r in residuals)
     decreasing = all(n.l2_u <= p.l2_u and n.l2_v <= p.l2_v
                      for p, n in zip(residuals, residuals[1:]))
-    worst = max((max(r.l2_u ** 2 - r.analytic_bound_u, r.l2_v ** 2 - r.analytic_bound_v)
+    worst = max((max(r.l2_u ** 2 - bounds[r.t][0], r.l2_v ** 2 - bounds[r.t][1])
                  for r in residuals), default=0.0)
     return worst, slack, bounded and decreasing, {"nonincreasing": decreasing}
 
 
-def _tails(traj, **_):
+def _tails(bounds, **_):
     """Each side's tail bound nonincreasing over the recorded times."""
-    ts = traj.times
-    bounds = [asymptotics.tail_bound(traj.data, traj.params, t) for t in ts]
-    bounds_u, bounds_v = ([b[i] for b in bounds] for i in (0, 1))
+    bounds_u, bounds_v = ([b[i] for b in bounds.values()] for i in (0, 1))
     rise = 0.0
     for seq in (bounds_u, bounds_v):
         rise = max(rise, max((b - a for a, b in zip(seq, seq[1:])), default=0.0))
-    return rise, 0.0, rise <= 0.0, {"times": ts, "bounds_u": bounds_u, "bounds_v": bounds_v}
+    return rise, 0.0, rise <= 0.0, {"times": list(bounds), "bounds_u": bounds_u,
+                                    "bounds_v": bounds_v}
 
 
 # Each check a config can request: the identity it certifies and its rule, in
@@ -391,8 +390,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     directory are removed before the solve.  After it, and after the
     snapshots are written, the run's facts are derived once: the trajectory
     `traj`, h, residual_k, the triangle `balance` reports and their
-    `triangle_tol`, the `profiles` (G1, G2) and the `residuals` at the
-    recorded times t > 0.  The other reports are written from them, then each
+    `triangle_tol`, the `profiles` (G1, G2), the `residuals` at the recorded
+    times t > 0 and the `bounds`, one `tail_bound` pair per recorded time.
+    The profiles and residuals read the traces alone, the bounds the data
+    alone.  The other reports are written from them, then each
     requested check's rule reads them, in `CHECKS` order.
     Returns 0 iff every requested check passes, 1 on check failure, 2 on
     solver abort (a diagnostic summary.json is written, no other report).
@@ -444,16 +445,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     facts = {"traj": traj, "h": cfg.h, "residual_k": cfg.residual_k, "triangle_tol": tol,
              "balance": [conservation.triangle_balance(s) for s in sides],
              "profiles": asymptotics.compute_profile(traj),
-             "residuals": [asymptotics.residual(traj, t) for t in traj.times if t > 0]}
+             "residuals": [asymptotics.residual(traj, t) for t in traj.times if t > 0],
+             "bounds": {t: asymptotics.tail_bound(data, m, t) for t in traj.times}}
     _dump_json(out / "balance.json", [{**asdict(r), "tolerance": tol,
                                        "pass": abs(r.defect) <= tol} for r in facts["balance"]])
     _write_table(out / "profiles.csv", ["side", "y", "re", "im"],
-                 [(f"{side},", np.column_stack((x, prof.values.real, prof.values.imag)))
-                  for side, prof in zip("uv", facts["profiles"])])
+                 [(f"{side},", np.column_stack((x, g.real, g.imag)))
+                  for side, g in zip("uv", facts["profiles"])])
     _write_table(out / "residuals.csv",
                  ["t", "l2_u", "sup_u", "l2_v", "sup_v", "bound_u", "bound_v"],
-                 [("", np.reshape([(r.t, r.l2_u, r.sup_u, r.l2_v, r.sup_v, r.analytic_bound_u,
-                                    r.analytic_bound_v) for r in facts["residuals"]], (-1, 7)))])
+                 [("", np.reshape([(r.t, r.l2_u, r.sup_u, r.l2_v, r.sup_v, *facts["bounds"][r.t])
+                                   for r in facts["residuals"]], (-1, 7)))])
 
     summary["checks"] += [_entry(name, identity, *rule(**facts))
                           for name, (identity, rule) in CHECKS.items() if name in cfg.checks]

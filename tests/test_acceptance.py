@@ -175,9 +175,10 @@ def test_criterion_06_l2_convergence(ref):
             seq_v = [r.l2_v for r in reps]
             decreasing = all(b < a for a, b in zip(seq_u, seq_u[1:]))
             decreasing &= all(b < a for a, b in zip(seq_v, seq_v[1:]))
-            bounded = all(r.l2_u ** 2 <= r.analytic_bound_u + RESIDUAL_K * h ** 2
-                          and r.l2_v ** 2 <= r.analytic_bound_v + RESIDUAL_K * h ** 2
-                          for r in reps)
+            bounds = [tail_bound(traj.data, traj.params, r.t) for r in reps]
+            bounded = all(r.l2_u ** 2 <= b_u + RESIDUAL_K * h ** 2
+                          and r.l2_v ** 2 <= b_v + RESIDUAL_K * h ** 2
+                          for r, (b_u, b_v) in zip(reps, bounds))
             ok &= decreasing and bounded
             if h == 1.0 / 128.0:
                 details.append(f"{model}: l2_u at t=5,10,20 = "
@@ -229,8 +230,8 @@ def test_criterion_09_oracle_equivalence(oracle_pair):
     sol_diff = l2_diff(trap, oracle, 10.0)
     h = trap.grid.h
     worst_prof = 0.0
-    for p, po in zip(compute_profile(trap), compute_profile(oracle)):
-        d = p.values - restrict(po.values, oracle.grid, trap.grid)
+    for g, go in zip(compute_profile(trap), compute_profile(oracle)):
+        d = g - restrict(go, oracle.grid, trap.grid)
         worst_prof = max(worst_prof, float(np.sqrt(h * np.sum(np.abs(d) ** 2))))
     ok = sol_diff <= 1e-4 and worst_prof <= 1e-5
     report(9, "production scheme vs 4th-order reference at h/4", ok,

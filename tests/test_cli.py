@@ -18,8 +18,8 @@ import dirac1d
 from dirac1d import Grid, Scheme, asymptotics, conservation, make_initial_data, solver
 from dirac1d.asymptotics import ResidualReport
 from dirac1d.cli import (ALL_CHECKS, CHECKS, CHUNK_ROWS, KNOWN_KEYS, MODELS, ConfigError,
-                         ExperimentConfig, _identity_sweep, _is_number, _write_table, main,
-                         parse_config, run_experiment, sweep)
+                         ExperimentConfig, _identity_sweep, _is_number, _setup, _write_table,
+                         main, parse_config, run_experiment, sweep)
 from dirac1d.fields import FAMILIES, SHAPE, SHAPE_KEYS
 
 NAN, INF = float("nan"), float("inf")
@@ -393,6 +393,28 @@ class TestRunExperiment:
         residual = next(c for c in checks if c["name"] == "residual")
         assert residual["value"] == 0.0 and residual["pass"]
 
+    def test_every_bound_in_the_reports_is_tail_bound_at_its_time(self, tmp_path):
+        # residuals.csv, the tails entry and the profile entry read one bound per time
+        cfg = parse_config(write_config(tmp_path).read_text())
+        cfg.output_dir = str(tmp_path / "out")
+        assert run_experiment(cfg) == 0
+        _, m, data, _ = _setup(cfg)
+        bounds = {t: asymptotics.tail_bound(data, m, t) for t in cfg.record_times}
+        rows = (tmp_path / "out" / "residuals.csv").read_text().splitlines()
+        assert rows[0].split(",")[-2:] == ["bound_u", "bound_v"]
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [0.5, 1.0]
+        for r in rows[1:]:
+            t, *_, b_u, b_v = map(float, r.split(","))
+            assert repr((b_u, b_v)) == repr(bounds[t])
+        checks = {c["name"]: c for c in json.loads(
+            (tmp_path / "out" / "summary.json").read_text())["checks"]}
+        tails = checks["tails"]
+        assert tails["times"] == [0.0, 0.5, 1.0]
+        assert repr((tails["bounds_u"], tails["bounds_v"])) == \
+            repr(tuple(map(list, zip(*bounds.values()))))
+        assert repr(checks["profile"]["value"]) == \
+            repr(max(math.sqrt(b) for b in bounds[1.0]))
+
     def test_snapshot_rows(self, tmp_path):
         cfg = parse_config(write_config(tmp_path).read_text())
         cfg.output_dir = str(tmp_path / "out")
@@ -487,9 +509,8 @@ def _perfbench_workloads():
     return module
 
 
-def _report(l2_u, l2_v, bound_u=0.0, bound_v=0.0, t=1.0):
-    return ResidualReport(t=t, l2_u=l2_u, sup_u=0.0, l2_v=l2_v, sup_v=0.0,
-                          analytic_bound_u=bound_u, analytic_bound_v=bound_v)
+def _report(l2_u, l2_v, t=1.0):
+    return ResidualReport(t=t, l2_u=l2_u, sup_u=0.0, l2_v=l2_v, sup_v=0.0)
 
 
 def _straddle(edge: float) -> tuple[float, float]:
@@ -508,12 +529,13 @@ class TestChecks:
     @pytest.mark.parametrize("side", ["u", "v"])
     def test_residual_that_rises_by_one_ulp_fails(self, side):
         rule = CHECKS["residual"][1]
-        flat = [_report(0.5, 0.5, 1.0, 1.0, t) for t in (1.0, 2.0)]
-        assert rule(residuals=flat, residual_k=10.0, h=1.0 / 64.0)[2:] == (
+        bounds = {1.0: (1.0, 1.0), 2.0: (1.0, 1.0)}
+        flat = [_report(0.5, 0.5, t) for t in (1.0, 2.0)]
+        assert rule(residuals=flat, bounds=bounds, residual_k=10.0, h=1.0 / 64.0)[2:] == (
             True, {"nonincreasing": True})
         l2 = {"l2_u": 0.5, "l2_v": 0.5, f"l2_{side}": math.nextafter(0.5, INF)}
-        risen = [flat[0], _report(**l2, bound_u=1.0, bound_v=1.0, t=2.0)]
-        assert rule(residuals=risen, residual_k=10.0, h=1.0 / 64.0)[2:] == (
+        risen = [flat[0], _report(**l2, t=2.0)]
+        assert rule(residuals=risen, bounds=bounds, residual_k=10.0, h=1.0 / 64.0)[2:] == (
             False, {"nonincreasing": False})
 
     @pytest.mark.parametrize("side", ["u", "v"])
@@ -522,32 +544,40 @@ class TestChecks:
         h, k = 1.0 / 64.0, 10.0
         slack = k * h ** 2
         lo, hi = _straddle(bound + slack)
+        bounds = {1.0: (bound, 0.0) if side == "u" else (0.0, bound)}
         for l2, expected in ((lo, True), (hi, False)):
-            report = _report(**{"l2_u": 0.0, "l2_v": 0.0, f"l2_{side}": l2,
-                                f"bound_{side}": bound})
-            value, tol, passed, _ = CHECKS["residual"][1](residuals=[report], residual_k=k, h=h)
+            report = _report(**{"l2_u": 0.0, "l2_v": 0.0, f"l2_{side}": l2})
+            value, tol, passed, _ = CHECKS["residual"][1](residuals=[report], bounds=bounds,
+                                                          residual_k=k, h=h)
             assert (tol, passed) == (slack, expected)
             assert value == l2 ** 2 - bound
 
     @pytest.mark.parametrize("side", [0, 1])
-    def test_tail_bound_that_rises_by_one_ulp_fails(self, monkeypatch, side):
+    def test_tail_bound_that_rises_by_one_ulp_fails(self, side):
         flat = {0.0: 2.0, 1.0: 0.5, 2.0: 0.5}
         risen = {**flat, 2.0: math.nextafter(0.5, INF)}
-        traj = SimpleNamespace(times=list(flat), data="data", params="params")
-        for bounds, expected in ((flat, True), (risen, False)):
-            calls = []
-
-            def tail_bound(data, m, t):
-                calls.append((data, m, t))
+        for side_bounds, expected in ((flat, True), (risen, False)):
+            bounds = {}
+            for t in flat:
                 pair = [flat[t], flat[t]]
-                pair[side] = bounds[t]
-                return tuple(pair)
-            monkeypatch.setattr(asymptotics, "tail_bound", tail_bound)
-            value, tol, passed, extra = CHECKS["tails"][1](traj=traj)
-            assert calls == [("data", "params", t) for t in flat]
+                pair[side] = side_bounds[t]
+                bounds[t] = tuple(pair)
+            value, tol, passed, extra = CHECKS["tails"][1](bounds=bounds)
             assert (tol, passed) == (0.0, expected)
             assert value == (0.0 if expected else math.nextafter(0.5, INF) - 0.5)
             assert extra["times"] == list(flat)
+            assert (extra["bounds_u"], extra["bounds_v"]) == tuple(map(list, zip(*bounds.values())))
+
+    def test_profile_value_is_the_larger_root_of_the_bounds_at_T(self):
+        rule, h = CHECKS["profile"][1], 0.25
+        traj = SimpleNamespace(grid=SimpleNamespace(t_final=2.0))
+        g = np.array([0.0, 2.0j, 0.0])
+        for pair, root in (((0.25, 0.0625), 0.5), ((0.0625, 0.25), 0.5)):
+            bounds = {0.0: (9.0, 9.0), 2.0: pair}
+            assert rule(traj=traj, profiles=(g, 2 * g), bounds=bounds, h=h) == (
+                root, None, True, {"l2_G1": 1.0, "l2_G2": 2.0})
+        not_finite = (g, np.array([0.0, NAN, 0.0]))
+        assert rule(traj=traj, profiles=not_finite, bounds=bounds, h=h)[2] is False
 
     def test_triangle_defect_one_ulp_past_its_tolerance_fails(self):
         rule, tol = CHECKS["triangle"][1], 1e-3
@@ -592,8 +622,8 @@ class TestChecks:
     @pytest.mark.parametrize("checks,calls", [
         (list(ALL_CHECKS), {"total_charge_drift": 1, "triangle_balance": 2,
                             "check_pointwise_bound": 1, "compute_profile": 1, "residual": 2,
-                            "tail_bound": 6}),
-        # profiles.csv and residuals.csv are always written; tails adds one bound per time
+                            "tail_bound": 3}),
+        # profiles.csv and residuals.csv are always written, with one bound per recorded time
         (["charge", "residual"], {"total_charge_drift": 1, "compute_profile": 1,
                                   "residual": 2, "tail_bound": 3}),
     ])

@@ -748,8 +748,7 @@ class TestThirringContinuum:
             got_u, got_v = traj.snapshot_at(self.T)[:2]
             g_u, g_v = compute_profile(traj)
             errors.append((math.sqrt(charge(got_u - u, got_v - v, h)),
-                           math.sqrt(charge(g_u.values - (u - data.u0),
-                                            g_v.values - (v - data.v0), h))))
+                           math.sqrt(charge(g_u - (u - data.u0), g_v - (v - data.v0), h))))
         return [math.log2(a / b) for coarse, fine in zip(errors, errors[1:])
                 for a, b in zip(coarse, fine)]
 

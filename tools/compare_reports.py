@@ -7,7 +7,8 @@ Runs the three shipped configs (`configs/*.json`), perfbench seeds 0, 3 and
 path of the sources (`IMPLICIT`: Thirring and a custom coupling with alpha and
 beta both nonzero, on the trapezoid and on oracle4), acceptance criterion 9's
 trapezoid run (h = 1/256, T = 10), the same setup on oracle4 with record times
-[0, 5, 10], whose double steps take many sweeps each, and the refinement sweep
+[0, 5, 10], whose double steps take many sweeps each, gross_neveu_reference
+at T = 0 with every check and with record times [5, 20], and the refinement sweep
 `dirac1d sweep configs/triangle_balance.json -k 2`, once with this tree's
 `src` and once with PARENT_CHECKOUT's.  Both trees run the same config,
 written from this tree, with PYTHONDONTWRITEBYTECODE=1 and their outputs
@@ -57,6 +58,12 @@ def cases():
     yield ("gross_neveu_oracle4_h256", {**reference, "scheme": "oracle4", "h": 1.0 / 256.0,
                                         "T": 10.0, "record_times": [0.0, 5.0, 10.0]},
            ("run",), REPORTS)
+    # the tail bound looked up at its edges: a run of no steps with every check, whose
+    # profile value is the bound at t = 0, and record times that omit t = 0
+    every_check = {k: v for k, v in reference.items() if k != "checks"}
+    yield "gross_neveu_T0", {**every_check, "T": 0.0, "record_times": [0.0]}, ("run",), REPORTS
+    yield ("gross_neveu_no_t0", {**reference, "record_times": [5.0, 20.0]}, ("run",),
+           REPORTS)
     yield "triangle_balance_sweep", configs["triangle_balance"], SWEEP, ("sweep.csv",)
 
 
