@@ -9,13 +9,17 @@
 * the pointwise envelope squared, |u(x,t)|^2 <= E^2 |u0(x-t)|^2 (and the v
   analogue), with E = exp(4|beta| C0) of `ModelParams.envelope` and C0 the
   exact initial charge of the run;
-* for beta = 0, exact transport of |u| and |v| along the characteristics.
+* for beta = 0, exact transport of |u| and |v| along the characteristics
+  (`ModulusDrift`).  phase_split keeps the data moduli as its stored moduli,
+  so the drift is read from the moduli of the computed states, where it is
+  the roundoff of the steps' turns.
 
 `TriangleSides` and `ModulusDrift` are probes for `solver.run`: they gather
 their samples from the `solver.Step` record the run hands them before the
-first step and after each step.  All spatial and slanted-side integrals use
-the trapezoid rule on the lattice nodes the characteristics pass through
-(unit CFL makes those exact node sequences).  The snapshots hold u and v by
+first step and after each step, taking |u| and |v| as np.abs of its state.
+All spatial and slanted-side integrals use the trapezoid rule on the lattice
+nodes the characteristics pass through (unit CFL makes those exact node
+sequences).  The snapshots hold u and v by
 characteristic label, so the envelope compares each label with its own
 initial value.
 """
@@ -45,10 +49,11 @@ class BalanceReport:
 
 class TriangleSides:
     """Probe keeping |u|^2 + |v|^2 on the base and top rows of a triangle cut
-    at tau, and per step from t0 to tau |u|^2 on its right side and |v|^2 on
-    its left.  Construction raises ValueError unless the scheme steps one
-    cell at a time, a, b, t0, tau lie on nodes of the domain and
-    t0 <= tau <= min(apex time, t_final), compared in cells."""
+    at tau, and per step from t0 to tau u on its right side and v on its
+    left, whose |u|^2 and |v|^2 `triangle_balance` takes.  Construction
+    raises ValueError unless the scheme steps one cell at a time, a, b, t0,
+    tau lie on nodes of the domain and t0 <= tau <= min(apex time, t_final),
+    compared in cells."""
 
     def __init__(self, region: TriangleRegion, tau: float, grid: Grid, scheme: Scheme):
         if scheme.cells != 1:
@@ -62,14 +67,14 @@ class TriangleSides:
         self.rows, self.right, self.left = [], [], []
 
     def on_step(self, step: Step):
-        level, (abs_u, abs_v) = step.level, step.moduli
+        level, (u, v) = step.level, step.w
         if self.k0 <= level <= self.kt:
             lo, hi = self.ja + level - self.k0, self.jb - level + self.k0
-            for side, a, i in ((self.right, abs_u, hi - level), (self.left, abs_v, lo + level)):
-                side.append(np.square(a[i]) if 0 <= i < len(a) else 0.0)  # u, v at the corners
+            for side, a, i in ((self.right, u, hi - level), (self.left, v, lo + level)):
+                side.append(a[i] if 0 <= i < len(a) else 0j)  # u, v at the corners
             if level in (self.k0, self.kt):
-                au, av = at_nodes(abs_u, abs_v, lo, hi, level)
-                self.rows.append(au ** 2 + av ** 2)
+                au, av = at_nodes(u, v, lo, hi, level)
+                self.rows.append(np.abs(au) ** 2 + np.abs(av) ** 2)
 
 
 class ModulusDrift:
@@ -77,11 +82,10 @@ class ModulusDrift:
     and ||v| - |v0||, each label against its own initial value."""
 
     def __init__(self, data: InitialData):
-        self.abs0 = np.abs(np.stack((data.u0, data.v0)))
-        self.value = 0.0
+        self.abs0, self.value = np.abs(np.stack((data.u0, data.v0))), 0.0
 
     def on_step(self, step: Step):
-        self.value = max(self.value, np.max(np.abs(step.moduli - self.abs0)))
+        self.value = max(self.value, np.max(np.abs(np.abs(step.w) - self.abs0)))
 
 
 def total_charge_drift(traj: Trajectory) -> float:
@@ -116,8 +120,8 @@ def triangle_balance(sides: TriangleSides) -> BalanceReport:
     interior = float(np.trapezoid(sides.rows[-1], dx=h))
     # slanted sides: right edge x = b + t0 - s carries 2|u|^2 outflow,
     # left edge x = a - t0 + s carries 2|v|^2 outflow, s in [t0, tau]
-    right = 2.0 * float(np.trapezoid(sides.right, dx=h))
-    left = 2.0 * float(np.trapezoid(sides.left, dx=h))
+    right, left = (2.0 * float(np.trapezoid(np.abs(a) ** 2, dx=h))
+                   for a in (sides.right, sides.left))
 
     defect = interior + right + left - initial
     return BalanceReport(region=sides.region, tau=sides.tau, interior_charge=interior,

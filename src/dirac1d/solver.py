@@ -17,7 +17,7 @@ each -0 of the data loaded as +0 (`_Labels.trim`); phase_split steps the hull
 window.  Snapshots keep the labels of [x_min, x_max]: no label leaves its
 initial support, which lies in the domain.  A fixed-point sweep evaluates
 both sources in one `eval_N` call per level.  The kernels write into rows of
-one scratch array; phase_split's real cos/sin rotation has the bits of cexp.
+one scratch array.
 
 Three schemes are provided:
 
@@ -25,15 +25,20 @@ trapezoidal   implicit trapezoid rule per node, the production second-order
               scheme; the per-node 2x2 complex fixed point is solved by
               iteration (the map is a contraction for small h * amplitude^2).
 phase_split   exact-modulus variant for beta = 0: the nonlinearity is then a
-              pure phase rotation, so moduli are transported exactly.
+              pure phase rotation, so moduli are transported exactly.  Each
+              label's turn depends only on its partners' data moduli, so
+              `_turns` builds them once, with the bits of cexp, and a step is
+              one product; the stored moduli stay the data's, which `commit`
+              evaluates the sources at and does not guard again.
 oracle4       fourth-order reference: 3-stage Lobatto IIIA collocation over a
               double step (time step 2h), whose half-step abscissae land
               exactly on lattice nodes.  Used for cross-validation.
 
 Each run also accumulates per label the integral A1 of N1 (A2 of N2) along
 its characteristic, for the asymptotics layer's profiles.  After setup only
-`_Labels.commit` writes state, sources and traces, adding the panel of the
-very sources it stores, so u(t) = u0 - i A1(t) telescopes exactly.
+`_Labels.commit` writes sources and traces, adding the panel of the very
+sources it stores, so u(t) = u0 - i A1(t) telescopes exactly; it writes the
+state too, but for phase_split's step, which turns the state in place.
 
 `run` is the step loop alone: before the first step and after each step it
 hands one `Step` record to every probe.  The `Trajectory` it returns is the
@@ -62,13 +67,13 @@ MARGIN = 4
 # Rows of a run's scratch array `_Labels.work`, each a complex row as long as the
 # label arrays and sliced to a window.  A pair takes two rows; a real (boolean) pair
 # is one complex row's float (bool) view.  0 `_fixed_point`'s move, 1 its modulus
-# (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool), which
-# phase_split, never trimmed, takes for |theta| and its flags, and `_fixed_point`,
-# run after `trim`, row 2 for its moved flags (bool); 4-5 `commit`'s new sources,
-# 6-7 the trace panel; from 8 on the kernel's.  trapezoidal: 8-9 the constant
-# part, 10-11 the products i h/2 N, 12-13 and 14-15 the iterates of alternate
-# sweeps.  phase_split: 8 the squared moduli, 9 the midpoints (real), 10-11 the
-# rotations.  oracle4: 8-9 the half level's sources, 10-11 the new sources on the
+# (real); 2 `trim`'s lifted products (real), 3 its loud flags (bool), and
+# `_fixed_point`, run after `trim`, row 2 for its moved flags (bool); 4-5
+# `commit`'s new sources, 6-7 the trace panel; from 8 on the kernel's.
+# trapezoidal: 8-9 the constant part, 10-11 the products i h/2 N, 12-13 and
+# 14-15 the iterates of alternate sweeps.  phase_split: 8-9 the turns, which
+# `_turns` builds once from 10, the squared data moduli, and 11, the angles
+# (real).  oracle4: 8-9 the half level's sources, 10-11 the new sources on the
 # half level, 12-15 and 16-19 the (full, half) stages of alternate sweeps, 20 a
 # Lobatto term.
 WORK_ROWS = 21
@@ -122,14 +127,13 @@ class Step(NamedTuple):
     """What every probe sees before the first step and after each step: the
     cell level, the step's fixed-point sweeps (0 before the first step) and
     read-only (2, n_cells) views by label over the domain of the state
-    w = (u, v), its moduli (|u|, |v|) and the traces (A1, A2).  The views are
-    the run's own arrays, which the next step overwrites: a probe copies what
-    it keeps."""
+    w = (u, v) and the traces (A1, A2).  A probe that needs |u| or |v| takes
+    np.abs of w, so it reads the computed states.  The views are the run's own
+    arrays, which the next step overwrites: a probe copies what it keeps."""
 
     level: int
     sweeps: int
     w: np.ndarray
-    moduli: np.ndarray
     traces: np.ndarray
 
 
@@ -200,13 +204,15 @@ class _Labels:
         self.hull = ((int(iu[0]), int(iu[-1]), int(iv[0]), int(iv[-1]))
                      if iu.size and iv.size else None)
         self.guard(self.moduli, -MARGIN)
+        if _KERNELS[s.kind][3]:
+            _turns(self)
         if (win := self.window(0)) is not None:
             win = self.labels(*win, 0)
             eval_N(_pair(self.w, *win), m, out=_pair(self.sources, *win))
 
     def advance(self) -> int:
         """One step of the scheme; returns its fixed-point sweeps."""
-        kernel, cells, reach = _KERNELS[self.s.kind]
+        kernel, cells, reach, _ = _KERNELS[self.s.kind]
         hull = self.window(cells)
         self.level += cells
         win = hull if hull is None or reach is None else self.trim(*hull, reach)
@@ -309,15 +315,16 @@ class _Labels:
         return iu - MARGIN + self.level
 
     def commit(self, win: tuple, W, panel):
-        """Store a step's W = (U, V) on the window win with its moduli and sources,
-        and guard them.  The traces first gain panel(stored sources, new sources):
-        the step's quadrature of the very sources it stores, so u = u0 - i A1
-        telescopes."""
+        """Store a step's W = (U, V) on the window win with its sources; a scheme
+        that does not transport the moduli also stores |W| and guards it.  The
+        traces first gain panel(stored sources, new sources): the step's
+        quadrature of the very sources it stores, so u = u0 - i A1 telescopes."""
         mod, src, traces = (_pair(a, *win) for a in (self.moduli, self.sources, self.traces))
-        new = eval_N(W, self.m, np.abs(W, out=mod), out=self.work[4:6, :win[2]])
+        if not _KERNELS[self.s.kind][3]:  # else the stored moduli are the data's, checked once
+            self.guard(np.abs(W, out=mod), self.node(win[0]))
+        new = eval_N(W, self.m, mod, out=self.work[4:6, :win[2]])
         traces += panel(src, new)
-        _pair(self.w, *win)[...], src[...] = W, new
-        self.guard(mod, self.node(win[0]))
+        _pair(self.w, *win)[...], src[...] = W, new  # phase_split's W is w: no copy
 
     def trapezoid_panel(self, old, new):
         """The trace panel of one cell by the trapezoid rule."""
@@ -470,34 +477,37 @@ def _step_phase_split(lab: _Labels, iu: int, iv: int, n: int):
     """Exact-modulus step for beta = 0 on the window's labels; returns (W, panel, 0).
 
     For the Thirring-type nonlinearity N1 = alpha*u*|v|^2 the characteristic
-    ODE is a pure phase rotation, so |u| and |v| transport exactly; the phase
-    uses the midpoint |v|^2 averaged from the two endpoint values along the
-    characteristic (second order).  The exponent of exp(-1j*alpha*h*mid) has real
-    part +0, where cexp gives (cos, sin) of its imaginary part theta: the step forms
-    theta with the same bits (+ 0.0 turns a zero product's -0 into +0), then cos, sin.
-    Below |theta| = 2**-27 these are 1 and theta, so the step writes (1, theta) and
-    calls cos and sin only from the first to the last angle at or above 2**-27:
-    1 - cos(theta) < theta**2 / 2 < 2**-55, under half the float spacing 2**-53 below
-    1, and |sin(theta) - theta| < |theta|**3 / 6 < 2**-56 |theta|, under half the
-    spacing next to theta, subnormal or not; so the correctly rounded values are 1
-    and theta, which the platform's cos and sin return (a test pins them).
+    ODE is a pure phase rotation, so |u| and |v| transport exactly and every
+    turn is data: a node's u turns by the entry of its v label in the table
+    `_turns` built, its v by that of its u label (the partner reversal of
+    `eval_N`), so the step is one product, in place.
     """
-    (sq, mid), rot = lab.work[8:10].view(float).reshape(2, 2, -1)[..., :n + 2], lab.work[10:12, :n]
-    size, big = (lab.work[k].view(t).reshape(2, -1)[:, :n] for k, t in ((2, float), (3, bool)))
-    # the previous level's squared moduli at both neighbours of every window node
-    np.square(_pair(lab.moduli, iu, iv - 2, n + 2), out=sq)
-    # u turns by the midpoint |v|^2, v by the midpoint |u|^2
-    x = np.add(sq[::-1, :-2], sq[::-1, 2:], out=mid[:, :n])
-    np.multiply(x, 0.5, out=x)
-    np.multiply(-(lab.m.alpha * lab.h), x, out=x)
-    x += 0.0
-    np.greater_equal(np.abs(x, out=size), 2.0 ** -27, out=big)
-    rot.real, rot.imag = 1.0, x
-    for theta, r, flags in zip(x, rot, big):  # each mover's span of large angles
-        span = slice(_first(flags), _last(flags) + 1)
-        np.cos(theta[span], out=r.real[span])
-        np.sin(theta[span], out=r.imag[span])
-    return np.multiply(_pair(lab.w, iu, iv, n), rot, out=rot), lab.trapezoid_panel, 0
+    w = _pair(lab.w, iu, iv, n)
+    return np.multiply(w, _pair(lab.work[8:10], iu, iv, n)[::-1], out=w), lab.trapezoid_panel, 0
+
+
+def _turns(lab: _Labels):
+    """Fill work rows 8-9 with phase_split's turns exp(-1j*alpha*h*mid) from the
+    data moduli: row 0 at u label i the turn of the v label whose feet are u
+    labels i and i + 2, with mid the midpoint of their |u0|^2 (second order);
+    row 1 at v label j that of the u label whose feet are v labels j - 2 and j.
+    Turns whose feet run past the arrays, which no window reaches, are 1.
+
+    The exponent has real part +0, where cexp gives (cos, sin) of its
+    imaginary part theta: theta is formed with the same bits (+ 0.0 turns a
+    zero product's -0 into +0), then cos and sin.  Raises SolverError where
+    theta overflows, before any step turns a label by NaN.
+    """
+    (sq, x), n = lab.work[10:12].view(float).reshape(2, 2, -1), lab.w.shape[1] - 2
+    np.square(lab.moduli, out=sq)
+    theta = np.multiply(np.add(sq[:, :-2], sq[:, 2:], out=x[:, :n]), 0.5, out=x[:, :n])
+    np.add(np.multiply(-(lab.m.alpha * lab.h), theta, out=theta), 0.0, out=theta)
+    if not np.isfinite(theta).all():
+        raise SolverError(f"phase_split's turns overflow: alpha h = {lab.m.alpha * lab.h:.3g}")
+    lab.work[8, n:], lab.work[9, :2] = 1.0, 1.0
+    table = _pair(lab.work[8:10], 0, 2, n)
+    np.cos(theta, out=table.real)
+    np.sin(theta, out=table.imag)
 
 
 # 3-stage Lobatto IIIA (collocation at {0, 1/2, 1}): order 4, and both stage
@@ -573,11 +583,13 @@ def _step_oracle4(lab: _Labels, iu: int, iv: int, n: int):
 # kind -> (kernel for a nonempty window, cells per step = window widening,
 #          reach: labels past a node's own pair that its step reads, which the
 #          quiet rule (at the half level) and the sweeps' spans take, or None
-#          to step the hull window)
+#          to step the hull window,
+#          transports: the step keeps every modulus, so the stored moduli stay
+#          the data's and the turns are built once, by `_turns`)
 _KERNELS = {
-    "trapezoidal": (_step_trapezoidal, 1, 0),
-    "phase_split": (_step_phase_split, 1, None),
-    "oracle4": (_step_oracle4, 2, 2),
+    "trapezoidal": (_step_trapezoidal, 1, 0, False),
+    "phase_split": (_step_phase_split, 1, None, True),
+    "oracle4": (_step_oracle4, 2, 2, False),
 }
 SCHEME_KINDS = tuple(_KERNELS)
 
@@ -601,7 +613,7 @@ def run(data: InitialData, m: ModelParams, s: Scheme, record_times: list[float],
     with np.errstate(over="ignore", invalid="ignore"):
         lab = _Labels(data, m, s)
         views = [np.lib.stride_tricks.as_strided(a[:, MARGIN:-MARGIN], writeable=False)
-                 for a in (lab.w, lab.moduli, lab.traces)]  # _Labels updates them in place
+                 for a in (lab.w, lab.traces)]  # _Labels updates them in place
         for k in range(grid.n_steps // s.cells + 1):
             sweeps = lab.advance() if k else 0
             step = Step(lab.level, sweeps, *views)

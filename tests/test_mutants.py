@@ -71,41 +71,34 @@ def side_off_by_one(mp):
         seen = len(self.right)
         on_step(self, step)
         if len(self.right) > seen:
-            level, abs_u = step.level, step.moduli[0]
+            level, u = step.level, step.w[0]
             i = self.jb - level + self.k0 - level + 1
-            self.right[-1] = np.square(abs_u[i]) if 0 <= i < len(abs_u) else 0.0
+            self.right[-1] = u[i] if 0 <= i < len(u) else 0j
     mp.setattr(conservation.TriangleSides, "on_step", shifted)
 
 
-def phase_split_kernel(mp, defect):
-    kernel, cells, reach = solver._KERNELS["phase_split"]
-    mp.setitem(solver._KERNELS, "phase_split", (defect(kernel), cells, reach))
-
-
 def scaled_angle(mp):
-    """phase_split's rotation angle alone x 1.1; the traced sources keep alpha"""
-    def defect(kernel):
-        def step(lab, *window):
-            m = lab.m
-            lab.m = ModelParams(1.1 * m.alpha, m.beta)
-            try:
-                return kernel(lab, *window)
-            finally:
-                lab.m = m
-        return step
-    phase_split_kernel(mp, defect)
+    """phase_split's turns built with alpha x 1.1; the traced sources keep alpha"""
+    turns = solver._turns
+
+    def scaled(lab):
+        m = lab.m
+        lab.m = ModelParams(1.1 * m.alpha, m.beta)
+        try:
+            turns(lab)
+        finally:
+            lab.m = m
+    mp.setattr(solver, "_turns", scaled)
 
 
 def left_endpoint(mp):
     """u turned by the |v|^2 at its characteristic's start, not the midpoint"""
-    def defect(kernel):
-        def step(lab, iu, iv, n):
-            W, panel, sweeps = kernel(lab, iu, iv, n)
-            start = np.square(lab.moduli[1, iv - 2:iv - 2 + n])
-            W[0] = lab.w[0, iu:iu + n] * np.exp(-1j * lab.m.alpha * lab.h * start)
-            return W, panel, sweeps
-        return step
-    phase_split_kernel(mp, defect)
+    turns = solver._turns
+
+    def start(lab):
+        turns(lab)  # then u's turns, row 1 of the table at v label j, from |v0|^2 at j - 2
+        lab.work[9, 2:] = np.exp(-1j * lab.m.alpha * lab.h * np.square(lab.moduli[1, :-2]))
+    mp.setattr(solver, "_turns", start)
 
 
 def scaled_alpha(mp):

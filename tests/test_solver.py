@@ -45,12 +45,19 @@ def shift_left(a, k=1):
 def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
     """Whole-lattice stepper: evaluates N on every node every step and moves
     u and v by array shifts.  Yields (u, v, A1, A2, iterations) after each
-    step, with the traces in the characteristic-label frame."""
+    step, with the traces in the characteristic-label frame.  phase_split
+    turns by the midpoints of the data moduli and evaluates its sources at
+    them: it transports them exactly, so they are shifted, never recomputed."""
     from dirac1d.solver import _L_FULL, _L_HALF
     a1, a2 = np.zeros_like(u), np.zeros_like(v)
     cells = 2 if kind == "oracle4" else 1
+    au, av = np.abs(u), np.abs(v)  # the data moduli at the current level
+
+    def moduli():
+        """The moduli phase_split evaluates its sources at; None for the others."""
+        return np.stack((au, av)) if kind == "phase_split" else None
     for k in range(1, n_steps // cells + 1):
-        n1p, n2p = sources(u, v, m)
+        n1p, n2p = sources(u, v, m, moduli())
         its = 0
         if kind == "oracle4":
             dt = 2.0 * h
@@ -93,21 +100,21 @@ def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
                     if delta <= tol * scale:
                         break
             else:
-                mu, mv = np.abs(u) ** 2, np.abs(v) ** 2
+                mu, mv = au ** 2, av ** 2
                 v_mid = 0.5 * (shift_right(mv) + shift_left(mv))
                 u_mid = 0.5 * (shift_right(mu) + shift_left(mu))
                 U = shift_right(u) * np.exp(-1j * m.alpha * h * v_mid)
                 V = shift_left(v) * np.exp(-1j * m.alpha * h * u_mid)
-            u, v = U, V
-            n1, n2 = sources(u, v, m)
+            u, v, au, av = U, V, shift_right(au), shift_left(av)
+            n1, n2 = sources(u, v, m, moduli())
             a1 = shift_right(a1) + 0.5 * h * (shift_right(n1p) + n1)
             a2 = shift_left(a2) + 0.5 * h * (shift_left(n2p) + n2)
         yield u, v, shift_left(a1, k * cells), shift_right(a2, k * cells), its
 
 
-def sources(u, v, m):
-    """(N1, N2) at (u, v) by the production formula."""
-    return tuple(eval_N(np.stack((u, v)), m))
+def sources(u, v, m, moduli=None):
+    """(N1, N2) at (u, v) by the production formula, at the moduli if given."""
+    return tuple(eval_N(np.stack((u, v)), m, moduli))
 
 
 def padded_reference(data, grid, m, kind="trapezoidal"):
@@ -550,7 +557,7 @@ class TestExactCases:
     @pytest.mark.parametrize("alpha,h", [(1.0, 1.0 / 128.0), (1.0, 1.0 / 32.0), (-1.0, 0.25),
                                          (0.3, 1.0 / 1024.0), (0.0, 1.0 / 128.0)])
     def test_rotation_has_the_bits_of_cexp(self, alpha, h):
-        # _step_phase_split rotates by cos and sin of theta = -(alpha*h)*x + 0.0
+        # phase_split's turns are cos and sin of theta = -(alpha*h)*x + 0.0 (`_turns`)
         # where the whole-lattice stepper takes exp(-1j*alpha*h*x): the two
         # agree only while this platform's cexp returns (cos, sin) of the
         # imaginary part for an exponent whose real part is +0
@@ -570,8 +577,10 @@ class TestExactCases:
         np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_tiny_angles_have_exact_cos_and_sin(self):
-        # _step_phase_split writes (1, theta) for |theta| < 2**-27 rather than
-        # calling cos and sin, which must return exactly these there
+        # below |theta| = 2**-27 the correctly rounded cos and sin are 1 and theta:
+        # 1 - cos < theta**2 / 2 < 2**-55, under half the float spacing below 1, and
+        # |sin - theta| < |theta|**3 / 6 < 2**-56 |theta|, under half the spacing next
+        # to theta; `_turns` calls cos and sin on every angle, tiny ones included
         rng = np.random.default_rng(10)
         tiny = np.finfo(float).smallest_subnormal
         theta = np.concatenate([[tiny, 2 * tiny, np.finfo(float).tiny, 2.0 ** -28,
@@ -580,11 +589,49 @@ class TestExactCases:
         theta = np.concatenate([theta, -theta])
         assert np.all(np.abs(theta) < 2.0 ** -27)
         got = np.empty(len(theta), complex)
-        np.cos(theta, out=got.real)  # as the kernel calls them: into a complex row
+        np.cos(theta, out=got.real)  # as `_turns` calls them: into a complex row
         np.sin(theta, out=got.imag)
         for c, s in ((got.real, got.imag), (np.cos(theta), np.sin(theta))):
             np.testing.assert_array_equal(c, 1.0)
             np.testing.assert_array_equal(s.view(np.uint64), theta.view(np.uint64))
+
+    @pytest.mark.parametrize("alpha", [1.0, -0.7])
+    @pytest.mark.parametrize("shape", [GAUSSIAN_PAIR, PHASED_PAIR], ids=["in-phase", "phased"])
+    def test_turns_are_cexp_of_the_data_midpoints(self, alpha, shape):
+        # on [-30, 30] the tails' squared moduli underflow to subnormals and zeros
+        from dirac1d import solver
+        grid = Grid.from_domain(-30.0, 30.0, 1.0 / 32.0, 1.0)
+        data = make_initial_data("gaussian", shape, grid)
+        m = ModelParams(alpha, 0.0)
+        lab = solver._Labels(data, m, Scheme("phase_split"))
+        sq = np.abs(np.pad(np.stack((data.u0, data.v0)), ((0, 0), (MARGIN, MARGIN)))) ** 2
+        tiny = np.finfo(float).tiny
+        assert ((sq > 0) & (sq < tiny)).any() and (sq == 0).any()
+        mid = 0.5 * (sq[:, :-2] + sq[:, 2:])  # row 0 at u label i, row 1 at v label i + 2
+        want = np.ones_like(lab.w)
+        want[0, :-2], want[1, 2:] = np.exp(-1j * alpha * grid.h * mid)
+        np.testing.assert_array_equal(bits(lab.work[8:10]), bits(want))
+
+    def test_cos_and_sin_run_only_while_the_turns_are_built(self, monkeypatch):
+        from dirac1d import solver
+        grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
+        data = make_initial_data("gaussian", PHASED_PAIR, grid)
+        calls, building, turns = [], [False], solver._turns
+
+        def traced(lab):
+            building[0] = True
+            try:
+                turns(lab)
+            finally:
+                building[0] = False
+        monkeypatch.setattr(solver, "_turns", traced)
+        for name in ("cos", "sin"):
+            def counted(*args, _f=getattr(np, name), _name=name, **kwargs):
+                calls.append((_name, building[0]))
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        run(data, ModelParams.thirring(), Scheme("phase_split"), [0.5, 1.0])
+        assert calls == [("cos", True), ("sin", True)]
 
     def test_modulus_drift_tracking(self):
         grid = Grid.from_domain(-10.0, 10.0, 1.0 / 32.0, 1.0)
@@ -603,8 +650,7 @@ class StepLog:
 
     def on_step(self, step):
         self.last = step
-        self.steps.append(step._replace(w=step.w.copy(), moduli=step.moduli.copy(),
-                                        traces=step.traces.copy()))
+        self.steps.append(step._replace(w=step.w.copy(), traces=step.traces.copy()))
 
 
 class TestProbes:
@@ -617,11 +663,11 @@ class TestProbes:
         log = StepLog()
         traj = run(data, ModelParams.thirring(), Scheme(kind), every, [log])
         assert [step.level for step in log.steps] == list(range(0, grid.n_steps + 1, cells))
-        # the views are (u, v), (|u|, |v|) and (A1, A2) by label over the domain at that step
+        # the views are (u, v) and (A1, A2) by label over the domain at that step
         for step, t in zip(log.steps, traj.times):
             u, v, a1, a2 = traj.snapshot_at(t)
+            assert step._fields == ("level", "sweeps", "w", "traces")
             np.testing.assert_array_equal(step.w, [u, v])
-            np.testing.assert_array_equal(step.moduli, np.abs([u, v]))
             np.testing.assert_array_equal(step.traces, [a1, a2])
         assert log.steps[0].sweeps == 0
         assert max(step.sweeps for step in log.steps) == traj.max_fp_iterations
@@ -632,7 +678,7 @@ class TestProbes:
         log = StepLog()
         run(make_initial_data("gaussian", GAUSSIAN_PAIR, grid), ModelParams.gross_neveu(),
             Scheme(), [], [log])
-        for view in (log.last.w, log.last.moduli, log.last.traces):
+        for view in (log.last.w, log.last.traces):
             assert view.shape == (2, grid.n_cells)
             with pytest.raises(ValueError, match="read-only"):
                 view[0, 0] = 1.0
@@ -860,6 +906,14 @@ class TestGuards:
         with pytest.raises(SolverError, match=rf"sweep 1 .* \(step 1, node {bad} at x = 0.5\)"):
             run(data, ModelParams.gross_neveu(), Scheme(kind), [1.0])
 
+    def test_phase_split_turns_that_overflow_stop_the_run(self):
+        # alpha h |v0|^2 past the float range: the table would turn u by NaN
+        grid = Grid.from_domain(-10.0, 10.0, 0.25, 1.0)
+        shape = {**GAUSSIAN_PAIR, "u_amplitude": 100.0, "v_amplitude": 100.0}
+        data = make_initial_data("gaussian", shape, grid)
+        with pytest.raises(SolverError, match=r"turns overflow: alpha h = 2\.5e\+305"):
+            run(data, ModelParams(1e306, 0.0), Scheme("phase_split"), [1.0])
+
     def test_phase_split_requires_beta_zero(self):
         grid = Grid.from_domain(-10.0, 10.0, 0.25, 1.0)
         data = make_initial_data("gaussian", GAUSSIAN_PAIR, grid)
@@ -939,7 +993,7 @@ class TestDomainEdges:
         run(data, m, Scheme(), [1.0], [sides])
         k0, kt, ja, jb = sides.k0, sides.kt, sides.ja, sides.jb
         ref = [(np.abs(u) ** 2, np.abs(v) ** 2) for u, v in reference_nodes(data, grid, m)]
-        rows, right, left = sides.rows, sides.right, sides.left
+        rows, right, left = sides.rows, np.abs(sides.right) ** 2, np.abs(sides.left) ** 2
         for row, k in zip(rows, (k0, kt)):
             mu, mv = ref[k]
             np.testing.assert_array_equal(row, (mu + mv)[ja + k - k0:jb - k + k0 + 1])

@@ -14,13 +14,17 @@ at T = 0 with every check and with record times [5, 20], and the refinement swee
 written from this tree, with PYTHONDONTWRITEBYTECODE=1 and their outputs
 under one temporary directory.  The five reports of each pair of runs, and
 the sweep's sweep.csv, are compared byte for byte.  Every file that differs, or that one run did not
-write, is listed; the exit status is 1 if any is, else 0.
+write, is listed; the exit status is 1 if any is, else 0.  A differing file's line gives the
+largest absolute and relative difference over its numbers (CSV cells, JSON leaves), relative to
+the parent's value, and says whether the two differ in more than numbers: in their keys, their
+row counts or their text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +80,57 @@ def run(tree: Path, raw: dict, verb: tuple, out: Path) -> None:
                    env=env, stdout=subprocess.DEVNULL, check=False)
 
 
+def leaves(path: Path) -> tuple[dict, int]:
+    """The values of a report by position, and its row count: a JSON file's leaves keyed by
+    their path of keys and indices (one row), a CSV file's cells by (row, column)."""
+    if path.suffix == ".json":
+        out = {}
+
+        def walk(key, x):
+            if isinstance(x, (dict, list)):
+                for k, y in (x.items() if isinstance(x, dict) else enumerate(x)):
+                    walk(key + (k,), y)
+            else:
+                out[key] = x
+        walk((), json.loads(path.read_text()))
+        return out, 1
+    rows = [row.split(",") for row in path.read_text().splitlines()]
+    return {(i, j): cell for i, row in enumerate(rows) for j, cell in enumerate(row)}, len(rows)
+
+
+def number(x):
+    """x as a float if it is a number or a CSV cell that reads as one, else None."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def difference(this: Path, parent: Path) -> str:
+    """How this tree's report differs from the parent's: the largest absolute and relative
+    difference over the numbers at the same position, and what else differs."""
+    (a, rows_a), (b, rows_b) = leaves(this), leaves(parent)
+    worst_abs, worst_rel, text = 0.0, 0.0, False
+    for key in a.keys() & b.keys():
+        x, y = number(a[key]), number(b[key])
+        if x is None or y is None:
+            text |= a[key] != b[key]
+        elif x != y and not (math.isnan(x) and math.isnan(y)):
+            d = abs(x - y)
+            worst_abs = max(worst_abs, d)
+            worst_rel = max(worst_rel, d / abs(y) if y else math.inf)
+    notes = [f"max abs {worst_abs:.3g}, max rel {worst_rel:.3g}"]
+    if rows_a != rows_b:
+        notes.append(f"row counts differ ({rows_a} against {rows_b})")
+    elif a.keys() != b.keys():
+        notes.append("keys differ")
+    if text:
+        notes.append("text differs")
+    return "; ".join(notes)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="checkout whose src is the reference")
@@ -95,7 +150,10 @@ def main(argv=None) -> int:
                 a, b = (out / report for out in outs)
                 if not (a.exists() and b.exists() and a.read_bytes() == b.read_bytes()):
                     differ.append(f"{name}/{report}")
-                    print(f"DIFFERS {name}/{report}", flush=True)
+                    how = (difference(a, b) if a.exists() and b.exists() else
+                           f"written only by {'this tree' if a.exists() else 'the parent'}"
+                           if a.exists() or b.exists() else "written by neither")
+                    print(f"DIFFERS {name}/{report}: {how}", flush=True)
             print(f"{name}: compared", flush=True)
     print(f"{len(differ)} of {total} report files differ")
     return 1 if differ else 0
