@@ -301,6 +301,60 @@ def _write_table(path: Path, header: list[str], blocks) -> None:
                 fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
+class _SnapshotWriter:
+    """The probe that writes snapshots.csv from a forked process while the
+    solve runs.  At each of `levels`, in increasing order, it sends u and v by
+    label (`Step.w`) down an unbuffered pipe, which blocks the solve while the
+    writer is behind: at most one record is in flight.  The writer hands
+    `_write_table` each record's block of u and v at the domain's nodes, and
+    leaves by os._exit, so it runs no handler and flushes no stream it
+    inherited; its status is 1 if it failed."""
+
+    def __init__(self, path: Path, grid: Grid, levels: list[int]):
+        self.path, self.levels = path, frozenset(levels)
+        (r, w), self.pid = os.pipe(), os.fork()  # the pipe first: both ends are inherited
+        if self.pid == 0:
+            try:
+                os.close(w)
+                with open(r, "rb") as fh:
+                    _write_table(path, ["t", "x", "re_u", "im_u", "re_v", "im_v"],
+                                 _snapshot_blocks(fh, grid, levels))
+                os._exit(0)
+            except Exception as exc:
+                os.write(2, f"snapshots.csv writer: {exc!r}\n".encode())
+            finally:
+                os._exit(1)
+        os.close(r)
+        self.pipe = open(w, "wb", buffering=0)  # so closing it flushes nothing
+
+    def on_step(self, step: solver.Step):
+        if step.level in self.levels:
+            for row in step.w:
+                view = memoryview(row).cast("B")
+                while view:  # a write to a pipe may take part of the row
+                    view = view[self.pipe.write(view):]
+
+    def reap(self, kill: bool = False) -> int:
+        """Reap the writer, first killing it if kill, and close the pipe;
+        returns its wait status.  A killed or failed writer's file is removed."""
+        if kill:
+            os.kill(self.pid, 9)  # SIGKILL, before the pipe's end of file reaches it
+        self.pipe.close()
+        status, self.pid = os.waitpid(self.pid, 0)[1], 0
+        if status or kill:
+            self.path.unlink(missing_ok=True)
+        return status
+
+
+def _snapshot_blocks(fh, grid: Grid, levels: list[int]):
+    """The `_write_table` blocks of the records read from fh, one per level
+    of levels: u and v by label, as `_SnapshotWriter.on_step` sends them."""
+    x, n = grid.x(), grid.n_cells
+    for level in levels:
+        u, v = at_nodes(*np.frombuffer(fh.read(32 * n), complex).reshape(2, n), 0, n - 1, level)
+        yield "%.17g," % (level * grid.h), np.column_stack((x, u.real, u.imag, v.real, v.imag))
+
+
 def _identity_sweep(seed: int) -> float:
     """Max normalized charge-flux defect over `IDENTITY_SAMPLES` seeded random
     states and couplings.
@@ -387,16 +441,19 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute the configured run and checks; write all artifact files.
 
     The identity preflight runs first.  The reports of an earlier run in the
-    directory are removed before the solve.  After it, and after the
-    snapshots are written, the run's facts are derived once: the trajectory
+    directory are removed before the solve.  A forked writer
+    (`_SnapshotWriter`) writes snapshots.csv while the solve runs.  After the
+    solve the run's facts are derived once: the trajectory
     `traj`, h, residual_k, the triangle `balance` reports and their
     `triangle_tol`, the `profiles` (G1, G2), the `residuals` at the recorded
     times t > 0 and the `bounds`, one `tail_bound` pair per recorded time.
     The profiles and residuals read the traces alone, the bounds the data
-    alone.  The other reports are written from them, then each
-    requested check's rule reads them, in `CHECKS` order.
+    alone.  The other reports are written from them; once the writer has
+    finished, each requested check's rule reads them, in `CHECKS` order.
     Returns 0 iff every requested check passes, 1 on check failure, 2 on
     solver abort (a diagnostic summary.json is written, no other report).
+    Every exit, a raise included, reaps the writer; one that does not return
+    0 or 1 leaves no snapshots.csv, and a failed writer raises.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -423,39 +480,39 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     # a failed rerun into the directory must not leave stale reports
     for name in ("snapshots.csv", "profiles.csv", "residuals.csv", "balance.json", "summary.json"):
         (out / name).unlink(missing_ok=True)
+    # the levels `solver.run` records: the record times' and the final time's
+    levels = sorted({grid.step_of(t, scheme.cells) for t in (*cfg.record_times, grid.t_final)})
+    writer = _SnapshotWriter(out / "snapshots.csv", grid, levels)
     try:
-        traj = solver.run(data, m, scheme, cfg.record_times, sides)
-    except SolverError as exc:
+        traj = solver.run(data, m, scheme, cfg.record_times, [writer, *sides])
+    except SolverError as exc:  # `finally` kills the writer and removes its file
         summary["error"] = str(exc)
         summary["status"] = 2
         _dump_json(out / "summary.json", summary)
         return 2
-
-    # snapshots.csv: u and v at the domain's nodes at each recorded time, one block at a time
-    x = grid.x()
-
-    def snapshot_blocks():
-        for level, (u, v, *_) in traj.snapshots.items():
-            u, v = at_nodes(u, v, 0, grid.n_cells - 1, level)
-            yield "%.17g," % (level * grid.h), np.column_stack((x, u.real, u.imag, v.real, v.imag))
-    _write_table(out / "snapshots.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"],
-                 snapshot_blocks())
-
-    tol = TRIANGLE_TOL_COEFF * cfg.h ** 2 * max(1.0, data.c0)
-    facts = {"traj": traj, "h": cfg.h, "residual_k": cfg.residual_k, "triangle_tol": tol,
-             "balance": [conservation.triangle_balance(s) for s in sides],
-             "profiles": asymptotics.compute_profile(traj),
-             "residuals": [asymptotics.residual(traj, t) for t in traj.times if t > 0],
-             "bounds": {t: asymptotics.tail_bound(data, m, t) for t in traj.times}}
-    _dump_json(out / "balance.json", [{**asdict(r), "tolerance": tol,
-                                       "pass": abs(r.defect) <= tol} for r in facts["balance"]])
-    _write_table(out / "profiles.csv", ["side", "y", "re", "im"],
-                 [(f"{side},", np.column_stack((x, g.real, g.imag)))
-                  for side, g in zip("uv", facts["profiles"])])
-    _write_table(out / "residuals.csv",
-                 ["t", "l2_u", "sup_u", "l2_v", "sup_v", "bound_u", "bound_v"],
-                 [("", np.reshape([(r.t, r.l2_u, r.sup_u, r.l2_v, r.sup_v, *facts["bounds"][r.t])
-                                   for r in facts["residuals"]], (-1, 7)))])
+    else:
+        writer.pipe.close()  # the writer formats the last block while the reports are made
+        tol = TRIANGLE_TOL_COEFF * cfg.h ** 2 * max(1.0, data.c0)
+        facts = {"traj": traj, "h": cfg.h, "residual_k": cfg.residual_k, "triangle_tol": tol,
+                 "balance": [conservation.triangle_balance(s) for s in sides],
+                 "profiles": asymptotics.compute_profile(traj),
+                 "residuals": [asymptotics.residual(traj, t) for t in traj.times if t > 0],
+                 "bounds": {t: asymptotics.tail_bound(data, m, t) for t in traj.times}}
+        _dump_json(out / "balance.json", [{**asdict(r), "tolerance": tol,
+                                           "pass": abs(r.defect) <= tol} for r in facts["balance"]])
+        _write_table(out / "profiles.csv", ["side", "y", "re", "im"],
+                     [(f"{side},", np.column_stack((grid.x(), g.real, g.imag)))
+                      for side, g in zip("uv", facts["profiles"])])
+        rows = [(r.t, r.l2_u, r.sup_u, r.l2_v, r.sup_v, *facts["bounds"][r.t])
+                for r in facts["residuals"]]
+        _write_table(out / "residuals.csv",
+                     ["t", "l2_u", "sup_u", "l2_v", "sup_v", "bound_u", "bound_v"],
+                     [("", np.reshape(rows, (-1, 7)))])
+        if status := writer.reap():
+            raise RuntimeError(f"the snapshots.csv writer failed (wait status {status})")
+    finally:
+        if writer.pid:  # not reaped: the run did not finish
+            writer.reap(kill=True)
 
     summary["checks"] += [_entry(name, identity, *rule(**facts))
                           for name, (identity, rule) in CHECKS.items() if name in cfg.checks]

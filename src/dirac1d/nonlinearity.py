@@ -35,9 +35,9 @@ def pair_overlap(u: Complexlike, v: Complexlike):
     return 2.0 * np.real(np.conj(u) * v)
 
 
-def eval_N(w, m: ModelParams, moduli=None, out=None):
+def eval_N(w, m: ModelParams, squares=None, out=None):
     """Both sources, stacked as (N1, N2), at the stacked pair w = (u, v);
-    moduli = (|u|, |v|) spares recomputing them, and out receives the result."""
+    squares = (|u|^2, |v|^2) spares recomputing them, and out receives the result."""
     partner = w[::-1]
     with_beta = np.count_nonzero(m.beta)  # np.any is 7x slower on a scalar
     if with_beta:
@@ -45,7 +45,7 @@ def eval_N(w, m: ModelParams, moduli=None, out=None):
         if not np.count_nonzero(m.alpha):
             return np.multiply(c, partner, out=out)
     n = np.multiply(m.alpha, w, out=out)
-    n *= np.square(np.abs(w) if moduli is None else moduli)[::-1]
+    n *= (np.square(np.abs(w)) if squares is None else squares)[::-1]
     if with_beta:
         n += c * partner
     return n

@@ -73,9 +73,10 @@ MARGIN = 4
 # trapezoidal: 8-9 the constant part, 10-11 the products i h/2 N, 12-13 and
 # 14-15 the iterates of alternate sweeps.  phase_split: 8-9 the turns, which
 # `_turns` builds once from 10, the squared data moduli, and 11, the angles
-# (real).  oracle4: 8-9 the half level's sources, 10-11 the new sources on the
-# half level, 12-15 and 16-19 the (full, half) stages of alternate sweeps, 20 a
-# Lobatto term.
+# (real); nothing writes row 10 after `_turns`, so `commit` reads the squares
+# there on every step.  oracle4: 8-9 the half level's sources, 10-11 the new
+# sources on the half level, 12-15 and 16-19 the (full, half) stages of
+# alternate sweeps, 20 a Lobatto term.
 WORK_ROWS = 21
 
 # Bytes a run's `_Labels` holds per label: the (2, L) pairs w, sources and traces
@@ -204,8 +205,8 @@ class _Labels:
         self.hull = ((int(iu[0]), int(iu[-1]), int(iv[0]), int(iv[-1]))
                      if iu.size and iv.size else None)
         self.guard(self.moduli, -MARGIN)
-        if _KERNELS[s.kind][3]:
-            _turns(self)
+        # the squared moduli `commit` evaluates a transporting scheme's sources at
+        self.squares = _turns(self) if _KERNELS[s.kind][3] else None
         if (win := self.window(0)) is not None:
             win = self.labels(*win, 0)
             eval_N(_pair(self.w, *win), m, out=_pair(self.sources, *win))
@@ -320,9 +321,10 @@ class _Labels:
         traces first gain panel(stored sources, new sources): the step's
         quadrature of the very sources it stores, so u = u0 - i A1 telescopes."""
         mod, src, traces = (_pair(a, *win) for a in (self.moduli, self.sources, self.traces))
-        if not _KERNELS[self.s.kind][3]:  # else the stored moduli are the data's, checked once
+        if self.squares is None:  # else the stored moduli are the data's, checked once
             self.guard(np.abs(W, out=mod), self.node(win[0]))
-        new = eval_N(W, self.m, mod, out=self.work[4:6, :win[2]])
+        squares = np.square(mod) if self.squares is None else _pair(self.squares, *win)
+        new = eval_N(W, self.m, squares, out=self.work[4:6, :win[2]])
         traces += panel(src, new)
         _pair(self.w, *win)[...], src[...] = W, new  # phase_split's W is w: no copy
 
@@ -492,6 +494,7 @@ def _turns(lab: _Labels):
     labels i and i + 2, with mid the midpoint of their |u0|^2 (second order);
     row 1 at v label j that of the u label whose feet are v labels j - 2 and j.
     Turns whose feet run past the arrays, which no window reaches, are 1.
+    Returns the (2, L) squared data moduli, held in work row 10.
 
     The exponent has real part +0, where cexp gives (cos, sin) of its
     imaginary part theta: theta is formed with the same bits (+ 0.0 turns a
@@ -508,6 +511,7 @@ def _turns(lab: _Labels):
     table = _pair(lab.work[8:10], 0, 2, n)
     np.cos(theta, out=table.real)
     np.sin(theta, out=table.imag)
+    return sq
 
 
 # 3-stage Lobatto IIIA (collocation at {0, 1/2, 1}): order 4, and both stage

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from dirac1d.asymptotics import ResidualReport
 from dirac1d.cli import (ALL_CHECKS, CHECKS, CHUNK_ROWS, KNOWN_KEYS, MODELS, ConfigError,
                          ExperimentConfig, _identity_sweep, _is_number, _setup, _write_table,
                          main, parse_config, run_experiment, sweep)
-from dirac1d.fields import FAMILIES, SHAPE, SHAPE_KEYS
+from dirac1d.fields import FAMILIES, SHAPE, SHAPE_KEYS, at_nodes
 
 NAN, INF = float("nan"), float("inf")
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +45,28 @@ def write_config(tmp_path, extra=None, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes os.fork makes while the test runs."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids, runs=1):
+    """One process forked per run, and none left to reap."""
+    assert len(pids) == runs
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def _accepts(call, error) -> bool:
@@ -461,7 +484,7 @@ class TestRunExperiment:
         assert status == 2
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["summary.json"]
 
-    def test_failed_run_leaves_no_earlier_reports(self, tmp_path, monkeypatch):
+    def test_failed_run_leaves_no_earlier_reports(self, tmp_path, monkeypatch, forks):
         # any failure of the solve, not only a SolverError, finds the directory cleared
         cfg = parse_config(write_config(tmp_path).read_text())
         cfg.output_dir = str(tmp_path / "out")
@@ -470,6 +493,7 @@ class TestRunExperiment:
         with pytest.raises(ZeroDivisionError):
             run_experiment(cfg)
         assert list((tmp_path / "out").iterdir()) == []
+        assert_reaped(forks, runs=2)
 
     def test_failing_check_reports_status_1(self, tmp_path):
         # the trapezoid update overshoots the saturated beta = 0 envelope by
@@ -521,6 +545,96 @@ def _straddle(edge: float) -> tuple[float, float]:
     while math.nextafter(lo, INF) ** 2 <= edge:
         lo = math.nextafter(lo, INF)
     return lo, math.nextafter(lo, INF)
+
+
+class TestSnapshotWriter:
+    """snapshots.csv comes from one forked writer, which every exit of a run reaps."""
+
+    @pytest.mark.parametrize("overrides, status", [
+        ({}, 0),
+        ({"model": "thirring", "h": 0.015625, "checks": ["pointwise"]}, 1),
+        ({"u_amplitude": 2e6}, 2),
+    ])
+    def test_reaped_on_every_status(self, tmp_path, forks, overrides, status):
+        cfg = parse_config(write_config(tmp_path, **overrides).read_text())
+        cfg.output_dir = str(tmp_path / "out")
+        assert run_experiment(cfg) == status
+        assert_reaped(forks)
+        assert (tmp_path / "out" / "snapshots.csv").exists() == (status != 2)
+
+    def test_reaped_when_a_report_raises_after_the_solve(self, tmp_path, monkeypatch, forks):
+        # raised once the writer has written the whole file and exited, unreaped
+        def failing(traj):
+            for _ in range(3000):  # 30 s at most
+                if os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT | os.WNOHANG):
+                    return 1 / 0
+                time.sleep(0.01)
+            raise AssertionError("the writer did not exit")
+        cfg = parse_config(write_config(tmp_path).read_text())
+        cfg.output_dir = str(tmp_path / "out")
+        monkeypatch.setattr(asymptotics, "compute_profile", failing)
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(cfg)
+        assert_reaped(forks)
+        assert not (tmp_path / "out" / "snapshots.csv").exists()
+
+    def test_reaped_when_interrupted_mid_solve(self, tmp_path, monkeypatch, forks):
+        # level 32 of 128: the writer has the record at t = 0 and waits for t = 0.5
+        class Interrupt:
+            def on_step(self, step):
+                if step.level == 32:
+                    raise KeyboardInterrupt
+        run = solver.run
+        monkeypatch.setattr(solver, "run", lambda data, m, s, times, probes:
+                            run(data, m, s, times, [*probes, Interrupt()]))
+        cfg = parse_config(write_config(tmp_path).read_text())
+        cfg.output_dir = str(tmp_path / "out")
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+        assert_reaped(forks)
+        assert not (tmp_path / "out" / "snapshots.csv").exists()
+
+    # A writer that fails after its first block leaves the solve writing into a pipe
+    # no one reads (a record, 80 kB, is more than a pipe holds); one that fails after
+    # its last block is seen when the run reaps it.
+    @pytest.mark.parametrize("take, error", [(lambda blocks: [next(blocks)], BrokenPipeError),
+                                             (list, RuntimeError)])
+    def test_failed_writer_fails_the_run(self, tmp_path, monkeypatch, capfd, forks, take, error):
+        write_table = _write_table
+
+        def failing(path, header, blocks):
+            if path.name != "snapshots.csv":
+                return write_table(path, header, blocks)
+            write_table(path, header, take(blocks))
+            raise OSError("no space left")
+        monkeypatch.setattr(dirac1d.cli, "_write_table", failing)  # before the fork: the writer's too
+        cfg = parse_config(write_config(tmp_path).read_text())
+        cfg.output_dir = str(tmp_path / "out")
+        with pytest.raises(error):
+            run_experiment(cfg)
+        assert_reaped(forks)
+        assert not (tmp_path / "out" / "snapshots.csv").exists()
+        assert "snapshots.csv writer: OSError('no space left')" in capfd.readouterr().err
+
+    def test_every_level_recorded_through_the_pipe(self, tmp_path):
+        # 33 records of 20 kB, more than a pipe holds, so the solve waits on the writer;
+        # the rows equal the per-cell writer's on an in-process solve's records
+        h = 0.0625
+        cfg = parse_config(write_config(tmp_path, x_min=-20.0, x_max=20.0, h=h, T=2.0,
+                                        record_times=[k * h for k in range(33)],
+                                        checks=["tails"]).read_text())
+        cfg.output_dir = str(tmp_path / "out")
+        assert run_experiment(cfg) == 0
+        grid, m, data, scheme = _setup(cfg)
+        rows = []
+        for level, (u, v, *_) in solver.run(data, m, scheme, cfg.record_times).snapshots.items():
+            u, v = at_nodes(u, v, 0, grid.n_cells - 1, level)
+            rows += [(level * h, *map(float, r))
+                     for r in zip(grid.x(), u.real, u.imag, v.real, v.imag)]
+        assert len(rows) == 33 * grid.n_cells
+        _write_cells(tmp_path / "cells.csv", ["t", "x", "re_u", "im_u", "re_v", "im_v"], rows)
+        assert (tmp_path / "out" / "snapshots.csv").read_bytes() == \
+            (tmp_path / "cells.csv").read_bytes()
 
 
 class TestChecks:
@@ -663,7 +777,7 @@ class TestSweep:
         # 3 * 0.1 is 0.30000000000000004: the final snapshot is looked up
         # within the recorded-time tolerance, not by the exact key T
         cfg = parse_config(write_config(tmp_path, h=0.1, T=0.3, record_times=[0.0, 0.3],
-                                        checks=["charge"]).read_text())
+                                        checks=["tails"]).read_text())
         rows = sweep(cfg, halvings=1)
         assert len(rows) == 2 and rows[0]["l2_diff_to_next"] > 0
 

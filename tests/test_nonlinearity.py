@@ -74,7 +74,8 @@ class TestFusedKernel:
                                        rng.uniform(-2, 2, self.n))}[case]
         want1, want2 = two_term_N1(u, v, m), two_term_N2(u, v, m)
         w, out = np.stack((u, v)), np.empty((2, self.n), complex)
-        for n1, n2 in (eval_N(w, m), eval_N(w, m, np.abs(w)), eval_N(w, m, out=out)):
+        for n1, n2 in (eval_N(w, m), eval_N(w, m, np.square(np.abs(w))),
+                       eval_N(w, m, out=out)):
             np.testing.assert_array_equal(bits(n1), bits(want1))
             np.testing.assert_array_equal(bits(n2), bits(want2))
         # every branch writes its result into out, and returns it

@@ -53,11 +53,11 @@ def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
     cells = 2 if kind == "oracle4" else 1
     au, av = np.abs(u), np.abs(v)  # the data moduli at the current level
 
-    def moduli():
-        """The moduli phase_split evaluates its sources at; None for the others."""
-        return np.stack((au, av)) if kind == "phase_split" else None
+    def squares():
+        """The squared moduli phase_split evaluates its sources at; None for the others."""
+        return np.square(np.stack((au, av))) if kind == "phase_split" else None
     for k in range(1, n_steps // cells + 1):
-        n1p, n2p = sources(u, v, m, moduli())
+        n1p, n2p = sources(u, v, m, squares())
         its = 0
         if kind == "oracle4":
             dt = 2.0 * h
@@ -106,15 +106,15 @@ def reference_steps(u, v, h, m, kind, n_steps, tol=1e-12, max_iter=50):
                 U = shift_right(u) * np.exp(-1j * m.alpha * h * v_mid)
                 V = shift_left(v) * np.exp(-1j * m.alpha * h * u_mid)
             u, v, au, av = U, V, shift_right(au), shift_left(av)
-            n1, n2 = sources(u, v, m, moduli())
+            n1, n2 = sources(u, v, m, squares())
             a1 = shift_right(a1) + 0.5 * h * (shift_right(n1p) + n1)
             a2 = shift_left(a2) + 0.5 * h * (shift_left(n2p) + n2)
         yield u, v, shift_left(a1, k * cells), shift_right(a2, k * cells), its
 
 
-def sources(u, v, m, moduli=None):
-    """(N1, N2) at (u, v) by the production formula, at the moduli if given."""
-    return tuple(eval_N(np.stack((u, v)), m, moduli))
+def sources(u, v, m, squares=None):
+    """(N1, N2) at (u, v) by the production formula, at the squared moduli if given."""
+    return tuple(eval_N(np.stack((u, v)), m, squares))
 
 
 def padded_reference(data, grid, m, kind="trapezoidal"):
@@ -496,7 +496,7 @@ class TestQuietRule:
             assert not loud[0]
         if not loud[0]:
             w = np.stack((u, v))
-            for n1, n2 in (eval_N(w, m), eval_N(w, m, np.stack((a, b)))):
+            for n1, n2 in (eval_N(w, m), eval_N(w, m, np.square(np.stack((a, b))))):
                 assert n1[0] == 0 and n2[0] == 0
 
     def test_bound(self):

@@ -8,16 +8,18 @@ path of the sources (`IMPLICIT`: Thirring and a custom coupling with alpha and
 beta both nonzero, on the trapezoid and on oracle4), acceptance criterion 9's
 trapezoid run (h = 1/256, T = 10), the same setup on oracle4 with record times
 [0, 5, 10], whose double steps take many sweeps each, gross_neveu_reference
-at T = 0 with every check and with record times [5, 20], and the refinement sweep
+at T = 0 with every check, with record times [5, 20] and with u_amplitude 2e6
+(a solver abort, which writes summary.json alone), and the refinement sweep
 `dirac1d sweep configs/triangle_balance.json -k 2`, once with this tree's
 `src` and once with PARENT_CHECKOUT's.  Both trees run the same config,
 written from this tree, with PYTHONDONTWRITEBYTECODE=1 and their outputs
-under one temporary directory.  The five reports of each pair of runs, and
-the sweep's sweep.csv, are compared byte for byte.  Every file that differs, or that one run did not
-write, is listed; the exit status is 1 if any is, else 0.  A differing file's line gives the
-largest absolute and relative difference over its numbers (CSV cells, JSON leaves), relative to
-the parent's value, and says whether the two differ in more than numbers: in their keys, their
-row counts or their text.
+under one temporary directory.  The five reports of each pair of runs (the
+abort's summary.json), and the sweep's sweep.csv, are compared byte for byte.
+Every file that differs, or that one run did not write, is listed; the exit
+status is 1 if any is, else 0.  A differing file's line gives the largest
+absolute and relative difference over its numbers (CSV cells, JSON leaves),
+relative to the parent's value, and says whether the two differ in more than
+numbers: in their keys, their row counts or their text.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ def cases():
     yield "gross_neveu_T0", {**every_check, "T": 0.0, "record_times": [0.0]}, ("run",), REPORTS
     yield ("gross_neveu_no_t0", {**reference, "record_times": [5.0, 20.0]}, ("run",),
            REPORTS)
+    # a solver abort, whose only report is the summary naming the step and the node
+    yield ("gross_neveu_blowup", {**reference, "u_amplitude": 2e6}, ("run",),
+           ("summary.json",))
     yield "triangle_balance_sweep", configs["triangle_balance"], SWEEP, ("sweep.csv",)
 
 
